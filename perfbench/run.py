@@ -16,7 +16,7 @@ import re
 import subprocess
 import sys
 
-WORKLOADS = ("predict_open", "oracle_open", "search_mixed")
+WORKLOADS = ("oracle_open", "search_mixed")
 RUN_TIMEOUT_S = 170
 
 

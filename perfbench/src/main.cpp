@@ -1,6 +1,6 @@
 // perfbench — the repository's end-to-end benchmark.
 //
-//   perfbench --workload <predict_open|oracle_open|search_mixed>
+//   perfbench --workload <oracle_open|search_mixed>
 //             --seed <n> --seconds <s> --trace <0|1>
 //             [--git-rev <rev>] [--trace-out <path>]
 //
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -45,7 +46,7 @@ struct Workload {
   const char* name;
   const char* evaluator;
   std::int64_t slice_ms;
-  /// Probe rate of the "low" metrics on the open workloads, and of the
+  /// Probe rate of the "low" metrics on oracle_open, and of the
   /// probes sent during the searches on search_mixed.
   double low_rate;
   /// Probe rate of the "high" metrics.
@@ -57,28 +58,29 @@ struct Workload {
   /// The probes sent while the searches run are the "low" metrics
   /// (search_mixed); otherwise the low rate has segments of its own.
   bool search_focus;
+  /// Every this many rounds, one round also runs a search (round 0 first).
+  int search_every;
 };
 
 const std::vector<Workload>& workloads() {
   // Capacity measured on the seed (4 CPUs): ~13k/s for predictor
   // predicts and ~120k/s for oracle predicts while the host is quiet, and
-  // half or less while other tenants load it. "high" is 30-40% of the
-  // quiet capacity (60-80% of the loaded one): nearer the knee its latency
-  // swings with the host's load rather than with the code. The
-  // ladders start below it, so that a climb on a loaded host still passes
-  // its first rungs, and step by ~5% around the knee.
-  const std::vector<double> predict_ladder = {
-      3000,  5500,  7000,  8000,  9000,  9500,  10000, 10500, 11000,
-      11500, 12000, 12500, 13000, 13500, 14000, 15000, 16000, 18000};
+  // half or less while other tenants load it. "high" is ~30% of the quiet
+  // capacity on the predictor server and ~20% on the oracle one: nearer
+  // the knee its p50 swings with the host's load rather than with the code
+  // (at 50000/s the middle half of ten oracle runs spread over a third of
+  // their median, at 25000/s up to a fifth). The ladders start at or
+  // below it, so that a climb on a loaded host still passes its first
+  // rungs, and step by ~5% around the knee.
   static const std::vector<Workload> kWorkloads = {
-      {"predict_open", "predictor", 0, 2000.0, 4000.0, predict_ladder, 10.0,
-       false},
-      {"oracle_open", "oracle", 0, 5000.0, 50000.0,
-       {20000, 50000, 65000, 75000, 85000, 90000, 95000, 100000, 105000,
+      {"oracle_open", "oracle", 0, 5000.0, 20000.0,
+       {20000, 40000, 60000, 75000, 85000, 90000, 95000, 100000, 105000,
         110000, 115000, 120000, 125000, 130000, 140000, 150000, 170000},
-       5.0, false},
-      {"search_mixed", "predictor", 5, 1000.0, 5500.0, predict_ladder, 10.0,
-       true},
+       5.0, false, 4},
+      {"search_mixed", "predictor", 5, 1000.0, 4000.0,
+       {3000, 5500, 7000, 9000, 9500, 10000, 10500, 11000, 11500, 12000,
+        12500, 13000, 13500, 14000, 15000, 16000, 18000},
+       10.0, true, 2},
   };
   return kWorkloads;
 }
@@ -100,10 +102,13 @@ api::EngineConfig served_config(const Workload& w) {
 constexpr int kGeneratorConnections = 4;
 constexpr std::size_t kProbeArchs = 64;
 /// Rounds per run: every round measures a low and a high segment, every
-/// even one also climbs the ladder, every fourth also runs a search (9 low,
-/// 9 high, 5 climbs, 3 searches).
+/// even one also climbs the ladder, and some also run a search (9 low, 9
+/// high, 5 climbs, and 3 or 5 searches).
 constexpr int kRounds = 9;
-constexpr int kSearchEvery = 4;
+/// Share of --seconds that each high-rate segment and each ladder rung
+/// lasts.
+constexpr double kHighShare = 0.05;
+constexpr double kRungShare = 0.02;
 /// Fewest samples per latency segment: enough for 10 beyond its p99.
 constexpr double kSegmentSamples = 1100.0;
 /// Predict probes per second while a search runs, on every workload: the
@@ -194,6 +199,24 @@ Segmented segmented(const std::vector<std::vector<double>>& segs) {
   out.p50_us = pb::median(p50);
   out.p99_us = pb::median(p99);
   return out;
+}
+
+/// Latency over the probes of all segments taken together. For the probes
+/// during the searches: a run's searches are a fixed sequence of different
+/// searches, so a median over them picks whichever sits in the middle
+/// rank, and that changes hands from run to run.
+Segmented pooled(const std::vector<std::vector<double>>& segs) {
+  std::vector<double> all;
+  for (const std::vector<double>& seg : segs)
+    all.insert(all.end(), seg.begin(), seg.end());
+  const pb::Summary s = pb::summarize(all);
+  return {s.p50, s.p99, s.n, s.beyond_p99, static_cast<int>(segs.size())};
+}
+
+double mean(const std::vector<double>& v) {
+  return v.empty() ? 0.0
+                   : std::accumulate(v.begin(), v.end(), 0.0) /
+                         static_cast<double>(v.size());
 }
 
 void print_summary(const char* label, double rate, const pb::LoadResult& r) {
@@ -315,12 +338,37 @@ struct Session {
   }
 };
 
-/// One climb of the ladder: ascending rungs until the first that misses.
-/// A rung meets the limit when the median p99 of its three time windows is
-/// within it (a growing backlog fails the later windows), at most a
-/// limit's worth of arrivals is left outstanding when sending stops, and
-/// nothing failed. Returns the highest passing rung and what it answered
-/// per second (0 when none passed).
+/// One run of a ladder rung. It meets the limit when the median p99 of
+/// its three time windows is within it (a growing backlog fails the later
+/// windows), at most a limit's worth of arrivals is left outstanding when
+/// sending stops, and nothing failed.
+bool run_rung(Session& s, const Workload& w, double rate, double rung_s,
+              pb::LoadResult* r) {
+  pb::LoadSpec spec;
+  spec.rate_per_s = rate;
+  spec.duration_s = rung_s;
+  const auto pass_backlog = static_cast<std::int64_t>(
+      std::max(8.0, rate * w.p99_limit_ms / 1e3));
+  // Past four limits' worth the rung has failed: stop feeding the queue.
+  spec.max_backlog = 4 * pass_backlog;
+  *r = s.run(spec, "ladder").load;
+  std::vector<std::vector<double>> windows(3);
+  for (std::size_t i = 0; i < r->latency_us.size(); ++i)
+    windows[std::min<std::size_t>(
+                2, static_cast<std::size_t>(3.0 * r->intended_s[i] / rung_s))]
+        .push_back(r->latency_us[i]);
+  const bool pass = r->failed == 0 && !r->backlog_exceeded &&
+                    r->backlog_at_end <= pass_backlog &&
+                    ms(segmented(windows).p99_us) <= w.p99_limit_ms;
+  print_summary(pass ? "rung (meets limit)" : "rung (misses limit)", rate,
+                *r);
+  return pass;
+}
+
+/// One climb of the ladder: ascending rungs until the first that misses
+/// the limit twice in a row. A host stall of ten-odd ms misses one run of a
+/// rung, at any rate; overload misses both. Returns the highest passing
+/// rung and what it answered per second (0 when none passed).
 struct Climb {
   double rung = 0.0;
   double rps = 0.0;
@@ -331,25 +379,9 @@ Climb climb(Session& s, const Workload& w, double rung_s) {
   Climb c;
   std::size_t passed = 0;
   for (const double rate : w.ladder) {
-    pb::LoadSpec spec;
-    spec.rate_per_s = rate;
-    spec.duration_s = rung_s;
-    const auto pass_backlog = static_cast<std::int64_t>(
-        std::max(8.0, rate * w.p99_limit_ms / 1e3));
-    // Past four limits' worth the rung has failed: stop feeding the queue.
-    spec.max_backlog = 4 * pass_backlog;
-    const pb::LoadResult r = s.run(spec, "ladder").load;
-    std::vector<std::vector<double>> windows(3);
-    for (std::size_t i = 0; i < r.latency_us.size(); ++i)
-      windows[std::min<std::size_t>(
-                  2, static_cast<std::size_t>(3.0 * r.intended_s[i] / rung_s))]
-          .push_back(r.latency_us[i]);
-    const bool pass = r.failed == 0 && !r.backlog_exceeded &&
-                      r.backlog_at_end <= pass_backlog &&
-                      ms(segmented(windows).p99_us) <= w.p99_limit_ms;
-    print_summary(pass ? "rung (meets limit)" : "rung (misses limit)", rate,
-                  r);
-    if (!pass) break;
+    pb::LoadResult r;
+    if (!run_rung(s, w, rate, rung_s, &r) && !run_rung(s, w, rate, rung_s, &r))
+      break;
     const double span_s = r.intended_s.empty()
                               ? 1.0
                               : r.intended_s.back() + r.latency_us.back() / 1e6;
@@ -428,52 +460,66 @@ int run(const Args& args, const Workload& w) {
   // config in every run, so its k-th search is the same work in every run.
   const api::EngineConfig& search_cfg = cfg;
 
-  // ---- set-up, repeated: context + server + first answered ping. The
-  // last server stays up; the first two contexts stay untouched, as the
-  // reference contexts of the checks below.
+  // ---- set-up: context + server + first answered ping, timed. Three to
+  // begin with: the last server stays up, and the first two contexts stay
+  // untouched, as the reference contexts of the checks below.
   net::ServerConfig scfg;
   scfg.service.num_workers = 2;
   scfg.service.max_predict_batch = 16;
   scfg.service.exclusive_slice_ms = w.slice_ms;
   // Unbounded: an over-capacity rung shows as latency, not as refusals.
   scfg.service.max_queue_depth = 0;
-  const int setups = std::string(w.evaluator) == "oracle" ? 11 : 3;
   std::vector<double> setup_s, context_s;
-  std::vector<std::shared_ptr<api::EvalContext>> spare;
-  for (int k = 0; k < setups; ++k) {
-    s.control.reset();
-    s.server.reset();
+  struct Started {
+    std::shared_ptr<api::EvalContext> ctx;
+    std::shared_ptr<net::Server> server;
+    std::optional<net::Client> control;
+  };
+  auto set_up = [&]() -> std::optional<Started> {
     const Clock::time_point t0 = Clock::now();
     api::Result<std::shared_ptr<api::EvalContext>> ctx =
         api::EvalContext::create(cfg);
     if (!ctx.ok()) {
       std::fprintf(stderr, "context: %s\n", ctx.status().to_string().c_str());
-      return 2;
+      return std::nullopt;
     }
     context_s.push_back(seconds_since(t0));
     api::Result<std::shared_ptr<net::Server>> server =
         net::Server::create(cfg, ctx.value(), scfg);
     if (!server.ok()) {
       std::fprintf(stderr, "server: %s\n", server.status().to_string().c_str());
-      return 2;
+      return std::nullopt;
     }
     api::Result<net::Client> client =
         net::Client::connect("127.0.0.1", server.value()->port());
     if (!client.ok() || !client.value().ping().ok()) {
       std::fprintf(stderr, "control connection failed\n");
-      return 2;
+      return std::nullopt;
     }
     setup_s.push_back(seconds_since(t0));
-    s.server = std::move(server).value();
-    s.control.emplace(std::move(client).value());
-    if (spare.size() < 2 && k < setups - 1) spare.push_back(ctx.value());
+    return Started{std::move(ctx).value(), std::move(server).value(),
+                   std::move(client).value()};
+  };
+  std::vector<std::shared_ptr<api::EvalContext>> spare;
+  for (int k = 0; k < 3; ++k) {
+    std::optional<Started> started = set_up();
+    if (!started) return 2;
+    if (k < 2) {
+      spare.push_back(started->ctx);
+      continue;
+    }
+    s.server = started->server;
+    s.control.emplace(std::move(*started->control));
   }
+  // An oracle set-up takes a few ms, so its time follows the host's
+  // moment-to-moment speed: it is also timed four more times in every
+  // round below (and torn down at once), so its median samples the whole
+  // run like the other metrics.
+  const int round_setups = std::string(w.evaluator) == "oracle" ? 4 : 0;
   host.pool_threads = core::num_threads();
   std::printf("perfbench %s  seed %llu  seconds %.0f  trace %d\n", w.name,
               static_cast<unsigned long long>(args.seed), S, args.trace ? 1 : 0);
   std::printf("host: %s\n", host.to_json().c_str());
-  std::printf("setup_s: median %.4f over %d (context %.4f)\n",
-              pb::median(setup_s), setups, pb::median(context_s));
   s.verdict.check(host.pool_threads == cfg.num_threads,
                   "kernel pool width differs from num_threads");
 
@@ -546,11 +592,13 @@ int run(const Args& args, const Workload& w) {
     if (k == 0) first_search = std::move(p);
   };
   for (int k = 0; k < kRounds; ++k) {
+    for (int i = 0; i < round_setups; ++i)
+      if (!set_up()) return 2;
     // The kStats queue histograms are read after the first search
-    // (search_mixed) or the first low segment (the open workloads): the
-    // search goes first in its round on search_mixed, last on the others,
-    // where the probes queue behind the whole search.
-    const bool search_round = k % kSearchEvery == 0;
+    // (search_mixed) or the first low segment (oracle_open): the search
+    // goes first in its round on search_mixed, last on oracle_open, where
+    // the probes queue behind the whole search.
+    const bool search_round = k % w.search_every == 0;
     if (search_round && w.search_focus) run_search(k);
     for (const bool high : {false, true}) {
       if (!high && w.search_focus) continue;
@@ -558,7 +606,7 @@ int run(const Args& args, const Workload& w) {
       pb::LoadSpec spec;
       spec.rate_per_s = rate;
       spec.duration_s =
-          std::max(kSegmentSamples / rate, high ? 0.03 * S : 0.0);
+          std::max(kSegmentSamples / rate, high ? kHighShare * S : 0.0);
       Phase p = s.run(spec, high ? "high" : "low");
       measured += p.load.sent;
       measured_ok += p.load.ok;
@@ -573,7 +621,7 @@ int run(const Args& args, const Workload& w) {
         first_low = std::move(p);
       }
     }
-    if (k % 2 == 0) climbs.push_back(climb(s, w, 0.02 * S));
+    if (k % 2 == 0) climbs.push_back(climb(s, w, kRungShare * S));
     if (search_round && !w.search_focus) run_search(k);
   }
   std::vector<double> climb_rps, climb_rung;
@@ -591,15 +639,14 @@ int run(const Args& args, const Workload& w) {
     s.verdict.check(rep.ok(), "remote search failed: " +
                                   (rep.ok() ? std::string()
                                             : rep.status().to_string()));
-  std::printf("search: %zu searches, median %.3f s, slices %lld, "
+  std::printf("setup_s: median %.4f over %zu (context %.4f)\n",
+              pb::median(setup_s), setup_s.size(), pb::median(context_s));
+  std::printf("search: %zu searches, mean %.3f s, slices %lld, "
               "preemptions %lld\n",
-              search_s.size(), pb::median(search_s),
+              search_s.size(), mean(search_s),
               static_cast<long long>(slices),
               static_cast<long long>(preemptions));
-  if (w.search_focus) {
-    low_segs = search_segs;
-    low_lag_us = search_lag_us;
-  }
+  if (w.search_focus) low_lag_us = search_lag_us;
 
   // Peak memory of the workload itself: the reference searches below run
   // on the benchmark's own thread and would add their working set to it.
@@ -623,9 +670,10 @@ int run(const Args& args, const Workload& w) {
   }
 
   // ---- end-to-end metrics.
-  const Segmented low_lat = segmented(low_segs);
+  const Segmented search_lat = pooled(search_segs);
+  const Segmented low_lat =
+      w.search_focus ? search_lat : segmented(low_segs);
   const Segmented high_lat = segmented(high_segs);
-  const Segmented search_lat = segmented(search_segs);
   for (const auto& [label, seg] : {std::pair{"low", low_lat},
                                    {"high", high_lat},
                                    {"search", search_lat}})
@@ -645,7 +693,7 @@ int run(const Args& args, const Workload& w) {
       {"p50_ms.high", ms(high_lat.p50_us), "ms"},
       {"p99_ms.search", ms(search_lat.p99_us), "ms"},
       {"max_rps", max_rps, "1/s"},
-      {"search_s", pb::median(search_s), "s"},
+      {"search_s", mean(search_s), "s"},
       {"success_rate",
        ratio(static_cast<double>(measured_ok), static_cast<double>(measured)),
        "ratio"},
