@@ -247,8 +247,9 @@ class Engine {
   std::int64_t last_cache_misses_ = 0;
 };
 
-/// An in-flight search advanced one generation at a time — the scheduling
-/// unit serve::Service preempts under its exclusive time slice. Obtained
+/// An in-flight search advanced one step at a time — one supernet
+/// mini-batch or one validation-sample round (hgnas::SearchStepper), the
+/// scheduling unit serve::Service preempts under its exclusive time slice. Obtained
 /// from Engine::begin_search(). step() never throws: failures are captured
 /// and surface from take_report(), exactly as Engine::search() would have
 /// reported them.
@@ -257,8 +258,8 @@ class SearchRun {
   SearchRun(const SearchRun&) = delete;
   SearchRun& operator=(const SearchRun&) = delete;
 
-  /// Advance one generation (or warmup epoch / sampling chunk). False once
-  /// the search has finished — successfully or not.
+  /// Advance one step (a mini-batch or a validation-sample round). False
+  /// once the search has finished — successfully or not.
   bool step();
   bool done() const { return finished_; }
   /// Live progress view (phase, step count, simulated time, best

@@ -91,8 +91,9 @@ class Registry {
       std::function<Result<EvaluatorBundle>(const EvaluatorRequest&)>;
   using StrategyFn =
       std::function<Result<hgnas::SearchResult>(const StrategyRequest&)>;
-  /// Stepwise form of a strategy: builds a generation-granular stepper over
-  /// the request instead of running to completion. The built-in strategies
+  /// Stepwise form of a strategy: builds a stepper over the request (see
+  /// hgnas::HgnasSearch::run_stepwise for the step unit) instead of
+  /// running to completion. The built-in strategies
   /// register both; a custom strategy may register only the monolithic fn
   /// (Engine::begin_search then falls back to one whole-run step).
   using StrategyStepperFactory = std::function<

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <stdexcept>
@@ -15,6 +16,23 @@ namespace hg::core {
 namespace {
 
 thread_local bool t_in_parallel_region = false;
+
+/// How long an idle pool thread polls before it blocks: a fork-join that
+/// follows within it (the next validation-sample round, the next kernel)
+/// starts without a futex wake-up, which costs up to a millisecond on a
+/// virtualised host.
+constexpr auto kSpin = std::chrono::microseconds(100);
+
+/// Polls `ready` for up to kSpin; true once it holds.
+template <typename Pred>
+bool spin_until(Pred ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 /// One fork-join job: workers (plus the caller) claim chunk indices from an
 /// atomic cursor until exhausted. Chunk boundaries are fixed before any
@@ -71,15 +89,20 @@ class Pool {
     {
       MutexLock lock(queue_mutex_);
       pending_.push_back(&job);
+      queued_.store(pending_.size(), std::memory_order_relaxed);
     }
     wake_.notify_all();
     job.run_chunks();
     // The caller ran out of chunks. Unpublish the job so no further worker
     // can join it (the Job lives on the caller's stack), then wait for the
     // workers already inside it.
+    spin_until([&job] {
+      return job.remaining.load(std::memory_order_acquire) == 0;
+    });
     UniqueMutexLock lock(queue_mutex_);
     const auto it = std::find(pending_.begin(), pending_.end(), &job);
     if (it != pending_.end()) pending_.erase(it);  // a worker may have already
+    queued_.store(pending_.size(), std::memory_order_relaxed);
     while (job.remaining.load(std::memory_order_acquire) != 0)
       done_.wait(lock);
   }
@@ -125,6 +148,9 @@ class Pool {
   void worker_loop() {
     for (;;) {
       Job* job = nullptr;
+      spin_until([this] {
+        return queued_.load(std::memory_order_relaxed) != 0;
+      });
       {
         UniqueMutexLock lock(queue_mutex_);
         while (!shutdown_ && pending_.empty()) wake_.wait(lock);
@@ -134,6 +160,7 @@ class Pool {
         // worker can join in; drop it once the cursor has passed the end.
         if (job->next.load(std::memory_order_relaxed) >= job->num_chunks) {
           pending_.erase(pending_.begin());
+          queued_.store(pending_.size(), std::memory_order_relaxed);
           continue;
         }
         job->remaining.fetch_add(1, std::memory_order_acq_rel);
@@ -156,6 +183,8 @@ class Pool {
   std::condition_variable_any wake_;  // waits on UniqueMutexLock
   std::condition_variable_any done_;
   std::vector<Job*> pending_ HG_GUARDED_BY(queue_mutex_);
+  // pending_.size(), readable without the lock: the idle poll's signal.
+  std::atomic<std::size_t> queued_{0};
   std::vector<std::thread> workers_ HG_GUARDED_BY(resize_mutex_);
   bool shutdown_ HG_GUARDED_BY(queue_mutex_) = false;
 };

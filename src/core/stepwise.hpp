@@ -1,7 +1,8 @@
 // stepwise.hpp — a minimal resumable-unit-of-work coroutine.
 //
-// core::Stepper is how long-running loops (EA generations, training epochs)
-// expose a step() boundary to a scheduler without duplicating the loop body:
+// core::Stepper is how long-running loops (EA generations, training epochs,
+// and the mini-batches and validation-sample rounds inside them) expose a
+// step() boundary to a scheduler without duplicating the loop body:
 // the monolithic entry point and the stepwise one drive the SAME coroutine,
 // so the two are bit-identical by construction. The coroutine suspends with
 // `co_await std::suspend_always{}` at each step boundary; all loop state
@@ -13,6 +14,13 @@
 //    may die before the last step();
 //  * Stepper owns the frame: move-only, destroys it on destruction even if
 //    the body never ran to completion (partial runs are abandonable).
+//
+// Nesting: a coroutine exposes a sub-stepper's suspensions as its own by
+// driving it with `while (sub.step()) co_await std::suspend_always{};`.
+// Consecutive step() calls may run on different threads (a scheduler
+// resumes a preempted run on whichever worker claims it), so no
+// thread-local RAII guard (NoGradGuard, ScopedTraceId, ...) may live
+// across a suspension.
 #pragma once
 
 #include <coroutine>

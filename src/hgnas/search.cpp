@@ -25,8 +25,8 @@ void check(bool cond, const std::string& msg) {
 /// shared RNG stream and all — bit for bit.
 bool batch_eval_enabled() { return core::num_threads() > 1; }
 
-/// Holds the supernet in inference mode for the duration of a concurrent
-/// evaluation batch, restoring training mode even when a probe throws.
+/// Holds the supernet in inference mode for one round of concurrent
+/// accuracy probes, restoring training mode even when a probe throws.
 class EvalModeGuard {
  public:
   explicit EvalModeGuard(SuperNet& net) : net_(net) {
@@ -365,17 +365,21 @@ HgnasSearch::Scored HgnasSearch::score_cached(const Arch& arch,
   return s;
 }
 
-std::vector<HgnasSearch::Scored> HgnasSearch::score_batch(
-    const std::vector<PendingEval>& batch, std::uint64_t acc_seed) {
+core::Stepper HgnasSearch::co_score_batch(
+    const std::vector<PendingEval>& batch, std::uint64_t acc_seed,
+    std::vector<Scored>* out) {
   const std::int64_t nb = static_cast<std::int64_t>(batch.size());
-  std::vector<Scored> out(static_cast<std::size_t>(nb));
+  std::vector<Scored> scored(static_cast<std::size_t>(nb));
   std::vector<char> fresh(static_cast<std::size_t>(nb), 0);
-  std::vector<char> need_acc(static_cast<std::size_t>(nb), 0);
   // Within-batch revisits (the random strategy does not dedup its draws)
   // alias the first occurrence instead of re-evaluating.
   std::vector<std::int64_t> dup_of(static_cast<std::size_t>(nb), -1);
   std::unordered_map<std::string, std::int64_t> first_index;
-  const std::int64_t probes =
+  // Accuracy probes of the feasible fresh candidates, and the batch index
+  // each one scores.
+  std::vector<AccuracyProbe> probes;
+  std::vector<std::size_t> probed;
+  const std::int64_t probe_samples =
       std::min<std::int64_t>(cfg_.eval_val_samples,
                              static_cast<std::int64_t>(data_.test().size()));
 
@@ -383,7 +387,7 @@ std::vector<HgnasSearch::Scored> HgnasSearch::score_batch(
   // counter bookkeeping (deterministic regardless of the pool).
   for (std::int64_t i = 0; i < nb; ++i) {
     const PendingEval& pe = batch[static_cast<std::size_t>(i)];
-    Scored& s = out[static_cast<std::size_t>(i)];
+    Scored& s = scored[static_cast<std::size_t>(i)];
     if (cfg_.use_eval_cache) {
       if (cache_->lookup(run_scope_, pe.key, &s)) {
         ++cache_hits_;
@@ -399,42 +403,81 @@ std::vector<HgnasSearch::Scored> HgnasSearch::score_batch(
     ++cache_misses_;
     fresh[static_cast<std::size_t>(i)] = 1;
     if (!gate_candidate(pe.arch, s)) continue;
-    need_acc[static_cast<std::size_t>(i)] = 1;
+    // Each candidate owns an RNG derived from its genome, so the outcome
+    // does not depend on which worker runs it or on the thread count.
+    probes.push_back(SuperNet::begin_probe(pe.arch, data_.test(),
+                                           probe_samples,
+                                           Rng(acc_seed ^ pe.hash)));
+    probed.push_back(static_cast<std::size_t>(i));
     ++accuracy_probes_;
-    advance_clock(static_cast<double>(probes) * cfg_.sim_eval_s_per_sample);
+    advance_clock(static_cast<double>(probe_samples) *
+                  cfg_.sim_eval_s_per_sample);
   }
 
-  // Phase 2: the expensive supernet accuracy probes, concurrently. Each
-  // candidate owns an RNG derived from its genome, so the outcome does not
-  // depend on which worker runs it or on the thread count.
-  {
-    EvalModeGuard eval_mode(supernet_);
-    core::parallel_invoke(nb, [&](std::int64_t i) {
-      if (!need_acc[static_cast<std::size_t>(i)]) return;
-      Scored& s = out[static_cast<std::size_t>(i)];
-      Rng probe_rng(acc_seed ^ batch[static_cast<std::size_t>(i)].hash);
-      s.acc = supernet_.evaluate_concurrent(s.arch, data_.test(), probes,
-                                            probe_rng);
-      s.fitness = objective(s.acc, s.latency_ms, false);
-      s.is_feasible = true;
-    });
+  // Phase 2: the expensive supernet accuracy probes, in rounds.
+  core::Stepper rounds = co_probe_rounds(probes);
+  while (rounds.step()) co_await std::suspend_always{};
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    Scored& s = scored[probed[j]];
+    s.acc = probes[j].accuracy();
+    s.fitness = objective(s.acc, s.latency_ms, false);
+    s.is_feasible = true;
   }
 
   for (std::int64_t i = 0; i < nb; ++i)
     if (dup_of[static_cast<std::size_t>(i)] >= 0)
-      out[static_cast<std::size_t>(i)] = out[static_cast<std::size_t>(
+      scored[static_cast<std::size_t>(i)] = scored[static_cast<std::size_t>(
           dup_of[static_cast<std::size_t>(i)])];
 
   if (cfg_.use_eval_cache) {
     for (std::int64_t i = 0; i < nb; ++i)
       if (fresh[static_cast<std::size_t>(i)])
         cache_->insert(run_scope_, batch[static_cast<std::size_t>(i)].key,
-                       out[static_cast<std::size_t>(i)]);
+                       scored[static_cast<std::size_t>(i)]);
   }
-  // Frontier bookkeeping runs serially after the join (the tracker is not
+  // Frontier bookkeeping runs serially after the rounds (the tracker is not
   // thread-safe); revisits are recorded again and deduplicate inside.
-  for (const Scored& s : out) record_frontier(s);
-  return out;
+  for (Scored& s : scored) {
+    record_frontier(s);
+    out->push_back(std::move(s));
+  }
+}
+
+core::Stepper HgnasSearch::co_probe_rounds(
+    std::vector<AccuracyProbe>& probes) {
+  const auto live = [&probes] {
+    return std::any_of(probes.begin(), probes.end(),
+                       [](const AccuracyProbe& p) { return !p.done(); });
+  };
+  while (live()) {
+    {
+      // Scoped to the round: whatever runs while the search is suspended
+      // must find the supernet in its default (training) mode.
+      EvalModeGuard eval_mode(supernet_);
+      core::parallel_invoke(
+          static_cast<std::int64_t>(probes.size()), [&](std::int64_t i) {
+            AccuracyProbe& p = probes[static_cast<std::size_t>(i)];
+            if (!p.done()) supernet_.advance_probe(p, data_.test());
+          });
+    }
+    co_await std::suspend_always{};
+  }
+}
+
+core::Stepper HgnasSearch::co_train_supernet(
+    std::int64_t epochs, std::function<Arch(Rng&)> sampler, Rng& rng,
+    SearchProgress* prog) {
+  Adam opt(supernet_.parameters(), 1e-3f);
+  for (std::int64_t e = 0; e < epochs; ++e) {
+    double loss = 0.0;
+    core::Stepper epoch = supernet_.train_epoch_stepwise(
+        data_.train(), sampler, opt, cfg_.batch_size, rng, &loss);
+    while (epoch.step()) co_await std::suspend_always{};
+    advance_clock(static_cast<double>(data_.train().size()) *
+                  cfg_.sim_train_s_per_sample);
+    prog->sim_time_s = sim_time_s_;
+    co_await std::suspend_always{};
+  }
 }
 
 void HgnasSearch::reset_run_state() {
@@ -539,19 +582,17 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
   auto admitted = [&] {
     return static_cast<std::int64_t>(population.size() + pending.size());
   };
-  // Score the generation's admissions concurrently and append in admit
-  // order (no-op on the serial path, which scored inside admit).
-  auto flush = [&] {
-    if (pending.empty()) return;
-    std::vector<Scored> scored = score_batch(pending, acc_seed);
-    for (Scored& s : scored) population.push_back(std::move(s));
-    pending.clear();
-  };
 
+  // Each generation's admissions are scored in rounds and appended in
+  // admit order (nothing is pending on the serial path, which scored
+  // inside admit).
   while (admitted() < cfg_.population) admit(sample_candidate(rng));
-  flush();
+  {
+    core::Stepper scoring = co_score_batch(pending, acc_seed, &population);
+    while (scoring.step()) co_await std::suspend_always{};
+    pending.clear();
+  }
   prog->sim_time_s = sim_time_s_;
-  ++prog->steps;
   co_await std::suspend_always{};
 
   // Ranking: any feasible candidate beats any infeasible one (Eq. (3)
@@ -602,11 +643,12 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
     while (produced < offspring_target) {
       if (admit(sample_candidate(rng))) ++produced;
     }
-    flush();
+    core::Stepper scoring = co_score_batch(pending, acc_seed, &population);
+    while (scoring.step()) co_await std::suspend_always{};
+    pending.clear();
     prog->sim_time_s = sim_time_s_;
     prog->best_objective = result.history.back().best_objective;
     prog->has_best = true;
-    ++prog->steps;
     co_await std::suspend_always{};
   }
 
@@ -629,21 +671,15 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
 
   // ---- Stage 0: supernet warmup over the full space -----------------------
   if (cfg_.train_supernet) {
-    Adam opt(supernet_.parameters(), 1e-3f);
-    auto sampler = [this](Rng& r) { return random_arch(cfg_.space, r); };
-    for (std::int64_t e = 0; e < cfg_.stage1_epochs; ++e) {
-      supernet_.train_epoch(data_.train(), sampler, opt, cfg_.batch_size,
-                            rng);
-      advance_clock(static_cast<double>(data_.train().size()) *
-                    cfg_.sim_train_s_per_sample);
-      prog->phase = SearchProgress::Phase::kWarmup;
-      prog->sim_time_s = sim_time_s_;
-      ++prog->steps;
-      co_await std::suspend_always{};
-    }
+    prog->phase = SearchProgress::Phase::kWarmup;
+    core::Stepper warmup = co_train_supernet(
+        cfg_.stage1_epochs,
+        [this](Rng& r) { return random_arch(cfg_.space, r); }, rng, prog);
+    while (warmup.step()) co_await std::suspend_always{};
   }
 
   // ---- Stage 1: function search (objective: supernet accuracy) -----------
+  prog->phase = SearchProgress::Phase::kStage1;
   struct ScoredFn {
     FunctionSet upper, lower;
     double fitness = 0.0;
@@ -658,47 +694,39 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
     }
     return acc / static_cast<double>(cfg_.function_paths_per_eval);
   };
-  // Batch path: score fn_pop[first..] in one fork-join — probe paths and
-  // their seeds are drawn serially from the main stream, then every probe's
-  // supernet pass runs concurrently.
-  struct FnProbe {
-    Arch arch;
-    std::uint64_t seed = 0;
-    double acc = 0.0;
-  };
-  auto eval_group = [&](std::vector<ScoredFn>& group, std::size_t first) {
-    const std::int64_t paths = cfg_.function_paths_per_eval;
+  // Batch path: the probes of fn_pop[first..] — paths and their seeds drawn
+  // serially from the main stream — then advance in co_probe_rounds, and
+  // each member's fitness is the mean of its paths' accuracies.
+  const std::int64_t paths = cfg_.function_paths_per_eval;
+  auto draw_probes = [&](const std::vector<ScoredFn>& group,
+                         std::size_t first) {
     const std::int64_t probe_samples = std::min<std::int64_t>(
         cfg_.eval_val_samples,
         static_cast<std::int64_t>(data_.test().size()));
-    std::vector<FnProbe> probes;
+    std::vector<AccuracyProbe> probes;
     probes.reserve((group.size() - first) * static_cast<std::size_t>(paths));
     for (std::size_t i = first; i < group.size(); ++i) {
       for (std::int64_t p = 0; p < paths; ++p) {
-        probes.push_back({random_arch_with_functions(
-                              cfg_.space, group[i].upper, group[i].lower, rng),
-                          rng.next(), 0.0});
+        Arch arch = random_arch_with_functions(cfg_.space, group[i].upper,
+                                               group[i].lower, rng);
+        const std::uint64_t seed = rng.next();
+        probes.push_back(SuperNet::begin_probe(std::move(arch), data_.test(),
+                                               probe_samples, Rng(seed)));
         ++accuracy_probes_;
         advance_clock(static_cast<double>(probe_samples) *
                       cfg_.sim_eval_s_per_sample);
       }
     }
-    {
-      EvalModeGuard eval_mode(supernet_);
-      core::parallel_invoke(
-          static_cast<std::int64_t>(probes.size()), [&](std::int64_t i) {
-            FnProbe& pr = probes[static_cast<std::size_t>(i)];
-            Rng probe_rng(pr.seed);
-            pr.acc = supernet_.evaluate_concurrent(pr.arch, data_.test(),
-                                                   probe_samples, probe_rng);
-          });
-    }
+    return probes;
+  };
+  auto collect = [&](std::vector<ScoredFn>& group, std::size_t first,
+                     const std::vector<AccuracyProbe>& probes) {
     for (std::size_t i = first; i < group.size(); ++i) {
       double acc = 0.0;
       for (std::int64_t p = 0; p < paths; ++p)
         acc += probes[(i - first) * static_cast<std::size_t>(paths) +
                       static_cast<std::size_t>(p)]
-                   .acc;
+                   .accuracy();
       group[i].fitness = acc / static_cast<double>(paths);
     }
   };
@@ -709,10 +737,13 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
     if (!batch_eval) s.fitness = eval_pair(s.upper, s.lower);
     fn_pop.push_back(std::move(s));
   }
-  if (batch_eval) eval_group(fn_pop, 0);
-  prog->phase = SearchProgress::Phase::kStage1;
+  if (batch_eval) {
+    std::vector<AccuracyProbe> probes = draw_probes(fn_pop, 0);
+    core::Stepper rounds = co_probe_rounds(probes);
+    while (rounds.step()) co_await std::suspend_always{};
+    collect(fn_pop, 0, probes);
+  }
   prog->sim_time_s = sim_time_s_;
-  ++prog->steps;
   co_await std::suspend_always{};
   auto by_fit = [](const ScoredFn& a, const ScoredFn& b) {
     return a.fitness > b.fitness;
@@ -743,9 +774,13 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
       if (!batch_eval) child.fitness = eval_pair(child.upper, child.lower);
       fn_pop.push_back(std::move(child));
     }
-    if (batch_eval) eval_group(fn_pop, first_child);
+    if (batch_eval) {
+      std::vector<AccuracyProbe> probes = draw_probes(fn_pop, first_child);
+      core::Stepper rounds = co_probe_rounds(probes);
+      while (rounds.step()) co_await std::suspend_always{};
+      collect(fn_pop, first_child, probes);
+    }
     prog->sim_time_s = sim_time_s_;
-    ++prog->steps;
     co_await std::suspend_always{};
   }
   std::sort(fn_pop.begin(), fn_pop.end(), by_fit);
@@ -754,21 +789,15 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
 
   // ---- Between stages: re-init and pre-train with functions fixed --------
   if (cfg_.train_supernet) {
+    prog->phase = SearchProgress::Phase::kPretrain;
     supernet_.reinitialize(rng);
-    Adam opt(supernet_.parameters(), 1e-3f);
-    auto sampler = [this, &upper, &lower](Rng& r) {
-      return random_arch_with_functions(cfg_.space, upper, lower, r);
-    };
-    for (std::int64_t e = 0; e < cfg_.stage2_epochs; ++e) {
-      supernet_.train_epoch(data_.train(), sampler, opt, cfg_.batch_size,
-                            rng);
-      advance_clock(static_cast<double>(data_.train().size()) *
-                    cfg_.sim_train_s_per_sample);
-      prog->phase = SearchProgress::Phase::kPretrain;
-      prog->sim_time_s = sim_time_s_;
-      ++prog->steps;
-      co_await std::suspend_always{};
-    }
+    core::Stepper pretrain = co_train_supernet(
+        cfg_.stage2_epochs,
+        [this, upper, lower](Rng& r) {
+          return random_arch_with_functions(cfg_.space, upper, lower, r);
+        },
+        rng, prog);
+    while (pretrain.step()) co_await std::suspend_always{};
   }
 
   // ---- Stage 2: multi-objective operation search --------------------------
@@ -795,19 +824,11 @@ core::Stepper HgnasSearch::co_run_onestage(Rng& rng, SearchResult* out,
   // Same training budget as the multi-stage pipeline, then one joint EA
   // over the full fine-grained space.
   if (cfg_.train_supernet) {
-    Adam opt(supernet_.parameters(), 1e-3f);
-    auto sampler = [this](Rng& r) { return random_arch(cfg_.space, r); };
-    for (std::int64_t e = 0; e < cfg_.stage1_epochs + cfg_.stage2_epochs;
-         ++e) {
-      supernet_.train_epoch(data_.train(), sampler, opt, cfg_.batch_size,
-                            rng);
-      advance_clock(static_cast<double>(data_.train().size()) *
-                    cfg_.sim_train_s_per_sample);
-      prog->phase = SearchProgress::Phase::kWarmup;
-      prog->sim_time_s = sim_time_s_;
-      ++prog->steps;
-      co_await std::suspend_always{};
-    }
+    prog->phase = SearchProgress::Phase::kWarmup;
+    core::Stepper warmup = co_train_supernet(
+        cfg_.stage1_epochs + cfg_.stage2_epochs,
+        [this](Rng& r) { return random_arch(cfg_.space, r); }, rng, prog);
+    while (warmup.step()) co_await std::suspend_always{};
   }
   prog->phase = SearchProgress::Phase::kStage2;
   core::Stepper ea = co_evolve(FunctionSet{}, FunctionSet{},
@@ -830,19 +851,11 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
   reset_run_state();
 
   if (cfg_.train_supernet) {
-    Adam opt(supernet_.parameters(), 1e-3f);
-    auto sampler = [this](Rng& r) { return random_arch(cfg_.space, r); };
-    for (std::int64_t e = 0; e < cfg_.stage1_epochs + cfg_.stage2_epochs;
-         ++e) {
-      supernet_.train_epoch(data_.train(), sampler, opt, cfg_.batch_size,
-                            rng);
-      advance_clock(static_cast<double>(data_.train().size()) *
-                    cfg_.sim_train_s_per_sample);
-      prog->phase = SearchProgress::Phase::kWarmup;
-      prog->sim_time_s = sim_time_s_;
-      ++prog->steps;
-      co_await std::suspend_always{};
-    }
+    prog->phase = SearchProgress::Phase::kWarmup;
+    core::Stepper warmup = co_train_supernet(
+        cfg_.stage1_epochs + cfg_.stage2_epochs,
+        [this](Rng& r) { return random_arch(cfg_.space, r); }, rng, prog);
+    while (warmup.step()) co_await std::suspend_always{};
   }
 
   *out = SearchResult{};
@@ -880,6 +893,7 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
     }
   };
 
+  prog->phase = SearchProgress::Phase::kSampling;
   std::int64_t done = 0;
   while (done < budget) {
     const std::int64_t n = std::min<std::int64_t>(chunk, budget - done);
@@ -891,15 +905,16 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
         const Arch canon = canonicalize(arch);
         batch.push_back(PendingEval{arch, arch_to_text(canon), canon.hash()});
       }
-      for (const Scored& s : score_batch(batch, acc_seed)) consider(s);
+      std::vector<Scored> scored;
+      core::Stepper scoring = co_score_batch(batch, acc_seed, &scored);
+      while (scoring.step()) co_await std::suspend_always{};
+      for (const Scored& s : scored) consider(s);
       done += n;
       if (done % chunk == 0)
         result.history.push_back({sim_time_s_, result.best_objective});
-      prog->phase = SearchProgress::Phase::kSampling;
       prog->sim_time_s = sim_time_s_;
       prog->best_objective = result.best_objective;
       prog->has_best = have_best;
-      ++prog->steps;
       co_await std::suspend_always{};
     } else {
       // Serial path: the historical sequential pipeline, one shared RNG
@@ -914,11 +929,9 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
         if (done % chunk == 0)
           result.history.push_back({sim_time_s_, result.best_objective});
       }
-      prog->phase = SearchProgress::Phase::kSampling;
       prog->sim_time_s = sim_time_s_;
       prog->best_objective = result.best_objective;
       prog->has_best = have_best;
-      ++prog->steps;
       co_await std::suspend_always{};
     }
   }

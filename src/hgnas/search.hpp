@@ -22,6 +22,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -228,6 +229,7 @@ enum class SearchStrategy { kMultistage, kOnestage, kRandom };
 /// Where a stepwise run currently stands. Updated in place before every
 /// suspension, so a scheduler can read it between step() calls; to_text()
 /// is the serializable one-line view (progress frames, logs, checkpoints).
+/// `phase` is set at the start of each phase's first unit of work.
 struct SearchProgress {
   enum class Phase {
     kIdle,      // created, step() not called yet
@@ -239,7 +241,7 @@ struct SearchProgress {
     kDone,
   };
   Phase phase = Phase::kIdle;
-  /// Steps completed so far (epochs + generations + chunks, cumulative).
+  /// step() calls so far (counted by SearchStepper).
   std::int64_t steps = 0;
   double sim_time_s = 0.0;
   /// Best Eq. (3) objective seen so far; meaningful once has_best is set
@@ -276,12 +278,17 @@ class HgnasSearch {
   SearchResult run_random(Rng& rng);
 
   /// The stepwise form of the three strategies: returns a coroutine whose
-  /// step() advances ONE generation (or training epoch, or random-sampling
-  /// chunk). The monolithic run_* entry points drive this same coroutine to
-  /// completion, so stepped and monolithic runs are bit-identical by
-  /// construction for every strategy. `*out` holds the result once the
-  /// stepper reports done; `*prog` is refreshed before every suspension.
-  /// `rng`, `out`, `prog` and this search must outlive the stepper.
+  /// step() advances one supernet mini-batch or one validation-sample round
+  /// of the candidates being scored (on the 1-thread serial path, which
+  /// scores without rounds, one whole generation or sampling chunk). Each
+  /// epoch / generation / chunk also ends with a suspension of its own. The
+  /// monolithic run_* entry points drive this same coroutine to completion,
+  /// so stepped and monolithic runs are bit-identical by construction for
+  /// every strategy. `*out` holds the result once the stepper reports done;
+  /// `*prog` (all but `steps`) is refreshed before every suspension. `rng`,
+  /// `out`, `prog` and this search must outlive the stepper. No
+  /// thread-local state lives across a suspension, so consecutive steps may
+  /// run on different threads.
   core::Stepper run_stepwise(SearchStrategy strategy, Rng& rng,
                              SearchResult* out, SearchProgress* prog);
 
@@ -319,12 +326,31 @@ class HgnasSearch {
   /// historical bit-for-bit sequential pipeline when hits do not occur).
   Scored score_cached(const Arch& arch, const std::string& key, Rng& rng);
 
-  /// Batch-path scoring: the latency gate, clock and counters run serially
-  /// in batch order; feasible candidates' accuracy probes fan out across
-  /// the pool, each with an RNG derived from (acc_seed, genome hash) so the
-  /// result is independent of scheduling and of the thread count.
-  std::vector<Scored> score_batch(const std::vector<PendingEval>& batch,
-                                  std::uint64_t acc_seed);
+  /// Batch-path scoring as a coroutine that appends one score per batch
+  /// entry to `*out`, in batch order. The latency gate, clock and counters
+  /// run serially in batch order; feasible candidates' accuracy probes then
+  /// advance in co_probe_rounds, each with an RNG derived from (acc_seed,
+  /// genome hash), so the result is independent of scheduling, of the
+  /// thread count and of where the run is preempted. `batch` and `out`
+  /// must outlive the stepper.
+  core::Stepper co_score_batch(const std::vector<PendingEval>& batch,
+                               std::uint64_t acc_seed,
+                               std::vector<Scored>* out);
+
+  /// Advance every probe one validation sample per round: one
+  /// parallel_invoke over the live probes, then a suspension. Each probe
+  /// walks its samples in order on its own RNG, so the outcome equals
+  /// running every probe to completion in one go. The supernet is held in
+  /// inference mode for one round at a time. `probes` must outlive the
+  /// stepper.
+  core::Stepper co_probe_rounds(std::vector<AccuracyProbe>& probes);
+
+  /// `epochs` supernet training epochs over paths from `sampler`, with a
+  /// fresh Adam optimiser: one suspension per mini-batch and one after each
+  /// epoch. The caller sets the phase.
+  core::Stepper co_train_supernet(std::int64_t epochs,
+                                  std::function<Arch(Rng&)> sampler,
+                                  Rng& rng, SearchProgress* prog);
 
   double supernet_accuracy(const Arch& arch, Rng& rng);
   void advance_clock(double seconds) { sim_time_s_ += seconds; }
@@ -340,10 +366,11 @@ class HgnasSearch {
   void record_frontier(const Scored& s);
   void finalize_result(SearchResult& result);
 
-  // The strategy pipelines as coroutines (one suspension per epoch /
-  // generation / chunk). FunctionSets are taken by value: the caller's
-  // copies may die before the last step(). `out`/`prog` are borrowed and
-  // must outlive the frame (run_stepwise documents this for callers).
+  // The strategy pipelines as coroutines (suspending per mini-batch and
+  // per validation-sample round, and at every epoch / generation / chunk
+  // boundary). FunctionSets are taken by value: the caller's copies may
+  // die before the last step(). `out`/`prog` are borrowed and must outlive
+  // the frame (run_stepwise documents this for callers).
   core::Stepper co_run_multistage(Rng& rng, SearchResult* out,
                                   SearchProgress* prog);
   core::Stepper co_run_onestage(Rng& rng, SearchResult* out,
@@ -378,12 +405,14 @@ class HgnasSearch {
   ParetoTracker frontier_;
 };
 
-/// A whole search run, advanced one generation at a time — the scheduling
-/// unit serve::Service preempts under its exclusive time slice. Owns its
-/// HgnasSearch (RNG draws in flight, population, Pareto tracker and cache
-/// handles all live in the coroutine frame / the search), so a run parked
-/// between steps carries its full state. The constructor validates the
-/// config exactly like HgnasSearch (throws std::invalid_argument).
+/// A whole search run, advanced one supernet mini-batch or one
+/// validation-sample round at a time (see HgnasSearch::run_stepwise) — the
+/// scheduling unit serve::Service preempts under its exclusive time slice.
+/// Owns its HgnasSearch (RNG draws in flight, population, Pareto tracker
+/// and cache handles all live in the coroutine frame / the search), so a
+/// run parked between steps carries its full state. The constructor
+/// validates the config exactly like HgnasSearch (throws
+/// std::invalid_argument).
 ///
 /// Not copyable or movable: the coroutine frame pins the addresses of the
 /// members it references.
@@ -400,14 +429,25 @@ class SearchStepper {
   SearchStepper(const SearchStepper&) = delete;
   SearchStepper& operator=(const SearchStepper&) = delete;
 
-  /// One generation (or epoch, or sampling chunk). False once finished;
-  /// rethrows anything the pipeline threw, from the step that hit it.
-  /// Each step is one trace span named after the phase the step *entered
-  /// in* (obs::TraceCollector; free when tracing is off), so a traced
-  /// sliced search reads as warmup/stage1/pretrain/stage2 segments.
+  /// One mini-batch or validation-sample round (see run_stepwise). False
+  /// once finished; rethrows anything the pipeline threw, from the step
+  /// that hit it. Each step is one trace span named after the phase its
+  /// work ran in — the phase current when the step ends, since a phase is
+  /// entered at the start of its first unit; the final step, which leaves
+  /// kDone behind, keeps the phase it started in — so a traced sliced
+  /// search reads as warmup/stage1/pretrain/stage2 segments. With tracing
+  /// off the span costs one relaxed load.
   bool step() {
-    HG_TRACE_SCOPE(phase_span_name(progress_.phase), "search");
-    return stepper_.step();
+    if (stepper_.done()) return false;
+    ++progress_.steps;
+    if (!obs::tracing_enabled()) return stepper_.step();
+    const SearchProgress::Phase entered = progress_.phase;
+    const auto start = std::chrono::steady_clock::now();
+    const bool more = stepper_.step();
+    obs::record_span(phase_span_name(more ? progress_.phase : entered),
+                     "search", obs::current_trace_id(), start,
+                     std::chrono::steady_clock::now());
+    return more;
   }
   bool done() const { return stepper_.done(); }
 

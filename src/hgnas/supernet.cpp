@@ -142,6 +142,18 @@ void SuperNet::set_training(bool training) { Module::set_training(training); }
 double SuperNet::train_epoch(const std::vector<pointcloud::Sample>& train,
                              const std::function<Arch(Rng&)>& sampler,
                              Adam& opt, std::int64_t batch_size, Rng& rng) {
+  double mean_loss = 0.0;
+  core::Stepper epoch =
+      train_epoch_stepwise(train, sampler, opt, batch_size, rng, &mean_loss);
+  while (epoch.step()) {
+  }
+  return mean_loss;
+}
+
+core::Stepper SuperNet::train_epoch_stepwise(
+    const std::vector<pointcloud::Sample>& train,
+    std::function<Arch(Rng&)> sampler, Adam& opt, std::int64_t batch_size,
+    Rng& rng, double* mean_loss) {
   check(!train.empty(), "train_epoch: empty split");
   check(batch_size > 0, "train_epoch: batch_size must be positive");
   weight_version_.fetch_add(1, std::memory_order_acq_rel);
@@ -189,28 +201,29 @@ double SuperNet::train_epoch(const std::vector<pointcloud::Sample>& train,
       opt.step();
       opt.zero_grad();
       oi += n;
+      co_await std::suspend_always{};
     }
-    return loss_sum / static_cast<double>(train.size());
-  }
-
-  std::int64_t in_batch = 0;
-  for (std::size_t oi = 0; oi < order.size(); ++oi) {
-    const auto& s = train[order[oi]];
-    const Arch path = sampler(rng);  // uniform single-path sampling
-    Tensor pts = pointcloud::Dataset::to_tensor(s);
-    Tensor logits = forward(path, pts, rng);
-    const std::int64_t label[1] = {s.label};
-    Tensor loss = cross_entropy(logits, label);
-    loss.backward();
-    loss_sum += loss.item();
-    ++in_batch;
-    if (in_batch == batch_size || oi + 1 == order.size()) {
-      opt.step();
-      opt.zero_grad();
-      in_batch = 0;
+  } else {
+    std::int64_t in_batch = 0;
+    for (std::size_t oi = 0; oi < order.size(); ++oi) {
+      const auto& s = train[order[oi]];
+      const Arch path = sampler(rng);  // uniform single-path sampling
+      Tensor pts = pointcloud::Dataset::to_tensor(s);
+      Tensor logits = forward(path, pts, rng);
+      const std::int64_t label[1] = {s.label};
+      Tensor loss = cross_entropy(logits, label);
+      loss.backward();
+      loss_sum += loss.item();
+      ++in_batch;
+      if (in_batch == batch_size || oi + 1 == order.size()) {
+        opt.step();
+        opt.zero_grad();
+        in_batch = 0;
+        co_await std::suspend_always{};
+      }
     }
   }
-  return loss_sum / static_cast<double>(train.size());
+  *mean_loss = loss_sum / static_cast<double>(train.size());
 }
 
 double SuperNet::evaluate(const Arch& arch,
@@ -228,19 +241,31 @@ double SuperNet::evaluate(const Arch& arch,
 double SuperNet::evaluate_concurrent(const Arch& arch,
                                      const std::vector<pointcloud::Sample>& val,
                                      std::int64_t max_samples, Rng& rng) {
+  AccuracyProbe probe = begin_probe(arch, val, max_samples, rng);
+  while (!probe.done()) advance_probe(probe, val);
+  rng = probe.rng;  // the caller's stream continues past the probe's draws
+  return probe.accuracy();
+}
+
+AccuracyProbe SuperNet::begin_probe(Arch arch,
+                                    const std::vector<pointcloud::Sample>& val,
+                                    std::int64_t max_samples, Rng rng) {
   check(!val.empty(), "evaluate: empty split");
-  NoGradGuard ng;
-  const std::size_t count = std::min<std::size_t>(
+  AccuracyProbe probe{std::move(arch), rng};
+  probe.count = std::min<std::size_t>(
       val.size(), static_cast<std::size_t>(
                       max_samples > 0 ? max_samples
                                       : static_cast<std::int64_t>(val.size())));
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Tensor pts = pointcloud::Dataset::to_tensor(val[i]);
-    Tensor logits = forward(arch, pts, rng);
-    if (argmax_rows(logits)[0] == val[i].label) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(count);
+  return probe;
+}
+
+void SuperNet::advance_probe(AccuracyProbe& probe,
+                             const std::vector<pointcloud::Sample>& val) {
+  NoGradGuard ng;
+  const pointcloud::Sample& s = val[probe.next++];
+  Tensor pts = pointcloud::Dataset::to_tensor(s);
+  Tensor logits = forward(probe.arch, pts, probe.rng);
+  if (argmax_rows(logits)[0] == s.label) ++probe.correct;
 }
 
 void SuperNet::reinitialize(Rng& rng) {

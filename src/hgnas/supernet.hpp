@@ -20,9 +20,11 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "core/stepwise.hpp"
 #include "hgnas/arch.hpp"
 #include "nn/nn.hpp"
 #include "pointcloud/pointcloud.hpp"
@@ -37,6 +39,24 @@ struct SupernetConfig {
   std::int64_t head_hidden = 64;
 };
 
+/// Cursor of one accuracy probe: `arch` scored over the first `count`
+/// samples of a validation split, one sample per SuperNet::advance_probe().
+/// Everything the probe carries between samples lives here (no
+/// thread-local state), so a caller can interleave many probes, suspend
+/// between samples and resume on another thread.
+struct AccuracyProbe {
+  Arch arch;
+  Rng rng;                  // private stream for Random-sample ops
+  std::size_t next = 0;     // index of the next validation sample
+  std::size_t count = 0;    // samples the probe covers
+  std::size_t correct = 0;  // correct predictions so far
+
+  bool done() const { return next == count; }
+  double accuracy() const {
+    return static_cast<double>(correct) / static_cast<double>(count);
+  }
+};
+
 class SuperNet final : public nn::Module {
  public:
   SuperNet(const SpaceConfig& space, const SupernetConfig& cfg, Rng& rng);
@@ -49,7 +69,16 @@ class SuperNet final : public nn::Module {
   void set_training(bool training) override;
 
   /// One SPOS training pass over `train`: every sample gets a fresh
-  /// uniformly-sampled path from `sampler`. Returns mean loss.
+  /// uniformly-sampled path from `sampler`. Returns mean loss. Drives
+  /// train_epoch_stepwise() to completion.
+  double train_epoch(const std::vector<pointcloud::Sample>& train,
+                     const std::function<Arch(Rng&)>& sampler, Adam& opt,
+                     std::int64_t batch_size, Rng& rng);
+
+  /// train_epoch() as a coroutine that suspends after every optimiser
+  /// step: ceil(|train| / batch_size) suspensions per epoch. `*mean_loss`
+  /// holds the epoch's mean loss once the stepper is done. `train`, `opt`,
+  /// `rng`, `mean_loss` and this supernet must outlive the stepper.
   ///
   /// When the execution pool is active (num_threads > 1), the forward
   /// passes of each gradient-accumulation batch run concurrently — paths
@@ -57,23 +86,37 @@ class SuperNet final : public nn::Module {
   /// backward passes replay serially in sample order, so the result is
   /// identical for every pool width > 1. num_threads == 1 is the
   /// historical sequential pipeline (shared RNG stream), bit for bit.
-  double train_epoch(const std::vector<pointcloud::Sample>& train,
-                     const std::function<Arch(Rng&)>& sampler, Adam& opt,
-                     std::int64_t batch_size, Rng& rng);
+  core::Stepper train_epoch_stepwise(
+      const std::vector<pointcloud::Sample>& train,
+      std::function<Arch(Rng&)> sampler, Adam& opt, std::int64_t batch_size,
+      Rng& rng, double* mean_loss);
 
   /// Validation accuracy of one path over (a prefix of) `val`.
   double evaluate(const Arch& arch,
                   const std::vector<pointcloud::Sample>& val,
                   std::int64_t max_samples, Rng& rng);
 
-  /// evaluate() without the training-mode toggles: forward passes only,
-  /// under a per-thread NoGradGuard. Safe to call concurrently from pool
-  /// workers (forward reads the shared weights, never writes), provided the
-  /// caller has set_training(false) around the whole batch and each caller
-  /// passes its own Rng.
+  /// evaluate() without the training-mode toggles: one probe driven to
+  /// completion (begin_probe + advance_probe), continuing `rng`'s stream.
+  /// Safe to call concurrently from pool workers (forward reads the shared
+  /// weights, never writes), provided the caller has set_training(false)
+  /// around the whole batch and each caller passes its own Rng.
   double evaluate_concurrent(const Arch& arch,
                              const std::vector<pointcloud::Sample>& val,
                              std::int64_t max_samples, Rng& rng);
+
+  /// A probe of `arch` over the first min(|val|, max_samples) samples of
+  /// `val` (all of them when max_samples <= 0), drawing from `rng`.
+  /// Throws std::invalid_argument on an empty split.
+  static AccuracyProbe begin_probe(Arch arch,
+                                   const std::vector<pointcloud::Sample>& val,
+                                   std::int64_t max_samples, Rng rng);
+
+  /// Score the probe's next sample (forward pass only, under a NoGradGuard
+  /// scoped to this call). Same concurrency contract as
+  /// evaluate_concurrent; precondition: !probe.done().
+  void advance_probe(AccuracyProbe& probe,
+                     const std::vector<pointcloud::Sample>& val);
 
   /// Re-initialise every weight (paper re-inits the supernet between
   /// stage 1 and stage 2).

@@ -218,7 +218,25 @@ double LatencyPredictor::predict_ms(const hgnas::Arch& arch) {
 
 std::vector<double> LatencyPredictor::predict_batch_ms(
     std::span<const hgnas::Arch> archs) {
-  if (archs.empty()) return {};
+  // The packed forward's kernels are too small to split across the pool,
+  // so a batch is split instead: one packed forward per pool thread, over
+  // contiguous parts. Every answer depends on its own graph only, so the
+  // split never changes one.
+  const auto n = static_cast<std::int64_t>(archs.size());
+  const std::int64_t parts = std::min(n, core::num_threads());
+  std::vector<double> latencies_ms(archs.size());
+  core::parallel_invoke(parts, [&](std::int64_t p) {
+    const std::int64_t lo = n * p / parts;
+    const std::int64_t hi = n * (p + 1) / parts;
+    predict_packed(archs.subspan(static_cast<std::size_t>(lo),
+                                 static_cast<std::size_t>(hi - lo)),
+                   latencies_ms.data() + lo);
+  });
+  return latencies_ms;
+}
+
+void LatencyPredictor::predict_packed(std::span<const hgnas::Arch> archs,
+                                      double* latencies_ms) {
   NoGradGuard ng;
   const auto n_graphs = static_cast<std::int64_t>(archs.size());
 
@@ -273,12 +291,9 @@ std::vector<double> LatencyPredictor::predict_batch_ms(
     out = mlp_->forward(pooled);
   }
 
-  std::vector<double> result(archs.size());
-  for (std::int64_t i = 0; i < n_graphs; ++i) {
-    result[static_cast<std::size_t>(i)] =
+  for (std::int64_t i = 0; i < n_graphs; ++i)
+    latencies_ms[i] =
         std::max(0.0, static_cast<double>(out.at({i, 0})) * scale_ms_);
-  }
-  return result;
 }
 
 double LatencyPredictor::fit(const std::vector<LabeledArch>& train,

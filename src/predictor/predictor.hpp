@@ -110,10 +110,11 @@ class LatencyPredictor final : public nn::Module {
   /// through predict_batch_ms at batch size 1.
   double predict_ms(const hgnas::Arch& arch);
 
-  /// Predicted latencies for N architectures through ONE packed GCN
-  /// forward: the N architecture graphs are stacked block-diagonally
-  /// (node ids offset, features concatenated) so every GCN layer runs a
-  /// single adjacency pass, and the readout segment-reduces per graph.
+  /// Predicted latencies for N architectures through packed GCN forwards,
+  /// one per pool thread over a contiguous part of the batch: a part's
+  /// graphs are stacked block-diagonally (node ids offset, features
+  /// concatenated) so every GCN layer runs a single adjacency pass, and
+  /// the readout segment-reduces per graph.
   /// All GCN/MLP arithmetic is per-node/per-edge/per-row local, so each
   /// element is bit-for-bit identical to a lone predict_ms of that
   /// architecture — batching changes wall clock, never answers. Safe to
@@ -132,6 +133,10 @@ class LatencyPredictor final : public nn::Module {
 
  private:
   Tensor forward(const ArchGraph& g);
+  /// One packed forward over `archs`; writes their latencies to
+  /// latencies_ms[0..).
+  void predict_packed(std::span<const hgnas::Arch> archs,
+                      double* latencies_ms);
 
   PredictorConfig cfg_;
   hgnas::Workload workload_;

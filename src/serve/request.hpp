@@ -42,7 +42,8 @@ struct RequestOptions {
   /// never interrupted — the deadline bounds queue time, not execution
   /// time. With slicing enabled, a sliced exclusive run (search /
   /// train_baseline) additionally checks the deadline between steps and
-  /// resolves DEADLINE_EXCEEDED mid-run, within one generation / epoch;
+  /// resolves DEADLINE_EXCEEDED mid-run, within one step (a search's
+  /// mini-batch or validation-sample round, a baseline's epoch);
   /// the partially-advanced run is discarded (the shared-context RNG it
   /// consumed stays consumed). max() = no deadline.
   std::chrono::steady_clock::time_point deadline =
@@ -52,7 +53,7 @@ struct RequestOptions {
   /// thread) and a request not yet started resolves to CANCELLED instead
   /// of running. With ServiceConfig::exclusive_slice_ms > 0 the flag is
   /// also checked between the steps of a sliced exclusive run, so a
-  /// mid-search cancel resolves within one generation. net::Server uses
+  /// mid-search cancel resolves within one step. net::Server uses
   /// one flag per connection so a client disconnect abandons that
   /// connection's still-queued (or sliced in-flight) work.
   std::shared_ptr<std::atomic<bool>> cancel;

@@ -656,19 +656,23 @@ void Service::worker_loop(std::size_t worker_index) {
             finished = true;
             break;
           }
-          if (std::chrono::steady_clock::now() > task.deadline) {
+          const auto step_started = std::chrono::steady_clock::now();
+          if (step_started > task.deadline) {
             counters_.deadline_expired.inc();
             task.steppable->abort(api::Status::DeadlineExceeded(
                 "deadline expired mid-run (between steps)"));
             finished = true;
             break;
           }
-          if (!task.steppable->step()) {
+          const bool more = task.steppable->step();
+          const auto step_ended = std::chrono::steady_clock::now();
+          step_us_.record_us(us_between(step_started, step_ended));
+          if (!more) {
             task.steppable->finish();
             finished = true;
             break;
           }
-          if (std::chrono::steady_clock::now() - started >= slice) break;
+          if (step_ended - started >= slice) break;
         }
       }
       const auto ended = std::chrono::steady_clock::now();

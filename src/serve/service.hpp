@@ -98,9 +98,10 @@ struct ServiceConfig {
   std::string trace_path{};
   /// Exclusive-task time slice (milliseconds). 0 = run-to-completion (the
   /// historical scheduler, bit-exactly). > 0: search / train_baseline run
-  /// stepwise (one generation / one epoch per step); once a slice expires
-  /// at a step boundary the task is re-parked at the FRONT of the
-  /// exclusive queue — exclusives stay FIFO and the shared-context RNG
+  /// stepwise (a search step is one supernet mini-batch or one
+  /// validation-sample round of its candidates; a train_baseline step is
+  /// one epoch); once a slice expires at a step boundary the task is
+  /// re-parked at the FRONT of the exclusive queue — exclusives stay FIFO and the shared-context RNG
   /// stream is consumed in submission order, so results are bit-identical
   /// to run-to-completion for ANY slice value — and queued pure work gets
   /// a dispatch round before it resumes. Cancel and deadline are also
@@ -411,6 +412,9 @@ class Service {
       registry_->histogram("serve.pure_service_time_us");
   LatencyHistogram& exclusive_service_time_us_ =
       registry_->histogram("serve.exclusive_service_time_us");
+  // One sample per step() of a sliced exclusive run: a slice overshoots
+  // its budget by at most one step, so this bounds a sliced p99.
+  LatencyHistogram& step_us_ = registry_->histogram("serve.step_us");
   // This service started the global trace collector (trace_path set):
   // shutdown() exports and stops it.
   bool trace_owner_ = false;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/parallel.hpp"
 #include "hgnas/search.hpp"
+#include "obs/trace.hpp"
 
 namespace hg::hgnas {
 namespace {
@@ -386,6 +391,120 @@ TEST(SearchStepper, ProgressAdvancesThroughPhases) {
   EXPECT_GT(stepper.progress().best_objective, 0.0);
   // The one-line view names the terminal phase.
   EXPECT_NE(stepper.progress().to_text().find("done"), std::string::npos);
+}
+
+// The serving stack preempts a search between steps, so a stage-1
+// generation must not be one step: its probes advance one validation
+// sample per round, with a suspension after every round. Structural, no
+// timing: count the steps that ran in stage 1. The pool path is pinned
+// (the serving stack runs it); the 1-thread serial path scores whole
+// generations.
+TEST(SearchStepper, SuspendsPerValidationRoundInStage1) {
+  core::ScopedNumThreads pool(2);
+  SearchFixture f;
+  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+  const SearchConfig cfg = f.make_cfg(
+      dev.latency_ms(hw::dgcnn_reference_trace(f.workload.num_points)));
+  ASSERT_LE(cfg.eval_val_samples,
+            static_cast<std::int64_t>(f.data.test().size()));
+  SearchStepper stepper(f.supernet, f.data, cfg,
+                        make_oracle_evaluator(dev, f.workload),
+                        SearchStrategy::kMultistage, f.rng);
+  std::int64_t stage1_steps = 0;
+  while (stepper.step())
+    if (stepper.progress().phase == SearchProgress::Phase::kStage1)
+      ++stage1_steps;
+  const std::int64_t generations = 1 + cfg.iterations;  // + initial pop
+  EXPECT_GE(stage1_steps, generations * cfg.eval_val_samples);
+}
+
+// A preempted run resumes on whichever service worker claims it, so no
+// thread-local state (NoGradGuard, the supernet's inference mode) may live
+// across a suspension. Drive every step on a fresh thread: the result must
+// still be the monolithic one, and each thread must find autograd enabled
+// and the supernet back in training mode once its step returns.
+TEST(SearchStepper, StepsOnFreshThreadsMatchMonolithicRun) {
+  core::ScopedNumThreads pool(2);
+  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+  SearchFixture ref;
+  const SearchConfig cfg = ref.make_cfg(
+      dev.latency_ms(hw::dgcnn_reference_trace(ref.workload.num_points)));
+  HgnasSearch search(ref.supernet, ref.data, cfg,
+                     make_oracle_evaluator(dev, ref.workload));
+  const SearchResult mono = search.run_multistage(ref.rng);
+
+  SearchFixture f;
+  SearchStepper stepper(f.supernet, f.data, cfg,
+                        make_oracle_evaluator(dev, f.workload),
+                        SearchStrategy::kMultistage, f.rng);
+  bool more = true;
+  std::int64_t steps = 0;
+  std::int64_t clean_threads = 0;
+  while (more) {
+    std::thread worker([&] {
+      more = stepper.step();
+      if (detail::grad_enabled() && f.supernet.training()) ++clean_threads;
+    });
+    worker.join();
+    ++steps;
+  }
+  EXPECT_EQ(clean_threads, steps);
+  const SearchResult stepped = stepper.take_result();
+  EXPECT_EQ(stepped.best_arch, mono.best_arch);
+  EXPECT_EQ(stepped.upper, mono.upper);
+  EXPECT_EQ(stepped.lower, mono.lower);
+  EXPECT_EQ(stepped.best_objective, mono.best_objective);
+  EXPECT_EQ(stepped.best_supernet_acc, mono.best_supernet_acc);
+  EXPECT_EQ(stepped.total_sim_time_s, mono.total_sim_time_s);
+  EXPECT_EQ(stepped.accuracy_probes, mono.accuracy_probes);
+  ASSERT_EQ(stepped.frontier.size(), mono.frontier.size());
+  for (std::size_t i = 0; i < mono.frontier.size(); ++i) {
+    EXPECT_EQ(stepped.frontier[i].latency_ms, mono.frontier[i].latency_ms);
+    EXPECT_EQ(stepped.frontier[i].accuracy, mono.frontier[i].accuracy);
+  }
+}
+
+// Each step is one trace span named after the phase its work ran in. A
+// phase is entered at the start of its first unit, so the spans form one
+// run per phase, in pipeline order, and the training phases hold exactly
+// their mini-batches plus one boundary step per epoch (a span named after
+// the previous phase would shift those counts by one).
+TEST(SearchStepper, TraceSpansNameThePhaseTheirWorkRanIn) {
+  core::ScopedNumThreads pool(2);
+  SearchFixture f;
+  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+  const SearchConfig cfg = f.make_cfg(
+      dev.latency_ms(hw::dgcnn_reference_trace(f.workload.num_points)));
+  SearchStepper stepper(f.supernet, f.data, cfg,
+                        make_oracle_evaluator(dev, f.workload),
+                        SearchStrategy::kMultistage, f.rng);
+  obs::TraceCollector& collector = obs::TraceCollector::global();
+  collector.start();
+  std::int64_t steps = 0;
+  do {
+    ++steps;
+  } while (stepper.step());
+  std::vector<std::string> names;
+  for (const obs::TraceEvent& ev : collector.events())
+    if (std::strcmp(ev.cat, "search") == 0) names.push_back(ev.name);
+  collector.stop();
+
+  ASSERT_EQ(static_cast<std::int64_t>(names.size()), steps);
+  const std::vector<std::string> order = {"search.warmup", "search.stage1",
+                                          "search.pretrain", "search.stage2"};
+  std::vector<std::int64_t> count(order.size(), 0);
+  std::size_t phase = 0;
+  for (const std::string& name : names) {
+    while (phase < order.size() && name != order[phase]) ++phase;
+    ASSERT_LT(phase, order.size()) << "span out of phase order: " << name;
+    ++count[phase];
+  }
+  const auto n = static_cast<std::int64_t>(f.data.train().size());
+  const std::int64_t epoch_steps = (n + cfg.batch_size - 1) / cfg.batch_size + 1;
+  EXPECT_EQ(count[0], cfg.stage1_epochs * epoch_steps);
+  EXPECT_GE(count[1], (1 + cfg.iterations) * cfg.eval_val_samples);
+  EXPECT_EQ(count[2], cfg.stage2_epochs * epoch_steps);
+  EXPECT_GE(count[3], (1 + cfg.iterations) * cfg.eval_val_samples);
 }
 
 }  // namespace

@@ -677,6 +677,53 @@ TEST(ServeSlice, SliceZeroKeepsLegacySchedulerExactly) {
   }
 }
 
+TEST(ServeSlice, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
+  // serve.step_us records one sample per step() of a sliced run. A search
+  // step is one supernet mini-batch or one validation-sample round, so the
+  // longest step must stay below the longest epoch / generation — the
+  // unit a step used to be. That unit is at least as long as the warmup
+  // epoch of a reference run of the same search, timed step by step.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.strategy = "multistage";
+  cfg.samples_per_class = 10;  // 80 train / 20 validation clouds
+  cfg.eval_val_samples = 20;
+  cfg.num_threads = 2;  // the pool path scores in rounds
+
+  auto reference = api::Engine::create(cfg);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  auto run = reference.value().begin_search();
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  std::int64_t steps = 0;
+  std::int64_t warmup_us = 0;
+  for (bool more = true; more; ++steps) {
+    const auto started = std::chrono::steady_clock::now();
+    more = run.value()->step();
+    if (run.value()->progress().phase == hgnas::SearchProgress::Phase::kWarmup)
+      warmup_us += std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - started)
+                       .count();
+  }
+  ASSERT_TRUE(run.value()->take_report().ok());
+  ASSERT_EQ(cfg.stage1_epochs, 1);  // warmup_us is one epoch
+
+  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
+  ASSERT_NE(service, nullptr);
+  ASSERT_TRUE(service->submit(SearchRequest{}).get().ok());
+  const LatencyHistogram& step_us =
+      service->registry().histogram("serve.step_us");
+  const obs::Snapshot snap = service->metrics_snapshot();
+  service->shutdown();
+
+  // Every step() the worker drove, the final one (which returns false)
+  // included — the same count as the reference run's.
+  EXPECT_EQ(step_us.count(), steps);
+  EXPECT_EQ(snap.at("serve.step_us.count"), steps);
+  // percentile_us(1.0) is the upper bound of the bucket holding the max.
+  EXPECT_LT(step_us.percentile_us(1.0), warmup_us)
+      << "step p50 " << step_us.percentile_us(0.5) << " us over " << steps
+      << " steps";
+}
+
 TEST(ServeSlice, RejectsNegativeSlice) {
   ServiceConfig scfg;
   scfg.exclusive_slice_ms = -1;

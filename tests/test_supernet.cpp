@@ -2,8 +2,11 @@
 // re-initialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "core/parallel.hpp"
 #include "hgnas/supernet.hpp"
 
 namespace hg::hgnas {
@@ -72,6 +75,51 @@ TEST(SuperNet, TrainEpochReturnsFiniteLossAndLearns) {
     last = net.train_epoch(data.train(), sampler, opt, 8, rng);
   EXPECT_TRUE(std::isfinite(first));
   EXPECT_LT(last, first);  // SPOS training reduces the shared-weight loss
+}
+
+// train_epoch drives train_epoch_stepwise to completion. The stepwise form
+// suspends once per optimiser step and leaves the weights, the loss and
+// the RNG stream exactly where the monolithic call does — on the serial
+// path (1 thread) and on the pool path alike.
+TEST(SuperNet, StepwiseTrainEpochYieldsPerMiniBatchAndMatchesMonolithic) {
+  for (const std::int64_t threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    core::ScopedNumThreads pool(threads);
+    const SpaceConfig space = small_space();
+    const pointcloud::Dataset data(3, 32, 11);
+    auto sampler = [&space](Rng& r) { return random_arch(space, r); };
+    const std::int64_t batch = 3;  // leaves a short last mini-batch
+
+    Rng rng_mono(4);
+    SuperNet mono(space, small_config(), rng_mono);
+    Adam opt_mono(mono.parameters(), 2e-3f);
+    const double loss_mono =
+        mono.train_epoch(data.train(), sampler, opt_mono, batch, rng_mono);
+
+    Rng rng_step(4);
+    SuperNet stepped(space, small_config(), rng_step);
+    Adam opt_step(stepped.parameters(), 2e-3f);
+    double loss_step = -1.0;
+    core::Stepper epoch = stepped.train_epoch_stepwise(
+        data.train(), sampler, opt_step, batch, rng_step, &loss_step);
+    std::int64_t yields = 0;
+    while (epoch.step()) ++yields;
+
+    const auto n = static_cast<std::int64_t>(data.train().size());
+    ASSERT_NE(n % batch, 0);
+    EXPECT_EQ(yields, (n + batch - 1) / batch);
+    EXPECT_EQ(loss_step, loss_mono);  // bit-identical, not just close
+    EXPECT_EQ(rng_step.next(), rng_mono.next());
+    const auto params_mono = mono.parameters();
+    const auto params_step = stepped.parameters();
+    ASSERT_EQ(params_mono.size(), params_step.size());
+    for (std::size_t i = 0; i < params_mono.size(); ++i) {
+      const auto a = params_mono[i].data();
+      const auto b = params_step[i].data();
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << i;
+    }
+    EXPECT_EQ(stepped.weight_version(), mono.weight_version());
+  }
 }
 
 TEST(SuperNet, EvaluateReturnsAccuracyInRange) {
