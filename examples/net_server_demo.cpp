@@ -12,8 +12,8 @@
 //
 // Defaults: port 7171, jetson-tx2, 3 workers, a 2 ms predict-coalescing
 // window, queue bounded at 256, a 5 ms exclusive slice (searches yield to
-// queued predict traffic between generations; --slice-ms 0 restores
-// run-to-completion), GNN latency predictor as evaluator
+// queued predict traffic between steps; --slice-ms 0 never preempts a
+// run), GNN latency predictor as evaluator
 // (--oracle swaps in the analytical oracle: instant startup, used by the
 // CI smoke run). --drain-after-ms N demonstrates the graceful wind-down:
 // after N ms the server stops accepting, finishes and answers everything

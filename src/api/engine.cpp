@@ -66,6 +66,17 @@ Status validate_arch(const Arch& arch) {
   return Status::Ok();
 }
 
+/// Drive a begun run (SearchRun / TrainBaselineRun) to completion: the one
+/// way a search or a baseline training executes, in-process or served.
+template <typename Run>
+auto run_to_completion(Result<std::unique_ptr<Run>> run)
+    -> decltype(run.value()->take_report()) {
+  if (!run.ok()) return run.status();
+  while (run.value()->step()) {
+  }
+  return run.value()->take_report();
+}
+
 }  // namespace
 
 Result<Engine> Engine::create(const EngineConfig& cfg) {
@@ -126,41 +137,17 @@ Result<Engine> Engine::create(const EngineConfig& cfg,
 }
 
 Result<SearchReport> Engine::search() {
-  static obs::Counter& searches = engine_counter("engine.searches");
-  searches.inc();
-  StrategyRequest req;
-  req.supernet = &ctx_->supernet();
-  req.data = &ctx_->data();
-  req.cfg = search_cfg_;
-  req.latency = evaluator_.fn;
-  req.rng = &ctx_->rng();
-  req.eval_cache = &ctx_->eval_cache();
-  try {
-    Result<hgnas::SearchResult> result =
-        Registry::global().run_strategy(cfg_.strategy, req);
-    if (!result.ok()) return result.status();
-    SearchReport report;
-    report.result = std::move(result).value();
-    last_cache_hits_ = report.result.eval_cache_hits;
-    last_cache_misses_ = report.result.eval_cache_misses;
-    report.visualization =
-        hgnas::visualize(report.result.best_arch, deploy_workload());
-    for (const ParetoPoint& p : report.result.frontier) {
-      char line[64];
-      std::snprintf(line, sizeof(line), "%12.1f %10.3f\n", p.latency_ms,
-                    p.accuracy);
-      report.frontier_table += line;
-    }
-    return report;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("search failed: ") + e.what());
+  Result<SearchReport> report = run_to_completion(begin_search());
+  if (report.ok()) {
+    last_cache_hits_ = report.value().result.eval_cache_hits;
+    last_cache_misses_ = report.value().result.eval_cache_misses;
   }
+  return report;
 }
 
 Result<std::unique_ptr<SearchRun>> Engine::begin_search() {
-  // Counts as a search like the monolithic verb: serve::Service picks one
-  // form or the other depending on slicing, and engine.searches should
-  // not depend on which.
+  // search() drives this run, so engine.searches counts every search
+  // once, in-process or served.
   static obs::Counter& searches = engine_counter("engine.searches");
   searches.inc();
   StrategyRequest req;
@@ -174,24 +161,13 @@ Result<std::unique_ptr<SearchRun>> Engine::begin_search() {
   std::unique_ptr<SearchRun> run(new SearchRun());
   run->ctx_ = ctx_;
   run->deploy_workload_ = deploy_workload();
-
-  Registry& reg = Registry::global();
-  if (reg.has_strategy_stepper(cfg_.strategy)) {
-    try {
-      Result<std::unique_ptr<hgnas::SearchStepper>> stepper =
-          reg.make_strategy_stepper(cfg_.strategy, req);
-      if (!stepper.ok()) return stepper.status();
-      run->stepper_ = std::move(stepper).value();
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("search failed: ") + e.what());
-    }
-  } else {
-    // Third-party strategy registered without a stepwise form: the whole
-    // run becomes one (non-preemptible) step.
-    const std::string strategy = cfg_.strategy;
-    run->monolithic_ = [strategy, req] {
-      return Registry::global().run_strategy(strategy, req);
-    };
+  try {
+    Result<std::unique_ptr<hgnas::SearchStepper>> stepper =
+        Registry::global().make_strategy_stepper(cfg_.strategy, req);
+    if (!stepper.ok()) return stepper.status();
+    run->stepper_ = std::move(stepper).value();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("search failed: ") + e.what());
   }
   return run;
 }
@@ -199,21 +175,8 @@ Result<std::unique_ptr<SearchRun>> Engine::begin_search() {
 bool SearchRun::step() {
   if (finished_) return false;
   try {
-    if (stepper_ != nullptr) {
-      if (stepper_->step()) return true;
-      result_ = stepper_->take_result();
-    } else {
-      Result<hgnas::SearchResult> r = monolithic_();
-      if (r.ok())
-        result_ = std::move(r).value();
-      else
-        error_ = r.status();
-      fallback_progress_.phase = hgnas::SearchProgress::Phase::kDone;
-      fallback_progress_.steps = 1;
-      fallback_progress_.sim_time_s = result_.total_sim_time_s;
-      fallback_progress_.best_objective = result_.best_objective;
-      fallback_progress_.has_best = r.ok();
-    }
+    if (stepper_->step()) return true;
+    result_ = stepper_->take_result();
   } catch (const std::exception& e) {
     error_ = Status::Internal(std::string("search failed: ") + e.what());
   }
@@ -361,24 +324,13 @@ Result<ProfileReport> Engine::profile_baseline(const std::string& name,
 }
 
 Result<TrainReport> Engine::train_baseline(const std::string& name) {
-  static obs::Counter& trains = engine_counter("engine.train_baselines");
-  trains.inc();
-  Result<std::unique_ptr<Lowerable>> baseline =
-      Registry::global().make_baseline(name);
-  if (!baseline.ok()) return baseline.status();
-  try {
-    const BaselineTrainResult r = baseline.value()->train(
-        ctx_->data(), train_workload(), cfg_.train_epochs, cfg_.train_lr,
-        ctx_->rng());
-    return TrainReport{r.overall_acc, r.balanced_acc, 0.0, r.param_mb};
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("baseline training failed: ") +
-                            e.what());
-  }
+  return run_to_completion(begin_train_baseline(name));
 }
 
 Result<std::unique_ptr<TrainBaselineRun>> Engine::begin_train_baseline(
     const std::string& name) {
+  static obs::Counter& trains = engine_counter("engine.train_baselines");
+  trains.inc();
   Result<std::unique_ptr<Lowerable>> baseline =
       Registry::global().make_baseline(name);
   if (!baseline.ok()) return baseline.status();
@@ -386,8 +338,8 @@ Result<std::unique_ptr<TrainBaselineRun>> Engine::begin_train_baseline(
   run->ctx_ = ctx_;
   run->baseline_ = std::move(baseline).value();
   try {
-    // The model is materialised here, consuming the context RNG exactly as
-    // train_baseline() would before its first epoch.
+    // The model is materialised here, consuming the context RNG before the
+    // first epoch's draws.
     run->stepper_ = run->baseline_->train_stepper(
         ctx_->data(), train_workload(), cfg_.train_epochs, cfg_.train_lr,
         ctx_->rng());

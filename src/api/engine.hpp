@@ -32,7 +32,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -142,14 +141,14 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Run the configured search strategy end to end.
+  /// Run the configured search strategy end to end: begin_search() driven
+  /// to completion.
   Result<SearchReport> search();
 
-  /// Generation-granular form of search(): the returned run is advanced one
-  /// step at a time and yields the identical report when driven to
-  /// completion (the stepper drives the same coroutine search() does).
-  /// serve::Service preempts long searches at this granularity. The run
-  /// keeps the engine's EvalContext alive, so it may outlive this Engine.
+  /// The configured search as a run advanced one step at a time; driving
+  /// it to completion is search(). serve::Service preempts long searches
+  /// at this granularity. The run keeps the engine's EvalContext alive, so
+  /// it may outlive this Engine.
   Result<std::unique_ptr<SearchRun>> begin_search();
 
   /// Latency of one architecture through the configured evaluator. Noisy
@@ -187,10 +186,10 @@ class Engine {
   /// Train a CPU-scale instance of a named baseline on the engine's
   /// dataset (config().train_epochs / train_lr) — the accuracy columns of
   /// Table II / Fig. 2 / Fig. 6. mean_loss is 0 (baseline training loops
-  /// report accuracy only).
+  /// report accuracy only). begin_train_baseline() driven to completion.
   Result<TrainReport> train_baseline(const std::string& name);
-  /// Epoch-granular form of train_baseline(): bit-identical when driven to
-  /// completion (same model construction, same RNG consumption order).
+  /// The baseline training as a run advanced one epoch at a time; driving
+  /// it to completion is train_baseline().
   Result<std::unique_ptr<TrainBaselineRun>> begin_train_baseline(
       const std::string& name);
 
@@ -263,10 +262,9 @@ class SearchRun {
   bool step();
   bool done() const { return finished_; }
   /// Live progress view (phase, step count, simulated time, best
-  /// objective). For a strategy without a registered stepwise form the view
-  /// jumps from kIdle to kDone on the single whole-run step.
+  /// objective).
   const hgnas::SearchProgress& progress() const {
-    return stepper_ != nullptr ? stepper_->progress() : fallback_progress_;
+    return stepper_->progress();
   }
   /// FAILED_PRECONDITION until done(); afterwards the report (or error
   /// Status) Engine::search() would have produced. Consumes the result.
@@ -279,9 +277,6 @@ class SearchRun {
   std::shared_ptr<EvalContext> ctx_;  // keeps the stepper's borrows alive
   Workload deploy_workload_;
   std::unique_ptr<hgnas::SearchStepper> stepper_;
-  /// Fallback for strategies without a stepwise form: one whole-run step.
-  std::function<Result<hgnas::SearchResult>()> monolithic_;
-  hgnas::SearchProgress fallback_progress_;
   hgnas::SearchResult result_;
   Status error_;
   bool finished_ = false;

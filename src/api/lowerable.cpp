@@ -1,6 +1,5 @@
 #include "api/lowerable.hpp"
 
-#include <functional>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -15,8 +14,9 @@ namespace {
 
 /// Epoch stepper over the baselines' shared training loop: owns the
 /// materialised model and drives the train_baseline_stepwise coroutine.
-/// The model is built in the constructor, so RNG consumption matches the
-/// monolithic train() (model init first, then training draws per step).
+/// The model is built in the constructor, so RNG consumption matches
+/// baselines::train_baseline (model init first, then training draws per
+/// step).
 template <typename ModelT, typename ConfigT>
 class ModelTrainStepper final : public TrainStepper {
  public:
@@ -65,28 +65,6 @@ class ZooTrainStepper final : public TrainStepper {
   core::Stepper run_;
 };
 
-/// Fallback for Lowerables without an epoch-granular loop: one step that
-/// runs the whole train() call.
-class MonolithicTrainStepper final : public TrainStepper {
- public:
-  explicit MonolithicTrainStepper(std::function<BaselineTrainResult()> fn)
-      : fn_(std::move(fn)) {}
-
-  bool step() override {
-    if (done_) return false;
-    result_ = fn_();
-    done_ = true;
-    return false;
-  }
-  bool done() const override { return done_; }
-  BaselineTrainResult result() const override { return result_; }
-
- private:
-  std::function<BaselineTrainResult()> fn_;
-  BaselineTrainResult result_;
-  bool done_ = false;
-};
-
 /// DGCNN and its sampling-reuse ladder: reuse_from_layer = 4 is the
 /// original network, 1 is the Li et al. [6] single-sample optimisation
 /// (Fig. 2's x-axis).
@@ -103,19 +81,6 @@ class DgcnnBaseline final : public Lowerable {
     cfg.num_classes = w.num_classes;
     cfg.reuse_from_layer = reuse_from_layer_;
     return baselines::Dgcnn::trace(cfg, w.num_points);
-  }
-
-  BaselineTrainResult train(const pointcloud::Dataset& data,
-                            const hgnas::Workload& train_w,
-                            std::int64_t epochs, float lr,
-                            Rng& rng) const override {
-    baselines::DgcnnConfig cfg =
-        baselines::DgcnnConfig::scaled(train_w.num_classes, train_w.k);
-    cfg.reuse_from_layer = reuse_from_layer_;
-    baselines::Dgcnn model(cfg, rng);
-    const baselines::BaselineEval eval =
-        baselines::train_baseline(model, data, epochs, lr, rng);
-    return {eval.overall_acc, eval.balanced_acc, model.param_mb()};
   }
 
   std::unique_ptr<TrainStepper> train_stepper(
@@ -146,17 +111,6 @@ class TailorBaseline final : public Lowerable {
     return baselines::TailorGnn::trace(cfg, w.num_points);
   }
 
-  BaselineTrainResult train(const pointcloud::Dataset& data,
-                            const hgnas::Workload& train_w,
-                            std::int64_t epochs, float lr,
-                            Rng& rng) const override {
-    baselines::TailorGnn model(
-        baselines::TailorConfig::scaled(train_w.num_classes, train_w.k), rng);
-    const baselines::BaselineEval eval =
-        baselines::train_baseline(model, data, epochs, lr, rng);
-    return {eval.overall_acc, eval.balanced_acc, model.param_mb()};
-  }
-
   std::unique_ptr<TrainStepper> train_stepper(
       const pointcloud::Dataset& data, const hgnas::Workload& train_w,
       std::int64_t epochs, float lr, Rng& rng) const override {
@@ -180,18 +134,6 @@ class ZooBaseline final : public Lowerable {
     return hgnas::lower_to_trace(arch_, w);
   }
 
-  BaselineTrainResult train(const pointcloud::Dataset& data,
-                            const hgnas::Workload& train_w,
-                            std::int64_t epochs, float lr,
-                            Rng& rng) const override {
-    hgnas::GnnModel model(arch_, train_w, rng);
-    hgnas::TrainConfig cfg;
-    cfg.epochs = epochs;
-    cfg.lr = lr;
-    const hgnas::EvalResult eval = hgnas::train_model(model, data, cfg, rng);
-    return {eval.overall_acc, eval.balanced_acc, model.param_mb()};
-  }
-
   std::unique_ptr<TrainStepper> train_stepper(
       const pointcloud::Dataset& data, const hgnas::Workload& train_w,
       std::int64_t epochs, float lr, Rng& rng) const override {
@@ -207,15 +149,6 @@ class ZooBaseline final : public Lowerable {
 };
 
 }  // namespace
-
-std::unique_ptr<TrainStepper> Lowerable::train_stepper(
-    const pointcloud::Dataset& data, const hgnas::Workload& train_workload,
-    std::int64_t epochs, float lr, Rng& rng) const {
-  return std::make_unique<MonolithicTrainStepper>(
-      [this, &data, train_workload, epochs, lr, &rng] {
-        return train(data, train_workload, epochs, lr, rng);
-      });
-}
 
 void install_builtin_baselines(Registry& registry) {
   auto dgcnn = [](std::string name, std::int64_t reuse) {

@@ -9,8 +9,9 @@
 //
 //   lower(workload)   cost-model trace at an arbitrary deployment workload
 //                     (drives Table II / Fig. 1 / Fig. 2 / Fig. 3 numbers)
-//   train(...)        materialise a CPU-scale instance and train it on a
-//                     dataset (the accuracy columns of Table II / Fig. 6)
+//   train_stepper(..) materialise a CPU-scale instance and train it on a
+//                     dataset, one epoch per step (the accuracy columns of
+//                     Table II / Fig. 6)
 //
 // Instances are produced by name through the registry ("dgcnn", "li",
 // "tailor", "dgcnn-reuse2/3", "rtx-fast", "i7-fast", "tx2-fast",
@@ -40,7 +41,7 @@ struct BaselineTrainResult {
 /// A baseline training run advanced one epoch at a time — the scheduling
 /// unit serve::Service preempts under its exclusive time slice. Obtained
 /// from Lowerable::train_stepper; driving step() to completion produces the
-/// same result as the matching train() call.
+/// same result as the baselines' train_baseline / hgnas::train_model loop.
 class TrainStepper {
  public:
   virtual ~TrainStepper() = default;
@@ -65,23 +66,15 @@ class Lowerable {
   virtual hw::Trace lower(const hgnas::Workload& workload) const = 0;
 
   /// Build a fresh instance scaled to `train_workload` (classes, k) and
-  /// train it on `data` — mirrors hgnas::train_model / the baselines'
-  /// shared training loop. Throws on internal error (the engine converts
-  /// to Status at the facade boundary).
-  virtual BaselineTrainResult train(const pointcloud::Dataset& data,
-                                    const hgnas::Workload& train_workload,
-                                    std::int64_t epochs, float lr,
-                                    Rng& rng) const = 0;
-
-  /// Epoch-granular form of train(): the model is built here (consuming
-  /// `rng` exactly as train() would), each step() runs one epoch, and the
-  /// final step evaluates. Bit-identical to train() when driven to
-  /// completion. The built-in baselines override this; the default wraps
-  /// train() in a single step for third-party Lowerables. All references
-  /// must outlive the stepper.
+  /// return a run that trains it on `data`: the model is built here
+  /// (consuming `rng` before any training draw), each step() runs one
+  /// epoch, and the final step evaluates — bit-identical to the baselines'
+  /// train_baseline / hgnas::train_model loop. Throws on internal error
+  /// (the engine converts to Status at the facade boundary). All
+  /// references must outlive the stepper.
   virtual std::unique_ptr<TrainStepper> train_stepper(
       const pointcloud::Dataset& data, const hgnas::Workload& train_workload,
-      std::int64_t epochs, float lr, Rng& rng) const;
+      std::int64_t epochs, float lr, Rng& rng) const = 0;
 };
 
 /// Register the built-in baselines and zoo networks (called once by the

@@ -34,21 +34,6 @@ std::vector<std::string> sorted_keys(const Map& map) {
   return out;
 }
 
-// ---- built-in strategies ---------------------------------------------------
-
-/// Wrap HgnasSearch construction (which throws std::invalid_argument on a
-/// bad SearchConfig) into the Status model.
-template <typename Fn>
-Result<hgnas::SearchResult> with_search(const StrategyRequest& req, Fn run) {
-  try {
-    hgnas::HgnasSearch search(*req.supernet, *req.data, req.cfg, req.latency,
-                              req.eval_cache);
-    return run(search);
-  } catch (const std::invalid_argument& e) {
-    return Status::InvalidArgument(e.what());
-  }
-}
-
 // ---- built-in evaluators ---------------------------------------------------
 
 Result<EvaluatorBundle> make_oracle(const EvaluatorRequest& req) {
@@ -127,25 +112,6 @@ Registry::Registry() {
   evaluators_["measured"] = make_measured;
   evaluators_["predictor"] = make_predictor;
 
-  strategies_["multistage"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_multistage(*req.rng));
-    });
-  };
-  strategies_["onestage"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_onestage(*req.rng));
-    });
-  };
-  strategies_["random"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_random(*req.rng));
-    });
-  };
-
-  // Stepwise companions: the same pipelines as generation-granular
-  // steppers (SearchStepper drives the identical coroutine the run_*
-  // wrappers above drive, so both forms stay bit-identical).
   auto stepper_for = [](hgnas::SearchStrategy strategy) {
     return [strategy](const StrategyRequest& req)
                -> Result<std::unique_ptr<hgnas::SearchStepper>> {
@@ -158,11 +124,9 @@ Registry::Registry() {
       }
     };
   };
-  strategy_steppers_["multistage"] =
-      stepper_for(hgnas::SearchStrategy::kMultistage);
-  strategy_steppers_["onestage"] =
-      stepper_for(hgnas::SearchStrategy::kOnestage);
-  strategy_steppers_["random"] = stepper_for(hgnas::SearchStrategy::kRandom);
+  strategies_["multistage"] = stepper_for(hgnas::SearchStrategy::kMultistage);
+  strategies_["onestage"] = stepper_for(hgnas::SearchStrategy::kOnestage);
+  strategies_["random"] = stepper_for(hgnas::SearchStrategy::kRandom);
 
   install_builtin_baselines(*this);
 }
@@ -193,21 +157,11 @@ Status Registry::register_evaluator(const std::string& name,
 }
 
 Status Registry::register_strategy(const std::string& name,
-                                   StrategyFn strategy) {
+                                   StrategyFactory factory) {
   const std::string key = normalize_key(name);
   if (key.empty()) return Status::InvalidArgument("strategy name is empty");
-  if (!strategies_.emplace(key, std::move(strategy)).second)
+  if (!strategies_.emplace(key, std::move(factory)).second)
     return Status::InvalidArgument("strategy '" + key +
-                                   "' already registered");
-  return Status::Ok();
-}
-
-Status Registry::register_strategy_stepper(const std::string& name,
-                                           StrategyStepperFactory factory) {
-  const std::string key = normalize_key(name);
-  if (key.empty()) return Status::InvalidArgument("strategy name is empty");
-  if (!strategy_steppers_.emplace(key, std::move(factory)).second)
-    return Status::InvalidArgument("strategy stepper '" + key +
                                    "' already registered");
   return Status::Ok();
 }
@@ -249,25 +203,12 @@ Result<EvaluatorBundle> Registry::make_evaluator(
   return it->second(req);
 }
 
-Result<hgnas::SearchResult> Registry::run_strategy(
+Result<std::unique_ptr<hgnas::SearchStepper>> Registry::make_strategy_stepper(
     const std::string& name, const StrategyRequest& req) const {
   const auto it = strategies_.find(normalize_key(name));
   if (it == strategies_.end())
     return Status::NotFound("unknown strategy '" + name +
                             "' (known: " + known_names(strategies_) + ")");
-  if (req.supernet == nullptr || req.data == nullptr || req.rng == nullptr)
-    return Status::Internal("StrategyRequest has null borrows");
-  if (!req.latency)
-    return Status::InvalidArgument("strategy requires a latency evaluator");
-  return it->second(req);
-}
-
-Result<std::unique_ptr<hgnas::SearchStepper>> Registry::make_strategy_stepper(
-    const std::string& name, const StrategyRequest& req) const {
-  const auto it = strategy_steppers_.find(normalize_key(name));
-  if (it == strategy_steppers_.end())
-    return Status::NotFound("strategy '" + name +
-                            "' has no stepwise form registered");
   if (req.supernet == nullptr || req.data == nullptr || req.rng == nullptr)
     return Status::Internal("StrategyRequest has null borrows");
   if (!req.latency)
@@ -286,10 +227,6 @@ Result<std::unique_ptr<Lowerable>> Registry::make_baseline(
 
 bool Registry::has_strategy(const std::string& name) const {
   return strategies_.count(normalize_key(name)) > 0;
-}
-
-bool Registry::has_strategy_stepper(const std::string& name) const {
-  return strategy_steppers_.count(normalize_key(name)) > 0;
 }
 
 std::vector<std::string> Registry::device_names() const {

@@ -16,6 +16,9 @@
 //   strategies : "multistage" — the paper's hierarchical Alg. 1
 //                "onestage"   — joint EA over the full fine-grained space
 //                "random"     — random sampling at the same query budget
+//                A strategy is a factory of hgnas::SearchStepper:
+//                Engine::search() and serve::Service both drive that
+//                stepper, so one registration is the whole strategy.
 //   baselines  : "dgcnn" ("dgcnn-reuse4"), "dgcnn-reuse3", "dgcnn-reuse2",
 //                "li" ("dgcnn-reuse1"), "tailor" — the paper's comparison
 //                networks — plus the zoo's Fig. 10 designs "rtx-fast",
@@ -66,8 +69,8 @@ struct EvaluatorBundle {
   double predictor_train_mape = 0.0;
 };
 
-/// Inputs a search strategy runs against. All pointers are borrowed from
-/// the engine for the duration of the call.
+/// Inputs a search strategy is built over. All pointers are borrowed from
+/// the engine and must outlive the stepper the strategy returns.
 struct StrategyRequest {
   hgnas::SuperNet* supernet = nullptr;
   const pointcloud::Dataset* data = nullptr;
@@ -89,14 +92,10 @@ class Registry {
   using DeviceFactory = std::function<hw::Device()>;
   using EvaluatorFactory =
       std::function<Result<EvaluatorBundle>(const EvaluatorRequest&)>;
-  using StrategyFn =
-      std::function<Result<hgnas::SearchResult>(const StrategyRequest&)>;
-  /// Stepwise form of a strategy: builds a stepper over the request (see
-  /// hgnas::HgnasSearch::run_stepwise for the step unit) instead of
-  /// running to completion. The built-in strategies
-  /// register both; a custom strategy may register only the monolithic fn
-  /// (Engine::begin_search then falls back to one whole-run step).
-  using StrategyStepperFactory = std::function<
+  /// A strategy builds a stepper over the request (see
+  /// hgnas::HgnasSearch::run_stepwise for the step unit); Engine::search()
+  /// and serve::Service both run a search by driving it.
+  using StrategyFactory = std::function<
       Result<std::unique_ptr<hgnas::SearchStepper>>(const StrategyRequest&)>;
   using BaselineFactory = std::function<std::unique_ptr<Lowerable>()>;
 
@@ -107,11 +106,7 @@ class Registry {
   // name returns INVALID_ARGUMENT (built-ins cannot be shadowed silently).
   Status register_device(const std::string& name, DeviceFactory factory);
   Status register_evaluator(const std::string& name, EvaluatorFactory factory);
-  Status register_strategy(const std::string& name, StrategyFn strategy);
-  /// Optional stepwise companion to register_strategy (same key rules; the
-  /// monolithic fn must exist or be registered too for run_strategy).
-  Status register_strategy_stepper(const std::string& name,
-                                   StrategyStepperFactory factory);
+  Status register_strategy(const std::string& name, StrategyFactory factory);
   /// `alias` may be empty; like devices, aliases resolve but are not
   /// listed in baseline_names().
   Status register_baseline(const std::string& name, const std::string& alias,
@@ -120,18 +115,12 @@ class Registry {
   Result<hw::Device> make_device(const std::string& name) const;
   Result<EvaluatorBundle> make_evaluator(const std::string& name,
                                          const EvaluatorRequest& req) const;
-  Result<hgnas::SearchResult> run_strategy(const std::string& name,
-                                           const StrategyRequest& req) const;
-  /// Builds the stepwise run for a strategy registered with
-  /// register_strategy_stepper; NOT_FOUND for strategies without one
-  /// (callers fall back to run_strategy).
   Result<std::unique_ptr<hgnas::SearchStepper>> make_strategy_stepper(
       const std::string& name, const StrategyRequest& req) const;
   Result<std::unique_ptr<Lowerable>> make_baseline(
       const std::string& name) const;
 
   bool has_strategy(const std::string& name) const;
-  bool has_strategy_stepper(const std::string& name) const;
 
   /// Canonical device names only (aliases like "rtx" resolve but are not
   /// listed) — the one source of truth for "iterate all devices".
@@ -146,8 +135,7 @@ class Registry {
   std::map<std::string, DeviceFactory> devices_;  // canonical + aliases
   std::vector<std::string> canonical_devices_;
   std::map<std::string, EvaluatorFactory> evaluators_;
-  std::map<std::string, StrategyFn> strategies_;
-  std::map<std::string, StrategyStepperFactory> strategy_steppers_;
+  std::map<std::string, StrategyFactory> strategies_;
   std::map<std::string, BaselineFactory> baselines_;  // canonical + aliases
   std::vector<std::string> canonical_baselines_;
 };

@@ -33,29 +33,26 @@ namespace hg::serve {
 
 /// Per-request scheduling options, honored by the service for every
 /// request type. All fields are optional; default-constructed options
-/// reproduce the historical behavior exactly.
+/// set no deadline, no cancel flag and no hook.
 struct RequestOptions {
   /// Absolute point after which the request must not *start*: a request
   /// still queued when its deadline passes resolves to DEADLINE_EXCEEDED
-  /// without running (and without consuming any context RNG). With
-  /// ServiceConfig::exclusive_slice_ms == 0 a request already running is
-  /// never interrupted — the deadline bounds queue time, not execution
-  /// time. With slicing enabled, a sliced exclusive run (search /
-  /// train_baseline) additionally checks the deadline between steps and
-  /// resolves DEADLINE_EXCEEDED mid-run, within one step (a search's
-  /// mini-batch or validation-sample round, a baseline's epoch);
-  /// the partially-advanced run is discarded (the shared-context RNG it
-  /// consumed stays consumed). max() = no deadline.
+  /// without running (and without consuming any context RNG). A search or
+  /// train_baseline already running also checks the deadline between its
+  /// steps (a search's mini-batch or validation-sample round, a baseline's
+  /// epoch) and resolves DEADLINE_EXCEEDED mid-run, within one step; the
+  /// partially-advanced run is discarded (the shared-context RNG it
+  /// consumed stays consumed). Other work, once started, runs to the end.
+  /// max() = no deadline.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 
-  /// Cooperative cancellation for queued requests: set the flag (any
-  /// thread) and a request not yet started resolves to CANCELLED instead
-  /// of running. With ServiceConfig::exclusive_slice_ms > 0 the flag is
-  /// also checked between the steps of a sliced exclusive run, so a
-  /// mid-search cancel resolves within one step. net::Server uses
-  /// one flag per connection so a client disconnect abandons that
-  /// connection's still-queued (or sliced in-flight) work.
+  /// Cooperative cancellation: set the flag (any thread) and a request not
+  /// yet started resolves to CANCELLED instead of running. The flag is
+  /// also checked between the steps of a running search or
+  /// train_baseline, so a mid-run cancel resolves within one step.
+  /// net::Server uses one flag per connection so a client disconnect
+  /// abandons that connection's queued and in-flight work.
   std::shared_ptr<std::atomic<bool>> cancel;
 
   /// Invoked exactly once, after the request's promise has been resolved

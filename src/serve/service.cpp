@@ -106,13 +106,16 @@ api::Result<std::shared_ptr<Service>> Service::create(
   if (service_cfg.exclusive_slice_ms < 0)
     return api::Status::InvalidArgument(
         "ServiceConfig::exclusive_slice_ms must be >= 0 "
-        "(0 = run to completion)");
+        "(0 = never preempt)");
   if (ctx == nullptr)
     return api::Status::InvalidArgument("EvalContext is null");
 
   std::shared_ptr<Service> service(new Service());
   service->base_cfg_ = cfg;
   service->service_cfg_ = service_cfg;
+  if (service_cfg.exclusive_slice_ms > 0)
+    service->slice_ =
+        std::chrono::milliseconds(service_cfg.exclusive_slice_ms);
   service->ctx_ = std::move(ctx);
   const std::string evaluator = api::normalize_key(cfg.evaluator);
   service->coalesce_predictions_ = evaluator == "predictor";
@@ -244,15 +247,14 @@ std::future<api::Result<T>> Service::submit_task(
   task.cancel = std::move(opts.cancel);
   task.enqueued_at = std::chrono::steady_clock::now();
   task.trace_id = effective_trace_id(opts.trace_id);
-  task.run = [fn = std::move(fn), resolve](api::Engine& engine) {
-    resolve(fn(engine));
-  };
   if (make_run) {
-    // The stepwise form resolves the same promise through the same
-    // closure, so the two paths are interchangeable per task.
     task.make_steppable = [make_run = std::move(make_run),
                            resolve](api::Engine& engine) {
       return make_run(engine, resolve);
+    };
+  } else {
+    task.run = [fn = std::move(fn), resolve](api::Engine& engine) {
+      resolve(fn(engine));
     };
   }
   task.fail = [resolve](const api::Status& status) { resolve(status); };
@@ -279,21 +281,16 @@ std::future<api::Result<api::SearchReport>> Service::submit(
     SearchRequest req) {
   const api::EngineConfig cfg = req.cfg.value_or(base_cfg_);
   return submit_task<api::SearchReport>(
-      [this, cfg](api::Engine&) -> api::Result<api::SearchReport> {
-        // A fresh engine per search: per-request strategy / objective /
-        // constraint overrides without touching the worker's engine, gated
-        // by context_compatible inside Engine::create.
-        api::Result<api::Engine> engine = api::Engine::create(cfg, ctx_);
-        if (!engine.ok()) return engine.status();
-        return engine.value().search();
-      },
-      std::move(req.opts), /*exclusive=*/true, /*count_predict=*/false,
+      nullptr, std::move(req.opts), /*exclusive=*/true,
+      /*count_predict=*/false,
       [this, cfg](api::Engine&,
                   std::function<void(api::Result<api::SearchReport>)> resolve)
           -> std::unique_ptr<Steppable> {
-        // Same fresh-engine policy as the monolithic path above; the run
-        // keeps the EvalContext alive itself, so the temporary engine may
-        // die as soon as begin_search() returns.
+        // A fresh engine per search: per-request strategy / objective /
+        // constraint overrides without touching the worker's engine, gated
+        // by context_compatible inside Engine::create. The run keeps the
+        // EvalContext alive itself, so the temporary engine may die as
+        // soon as begin_search() returns.
         using SearchSteppable =
             RunSteppable<api::SearchRun, api::SearchReport>;
         api::Result<api::Engine> engine = api::Engine::create(cfg, ctx_);
@@ -461,8 +458,7 @@ std::future<api::Result<api::TrainReport>> Service::submit(
     TrainBaselineRequest req) {
   const std::string name = std::move(req.name);
   return submit_task<api::TrainReport>(
-      [name](api::Engine& engine) { return engine.train_baseline(name); },
-      std::move(req.opts), /*exclusive=*/true,  // draws the shared ctx RNG
+      nullptr, std::move(req.opts), /*exclusive=*/true,  // draws the ctx RNG
       /*count_predict=*/false,
       [name](api::Engine& engine,
              std::function<void(api::Result<api::TrainReport>)> resolve)
@@ -584,11 +580,11 @@ void Service::worker_loop(std::size_t worker_index) {
 
     // A preempted exclusive re-parked at the queue front yields one
     // dispatch round to queued pure/predict traffic — that interleaving is
-    // the whole point of slicing. A FRESH exclusive keeps the historical
-    // drain-pure-first priority, and under slice_ms == 0 no task ever has
-    // a steppable, so this is dead code on the legacy path. Caveat: a
-    // saturating pure load can starve a preempted run (accepted — pure
-    // work is cheap and bounded, exclusives are minutes).
+    // the whole point of slicing. A FRESH exclusive keeps the
+    // drain-pure-first priority, and under slice_ms == 0 no run is ever
+    // preempted, so this never fires there. Caveat: a saturating pure load
+    // can starve a preempted run (accepted — pure work is cheap and
+    // bounded, exclusives are minutes).
     const bool defer_exclusive =
         !exclusive_queue_.empty() &&
         exclusive_queue_.front().steppable != nullptr &&
@@ -621,12 +617,11 @@ void Service::worker_loop(std::size_t worker_index) {
         continue;
       }
       while (pure_active_ != 0) gate_cv_.wait(lock);
-      // Slice only the verbs that registered a stepwise form; everything
-      // else on this queue (measured-evaluator predictions) is quick and
-      // runs to completion as before.
+      // Search and train_baseline run stepwise; everything else on this
+      // queue (measured-evaluator predictions) is quick and runs in one
+      // piece.
       const bool sliced =
-          service_cfg_.exclusive_slice_ms > 0 &&
-          (task.make_steppable != nullptr || task.steppable != nullptr);
+          task.make_steppable != nullptr || task.steppable != nullptr;
       lock.unlock();
       // Nested spans (search.* / train.* from the steppers) inherit the
       // request's id through the thread-local.
@@ -643,8 +638,6 @@ void Service::worker_loop(std::size_t worker_index) {
         } else {
           counters_.exclusive_resumes.inc();
         }
-        const auto slice =
-            std::chrono::milliseconds(service_cfg_.exclusive_slice_ms);
         finished = false;
         for (;;) {
           // Between steps the task is at a clean boundary: honor a cancel
@@ -672,7 +665,7 @@ void Service::worker_loop(std::size_t worker_index) {
             finished = true;
             break;
           }
-          if (step_ended - started >= slice) break;
+          if (step_ended - started >= slice_) break;
         }
       }
       const auto ended = std::chrono::steady_clock::now();

@@ -14,12 +14,14 @@
 //     predictions) run one at a time, in submission order, with the pure
 //     traffic drained first — so a concurrent run's results are
 //     bit-identical to submitting the same requests serially.
-//   * With ServiceConfig::exclusive_slice_ms > 0, a long exclusive run
-//     (search / train_baseline) is PREEMPTIBLE: it advances one step (one
-//     generation / one epoch) at a time, and once a slice expires it is
-//     re-parked at the front of the exclusive queue so queued pure traffic
-//     interleaves — flat predict p99 under a long search — while results
-//     stay bit-identical to run-to-completion (see the config field).
+//   * A long exclusive run (search / train_baseline) advances one step at
+//     a time (a search's mini-batch or validation-sample round, a
+//     baseline's epoch), with cancel and deadline checked between steps.
+//     With ServiceConfig::exclusive_slice_ms > 0 it is PREEMPTIBLE: once a
+//     slice expires it is re-parked at the front of the exclusive queue so
+//     queued pure traffic interleaves — flat predict p99 under a long
+//     search — while results stay bit-identical to an unpreempted run (see
+//     the config field).
 //   * Queued PredictLatency requests against a "predictor" evaluator are
 //     coalesced: a worker drains up to ServiceConfig::max_predict_batch of
 //     them and answers with ONE packed GCN forward
@@ -96,17 +98,17 @@ struct ServiceConfig {
   /// start/export. Empty (the default) = tracing off — every trace site
   /// is one relaxed atomic load.
   std::string trace_path{};
-  /// Exclusive-task time slice (milliseconds). 0 = run-to-completion (the
-  /// historical scheduler, bit-exactly). > 0: search / train_baseline run
-  /// stepwise (a search step is one supernet mini-batch or one
+  /// Exclusive-task time slice (milliseconds). search / train_baseline
+  /// always run stepwise (a search step is one supernet mini-batch or one
   /// validation-sample round of its candidates; a train_baseline step is
-  /// one epoch); once a slice expires at a step boundary the task is
-  /// re-parked at the FRONT of the exclusive queue — exclusives stay FIFO and the shared-context RNG
-  /// stream is consumed in submission order, so results are bit-identical
-  /// to run-to-completion for ANY slice value — and queued pure work gets
-  /// a dispatch round before it resumes. Cancel and deadline are also
-  /// checked between steps, so a mid-run cancel / expiry resolves within
-  /// one step instead of when the whole run ends.
+  /// one epoch), with cancel and deadline checked between steps, so a
+  /// mid-run cancel / expiry resolves within one step. 0 = an unbounded
+  /// slice: the run is never preempted. > 0: once a slice expires at a
+  /// step boundary the task is re-parked at the FRONT of the exclusive
+  /// queue — exclusives stay FIFO and the shared-context RNG stream is
+  /// consumed in submission order, so results are bit-identical for ANY
+  /// slice value — and queued pure work gets a dispatch round before it
+  /// resumes.
   std::int64_t exclusive_slice_ms = 0;
 };
 
@@ -137,8 +139,9 @@ struct ServiceStats {
   std::int64_t queue_wait_p99_us = 0;
   std::int64_t service_time_p50_us = 0;
   std::int64_t service_time_p99_us = 0;
-  // Slice-scheduler counters (all 0 while exclusive_slice_ms == 0):
-  std::int64_t exclusive_slices = 0;       // sliced dispatches (first+resumed)
+  // Slice-scheduler counters (preemptions and resumes stay 0 while
+  // exclusive_slice_ms == 0):
+  std::int64_t exclusive_slices = 0;       // run dispatches (first+resumed)
   std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
   std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
   // The same distributions split by request kind: pure covers predict /
@@ -161,8 +164,9 @@ struct ServiceStats {
 /// within ~25% — see obs::Histogram for the layout).
 using LatencyHistogram = obs::Histogram;
 
-/// One preemptible unit of exclusive work, advanced a step at a time (one
-/// search generation / one training epoch) between slice-expiry checks.
+/// One preemptible unit of exclusive work, advanced a step at a time (a
+/// search's mini-batch or validation-sample round, a training epoch)
+/// between slice-expiry checks.
 /// step() must not throw: failures are captured inside the run and reported
 /// when finish() resolves the request's promise.
 class Steppable {
@@ -255,13 +259,12 @@ class Service {
   /// an admission-side Status (expiry / cancellation) without running.
   /// Both fire the request's notify hook.
   struct QueuedTask {
+    /// Set for work that runs in one piece (pure verbs, measured-evaluator
+    /// predictions).
     std::function<void(api::Engine&)> run;
     std::function<void(const api::Status&)> fail;
-    /// Set for the sliceable exclusive verbs (search / train_baseline):
-    /// builds the stepwise form of `run` on first dispatch. Only consulted
-    /// when ServiceConfig::exclusive_slice_ms > 0 — with slicing off,
-    /// `run` executes monolithically, bit-exactly the historical
-    /// scheduler.
+    /// Set instead of `run` for the long exclusive verbs (search /
+    /// train_baseline): builds the stepwise run on first dispatch.
     std::function<std::unique_ptr<Steppable>(api::Engine&)> make_steppable;
     /// The in-flight stepwise run of a preempted task, carried across its
     /// re-park at the front of the exclusive queue.
@@ -292,8 +295,11 @@ class Service {
 
   /// The common submit shape: park `fn` on a queue, resolve its promise
   /// with the Result it returns — or with FAILED_PRECONDITION /
-  /// RESOURCE_EXHAUSTED when the submission is not admitted. Defined in
-  /// service.cpp (instantiated for the facade report types only).
+  /// RESOURCE_EXHAUSTED when the submission is not admitted. When
+  /// `make_run` is set the task is a stepwise run instead and `fn` is
+  /// unused: `make_run` builds it on first dispatch around the promise's
+  /// resolver. Defined in service.cpp (instantiated for the facade report
+  /// types only).
   template <typename T>
   std::future<api::Result<T>> submit_task(
       std::function<api::Result<T>(api::Engine&)> fn, RequestOptions opts,
@@ -331,6 +337,9 @@ class Service {
 
   api::EngineConfig base_cfg_;
   ServiceConfig service_cfg_;
+  /// exclusive_slice_ms as a duration; max() when it is 0 (unbounded).
+  std::chrono::steady_clock::duration slice_ =
+      std::chrono::steady_clock::duration::max();
   std::shared_ptr<api::EvalContext> ctx_;
   bool coalesce_predictions_ = false;  // evaluator "predictor"
   bool measured_evaluator_ = false;    // evaluator "measured" (stateful)
@@ -412,7 +421,7 @@ class Service {
       registry_->histogram("serve.pure_service_time_us");
   LatencyHistogram& exclusive_service_time_us_ =
       registry_->histogram("serve.exclusive_service_time_us");
-  // One sample per step() of a sliced exclusive run: a slice overshoots
+  // One sample per step() of a stepwise exclusive run: a slice overshoots
   // its budget by at most one step, so this bounds a sliced p99.
   LatencyHistogram& step_us_ = registry_->histogram("serve.step_us");
   // This service started the global trace collector (trace_path set):

@@ -4,12 +4,15 @@
 // and the export/import persistence round-trip.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "api/engine.hpp"
 #include "baselines/baselines.hpp"
 #include "hgnas/pareto.hpp"
+#include "serve/service.hpp"
 
 namespace hg::api {
 namespace {
@@ -449,17 +452,23 @@ TEST(Engine, SearchReportsInLoopParetoFrontier) {
 }
 
 TEST(Registry, CustomStrategyPluggableByName) {
-  // The seam later PRs plug into: register a strategy, select it by name.
+  // The seam later PRs plug into: register a strategy (a SearchStepper
+  // factory), select it by name. Engine::search() and a Service at slice 0
+  // both drive the stepper the factory builds, so both answer alike.
+  static std::atomic<int> built{0};
   Registry& reg = Registry::global();
   const Status first = reg.register_strategy(
-      "fastest-random", [](const StrategyRequest& req) {
-        hgnas::SearchResult r;
-        r.best_arch = hgnas::random_arch(req.cfg.space, *req.rng);
-        const hgnas::LatencyEval lat = req.latency(r.best_arch);
-        r.best_latency_ms = lat.latency_ms;
-        r.latency_queries = 1;
-        r.history.push_back({0.0, 0.0});
-        return Result<hgnas::SearchResult>(std::move(r));
+      "fastest-random",
+      [](const StrategyRequest& req)
+          -> Result<std::unique_ptr<hgnas::SearchStepper>> {
+        ++built;
+        hgnas::SearchConfig cfg = req.cfg;
+        cfg.population = 4;  // budget: 4 + 1 * 2 samples
+        cfg.iterations = 1;
+        cfg.train_supernet = false;
+        return std::make_unique<hgnas::SearchStepper>(
+            *req.supernet, *req.data, cfg, req.latency,
+            hgnas::SearchStrategy::kRandom, *req.rng, req.eval_cache);
       });
   // Another test instance may already have registered it; both outcomes
   // are deterministic statuses.
@@ -468,11 +477,33 @@ TEST(Registry, CustomStrategyPluggableByName) {
 
   EngineConfig cfg = EngineConfig::tiny();
   cfg.strategy = "fastest-random";
+  const int built_before = built.load();
   Result<Engine> engine = Engine::create(cfg);
   ASSERT_TRUE(engine.ok()) << engine.status().to_string();
   Result<SearchReport> report = engine.value().search();
   ASSERT_TRUE(report.ok()) << report.status().to_string();
-  EXPECT_EQ(report.value().result.latency_queries, 1);
+  EXPECT_GT(report.value().result.latency_queries, 0);
+  EXPECT_LE(report.value().result.latency_queries, 6);
+
+  serve::ServiceConfig scfg;
+  scfg.num_workers = 1;
+  scfg.exclusive_slice_ms = 0;
+  Result<std::shared_ptr<serve::Service>> service =
+      serve::Service::create(cfg, scfg);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  Result<SearchReport> served =
+      service.value()->submit(serve::SearchRequest{}).get();
+  service.value()->shutdown();
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
+
+  EXPECT_EQ(built.load() - built_before, 2);
+  const SearchResult& a = report.value().result;
+  const SearchResult& b = served.value().result;
+  EXPECT_EQ(a.best_arch, b.best_arch);
+  EXPECT_DOUBLE_EQ(a.best_objective, b.best_objective);
+  EXPECT_DOUBLE_EQ(a.best_latency_ms, b.best_latency_ms);
+  EXPECT_EQ(a.latency_queries, b.latency_queries);
+  EXPECT_EQ(report.value().frontier_table, served.value().frontier_table);
 }
 
 }  // namespace

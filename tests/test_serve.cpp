@@ -470,7 +470,7 @@ TEST(ServeStats, HistogramEdgeCases) {
   EXPECT_EQ(past.percentile_us(0.50), 1279);
 }
 
-// ---- generation-sliced preemptible scheduling ------------------------------
+// ---- stepwise, preemptible exclusive scheduling ----------------------------
 
 std::shared_ptr<Service> make_sliced_service(const api::EngineConfig& cfg,
                                              std::int64_t workers,
@@ -600,80 +600,138 @@ TEST(ServeSlice, PreemptedSearchIsResumedAndStillCorrect) {
 TEST(ServeSlice, MidRunCancelResolvesBetweenSteps) {
   api::EngineConfig cfg = tiny_cfg();
   cfg.iterations = 500;  // minutes of work if never interrupted
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
-  ASSERT_NE(service, nullptr);
+  // Slice 0 never preempts the run, but still steps it: the cancel lands
+  // between steps there too.
+  for (const std::int64_t slice_ms : {1, 0}) {
+    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
 
-  SearchRequest req;
-  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  auto cancel = req.opts.cancel;
-  auto search = service->submit(std::move(req));
-  ASSERT_TRUE(wait_for_first_slice(*service));
-  cancel->store(true);
+    SearchRequest req;
+    req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+    auto cancel = req.opts.cancel;
+    auto search = service->submit(std::move(req));
+    ASSERT_TRUE(wait_for_first_slice(*service));
+    cancel->store(true);
 
-  // Without mid-run checks this would block for the whole 500-iteration
-  // run; between-step cancellation resolves within a few generations.
-  api::Result<api::SearchReport> r = search.get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-  EXPECT_GE(service->stats().cancelled_requests, 1);
+    // Without mid-run checks this would block for the whole 500-iteration
+    // run; between-step cancellation resolves within a few steps.
+    api::Result<api::SearchReport> r = search.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+    EXPECT_GE(service->stats().cancelled_requests, 1);
 
-  // The worker is free again: the service keeps serving.
-  auto probe = api::Engine::create(cfg);
-  ASSERT_TRUE(probe.ok());
-  EXPECT_TRUE(
-      service->submit(PredictLatencyRequest{probe.value().sample_arch()})
-          .get()
-          .ok());
-  service->shutdown();
+    // The worker is free again: the service keeps serving.
+    auto probe = api::Engine::create(cfg);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_TRUE(
+        service->submit(PredictLatencyRequest{probe.value().sample_arch()})
+            .get()
+            .ok());
+    service->shutdown();
+  }
 }
 
 TEST(ServeSlice, MidRunDeadlineResolvesBetweenSteps) {
   api::EngineConfig cfg = tiny_cfg();
   cfg.iterations = 500;
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
-  ASSERT_NE(service, nullptr);
+  for (const std::int64_t slice_ms : {1, 0}) {
+    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
 
-  SearchRequest req;
-  req.opts.deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  auto search = service->submit(std::move(req));
-  ASSERT_TRUE(wait_for_first_slice(*service));
+    SearchRequest req;
+    req.opts.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    auto search = service->submit(std::move(req));
+    ASSERT_TRUE(wait_for_first_slice(*service));
 
-  api::Result<api::SearchReport> r = search.get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-  EXPECT_GE(service->stats().deadline_expired, 1);
-  service->shutdown();
+    api::Result<api::SearchReport> r = search.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
+    EXPECT_GE(service->stats().deadline_expired, 1);
+    service->shutdown();
+  }
 }
 
-TEST(ServeSlice, SliceZeroKeepsLegacySchedulerExactly) {
-  // slice = 0 must not even construct the stepwise form: counters stay 0
-  // and a running search is never interrupted by cancel (queue-time-only
-  // semantics, as documented).
-  const api::EngineConfig cfg = tiny_cfg();
+/// Drive a begun run to completion; the number of step() calls, the last
+/// (which returns false) included — what serve.step_us counts.
+template <typename Run>
+std::int64_t drive_steps(Run& run) {
+  std::int64_t steps = 0;
+  for (bool more = true; more; ++steps) more = run.step();
+  return steps;
+}
+
+TEST(ServeSlice, SliceZeroRunsTheStepperUnpreempted) {
+  // exclusive_slice_ms = 0 is an unbounded slice, not another scheduler:
+  // each search and baseline training runs its stepper in one dispatch,
+  // never preempted, recording one serve.step_us sample per step of the
+  // same run driven directly.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.train_epochs = 2;
+  auto reference = api::Engine::create(cfg);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  auto search_run = reference.value().begin_search();
+  ASSERT_TRUE(search_run.ok()) << search_run.status().to_string();
+  const std::int64_t search_steps = drive_steps(*search_run.value());
+  const api::Result<api::SearchReport> expected_search =
+      search_run.value()->take_report();
+  ASSERT_TRUE(expected_search.ok());
+  auto train_run = reference.value().begin_train_baseline("tailor");
+  ASSERT_TRUE(train_run.ok()) << train_run.status().to_string();
+  const std::int64_t train_steps = drive_steps(*train_run.value());
+  const api::Result<api::TrainReport> expected_train =
+      train_run.value()->take_report();
+  ASSERT_TRUE(expected_train.ok());
+  EXPECT_GT(search_steps, 1);
+
   auto service = make_sliced_service(cfg, 1, /*slice_ms=*/0);
   ASSERT_NE(service, nullptr);
-
-  SearchRequest req;
-  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  auto cancel = req.opts.cancel;
-  auto search = service->submit(std::move(req));
-  // Give the worker a moment to claim, then cancel mid-run: the legacy
-  // path must IGNORE it and finish the search.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel->store(true);
-  api::Result<api::SearchReport> r = search.get();
+  auto search = service->submit(SearchRequest{});
+  auto train = service->submit(TrainBaselineRequest{"tailor"});
+  const api::Result<api::SearchReport> searched = search.get();
+  const api::Result<api::TrainReport> trained = train.get();
   const ServiceStats stats = service->stats();
+  const obs::Snapshot snap = service->metrics_snapshot();
   service->shutdown();
+  ASSERT_TRUE(searched.ok()) << searched.status().to_string();
+  ASSERT_TRUE(trained.ok()) << trained.status().to_string();
 
-  EXPECT_EQ(stats.exclusive_slices, 0);
   EXPECT_EQ(stats.exclusive_preemptions, 0);
   EXPECT_EQ(stats.exclusive_resumes, 0);
-  // Either the cancel won the race while the task was still queued (the
-  // legacy queue-side check) or the search ran to completion; it was
-  // never aborted mid-run.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+  EXPECT_EQ(stats.exclusive_slices, 2);  // one dispatch per run
+  EXPECT_EQ(snap.at("serve.step_us.count"), search_steps + train_steps);
+  EXPECT_EQ(searched.value().result.best_arch,
+            expected_search.value().result.best_arch);
+  EXPECT_DOUBLE_EQ(searched.value().result.best_objective,
+                   expected_search.value().result.best_objective);
+  EXPECT_DOUBLE_EQ(trained.value().overall_acc,
+                   expected_train.value().overall_acc);
+}
+
+TEST(ServeSlice, TrainBaselineCounterBumpsOncePerRun) {
+  // engine.train_baselines counts each training once, however it runs:
+  // in-process, or served at slice 0 or at slice 1.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.train_epochs = 1;
+  const obs::Counter& trains =
+      obs::Registry::global().counter("engine.train_baselines");
+
+  auto engine = api::Engine::create(cfg);
+  ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+  std::int64_t before = trains.value();
+  ASSERT_TRUE(engine.value().train_baseline("tailor").ok());
+  EXPECT_EQ(trains.value() - before, 1);
+
+  for (const std::int64_t slice_ms : {0, 1}) {
+    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
+    before = trains.value();
+    ASSERT_TRUE(service->submit(TrainBaselineRequest{"tailor"}).get().ok());
+    service->shutdown();
+    EXPECT_EQ(trains.value() - before, 1);
   }
 }
 
