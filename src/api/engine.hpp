@@ -153,13 +153,13 @@ class Engine {
 
   /// Latency of one architecture through the configured evaluator. Noisy
   /// for "measured", learned for "predictor", exact for "oracle". For
-  /// "predictor" this is predict_batch at batch size 1 (one packed GCN
-  /// forward per call, same code path as a coalesced batch).
+  /// "predictor" this is predict_batch at batch size 1 (same code path as
+  /// a coalesced batch).
   Result<LatencyReport> predict_latency(const Arch& arch);
 
   /// Latency of N architectures in one evaluator pass. For "predictor" the
-  /// batch packs into a single block-diagonal GCN forward
-  /// (predictor::LatencyPredictor::predict_batch_ms) — element i is
+  /// batch packs into block-diagonal tape-free GCN forwards, one per pool
+  /// thread (predictor::LatencyPredictor::predict_batch_ms) — element i is
   /// bit-identical to predict_latency(archs[i]), just cheaper per query;
   /// serve::Service coalesces queued predictions onto this. Other
   /// evaluators answer with a per-architecture loop in order (so "measured"

@@ -397,6 +397,22 @@ void EdgeConv::set_training(bool training) {
   bn_->set_training(training);
 }
 
+GcnNorm gcn_norm(const graph::EdgeList& g) {
+  const std::int64_t n = g.num_nodes;
+  std::vector<float> inv_sqrt(static_cast<std::size_t>(n), 1.f);
+  for (auto d : g.dst) inv_sqrt[static_cast<std::size_t>(d)] += 1.f;
+  for (float& d : inv_sqrt) d = 1.f / std::sqrt(d);
+  GcnNorm norm;
+  norm.edge.resize(g.src.size());
+  for (std::size_t e = 0; e < g.src.size(); ++e)
+    norm.edge[e] = inv_sqrt[static_cast<std::size_t>(g.src[e])] *
+                   inv_sqrt[static_cast<std::size_t>(g.dst[e])];
+  norm.self.resize(static_cast<std::size_t>(n));
+  for (std::size_t v = 0; v < norm.self.size(); ++v)
+    norm.self[v] = inv_sqrt[v] * inv_sqrt[v];
+  return norm;
+}
+
 GcnLayer::GcnLayer(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,
                    Reduce reduce)
     : in_dim_(in_dim), out_dim_(out_dim), reduce_(reduce) {
@@ -408,71 +424,16 @@ Tensor GcnLayer::forward(const Tensor& x, const graph::EdgeList& g) {
     throw std::invalid_argument("GcnLayer: node count mismatch");
   Tensor h = lin_->forward(x);  // transform first: cheaper when out < in
 
-  // Symmetric normalisation with self-loops: deg includes the loop.
+  // Edge messages scaled by the symmetric normalisation, plus the
+  // self-loop term.
   const std::int64_t n = g.num_nodes;
-  std::vector<float> deg(static_cast<std::size_t>(n), 1.f);
-  for (auto d : g.dst) deg[static_cast<std::size_t>(d)] += 1.f;
-  std::vector<float> inv_sqrt(static_cast<std::size_t>(n));
-  for (std::int64_t v = 0; v < n; ++v)
-    inv_sqrt[static_cast<std::size_t>(v)] =
-        1.f / std::sqrt(deg[static_cast<std::size_t>(v)]);
-
-  // Edge messages scaled by 1/sqrt(deg_u * deg_v), plus the self-loop term.
-  std::vector<float> scale(g.src.size());
-  for (std::size_t e = 0; e < g.src.size(); ++e)
-    scale[e] = inv_sqrt[static_cast<std::size_t>(g.src[e])] *
-               inv_sqrt[static_cast<std::size_t>(g.dst[e])];
-  std::vector<float> self_scale(static_cast<std::size_t>(n));
-  for (std::int64_t v = 0; v < n; ++v)
-    self_scale[static_cast<std::size_t>(v)] =
-        inv_sqrt[static_cast<std::size_t>(v)] *
-        inv_sqrt[static_cast<std::size_t>(v)];
-
-  if (!detail::grad_enabled() && reduce_ == Reduce::Sum) {
-    // Fused inference path: reduce each scaled message straight into its
-    // destination row instead of materialising the [E, out] matrix — the
-    // matrix is what makes a large (or block-diagonally packed, see
-    // predictor::predict_batch_ms) graph fall out of cache. Edges are
-    // visited per destination in ascending order and the self-loop term is
-    // added after the accumulated sum, mirroring the reference
-    // gather/scale/scatter/add pipeline below operation for operation.
-    // Bit-for-bit identity with that pipeline is asserted in
-    // tests/test_gnn.cpp; the top-level -ffp-contract=off keeps the
-    // compiler from fusing the mul+add below into an FMA the reference's
-    // stored intermediate can't use, so it holds for HG_NATIVE builds too.
-    const std::int64_t c = h.shape()[1];
-    const auto hd = h.data();
-    const detail::IndexCsr by_dst =
-        detail::group_by_index(g.dst, n, "GcnLayer");
-    std::vector<float> out(static_cast<std::size_t>(n * c), 0.f);
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(1, c));
-    core::parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t v = lo; v < hi; ++v) {
-        float* orow = out.data() + v * c;
-        const std::int64_t b = by_dst.row_ptr[static_cast<std::size_t>(v)];
-        const std::int64_t t =
-            by_dst.row_ptr[static_cast<std::size_t>(v) + 1];
-        for (std::int64_t s = b; s < t; ++s) {
-          const std::int64_t e = by_dst.items[static_cast<std::size_t>(s)];
-          const float* hrow =
-              hd.data() + g.src[static_cast<std::size_t>(e)] * c;
-          simd::axpy(orow, scale[static_cast<std::size_t>(e)], hrow, c);
-        }
-        simd::axpy(orow, self_scale[static_cast<std::size_t>(v)],
-                   hd.data() + v * c, c);
-      }
-    });
-    return Tensor::from_vector({n, c}, std::move(out));
-  }
-
+  GcnNorm norm = gcn_norm(g);
   Tensor msgs = gather_rows(h, g.src);  // [E, out]
-  const auto num_scaled = static_cast<std::int64_t>(scale.size());
-  Tensor scale_t = Tensor::from_vector({num_scaled, 1}, std::move(scale));
+  Tensor scale_t =
+      Tensor::from_vector({g.num_edges(), 1}, std::move(norm.edge));
   msgs = mul(msgs, scale_t);
   Tensor agg = scatter_reduce(msgs, g.dst, n, reduce_);
-  Tensor self_t =
-      Tensor::from_vector({n, 1}, std::move(self_scale));
+  Tensor self_t = Tensor::from_vector({n, 1}, std::move(norm.self));
   return add(agg, mul(h, self_t));
 }
 

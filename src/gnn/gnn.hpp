@@ -91,6 +91,16 @@ class EdgeConv final : public nn::Module {
   std::unique_ptr<nn::BatchNorm1d> bn_;
 };
 
+/// Symmetric GCN normalisation with self-loops, deg counting the loop:
+/// edge e scales by 1/sqrt(deg_src) * 1/sqrt(deg_dst), node v's self-loop
+/// by 1/sqrt(deg_v)^2. Shared by GcnLayer and the latency predictor's
+/// tape-free forward, so both scale by the same floats.
+struct GcnNorm {
+  std::vector<float> edge;  // [num_edges]
+  std::vector<float> self;  // [num_nodes]
+};
+GcnNorm gcn_norm(const graph::EdgeList& g);
+
 /// Plain GCN layer (Kipf & Welling) with symmetric-normalised adjacency and
 /// self-loops — used by the latency predictor ("use GNN to perceive GNNs").
 /// Aggregator is configurable; the paper's predictor uses sum.
@@ -102,6 +112,9 @@ class GcnLayer final : public nn::Module {
   Tensor forward(const Tensor& x, const graph::EdgeList& g);
 
   std::vector<Tensor> parameters() const override;
+
+  /// The x·W + b transform, for tape-free inference over the same weights.
+  const nn::Linear& linear() const { return *lin_; }
 
  private:
   std::int64_t in_dim_, out_dim_;

@@ -89,20 +89,18 @@ Tensor BatchNorm1d::forward(const Tensor& x) {
   return add(mul(norm, gamma_), beta_);
 }
 
-Tensor apply_activation(const Tensor& x, Activation act, float leaky_slope) {
+Tensor apply_activation(const Tensor& x, Activation act) {
   switch (act) {
     case Activation::None: return x;
     case Activation::Relu: return relu(x);
-    case Activation::LeakyRelu: return leaky_relu(x, leaky_slope);
+    case Activation::LeakyRelu: return leaky_relu(x);
   }
   return x;
 }
 
 Mlp::Mlp(std::vector<std::int64_t> dims, Rng& rng, Activation hidden_act,
-         Activation final_act, bool batch_norm, float leaky_slope)
-    : hidden_act_(hidden_act),
-      final_act_(final_act),
-      leaky_slope_(leaky_slope) {
+         Activation final_act, bool batch_norm)
+    : hidden_act_(hidden_act), final_act_(final_act) {
   if (dims.size() < 2)
     throw std::invalid_argument("Mlp: need at least {in, out} dims");
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -119,7 +117,7 @@ Tensor Mlp::forward(const Tensor& x) {
     h = linears_[i]->forward(h);
     const bool is_last = (i + 1 == linears_.size());
     if (!is_last && i < norms_.size()) h = norms_[i]->forward(h);
-    h = apply_activation(h, is_last ? final_act_ : hidden_act_, leaky_slope_);
+    h = apply_activation(h, is_last ? final_act_ : hidden_act_);
   }
   return h;
 }

@@ -47,6 +47,9 @@ class Linear final : public Module {
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
+  /// Trained parameters, for tape-free inference that reads them in place.
+  const Tensor& weight() const { return weight_; }  // [in, out]
+  const Tensor& bias() const { return bias_; }      // [out]; only with bias
 
  private:
   std::int64_t in_features_, out_features_;
@@ -92,8 +95,7 @@ class Mlp final : public Module {
   /// the last; `final_act` after the last.
   Mlp(std::vector<std::int64_t> dims, Rng& rng,
       Activation hidden_act = Activation::Relu,
-      Activation final_act = Activation::None, bool batch_norm = false,
-      float leaky_slope = 0.01f);
+      Activation final_act = Activation::None, bool batch_norm = false);
 
   Tensor forward(const Tensor& x);
 
@@ -101,15 +103,16 @@ class Mlp final : public Module {
   void set_training(bool training) override;
 
   std::size_t num_layers() const { return linears_.size(); }
+  const Linear& layer(std::size_t i) const { return *linears_[i]; }
 
  private:
   std::vector<std::unique_ptr<Linear>> linears_;
   std::vector<std::unique_ptr<BatchNorm1d>> norms_;  // empty if !batch_norm
   Activation hidden_act_, final_act_;
-  float leaky_slope_;
 };
 
-Tensor apply_activation(const Tensor& x, Activation act, float leaky_slope);
+/// LeakyRelu uses leaky_relu's default slope.
+Tensor apply_activation(const Tensor& x, Activation act);
 
 // ---- metrics -----------------------------------------------------------------
 

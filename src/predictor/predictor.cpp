@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/parallel.hpp"
+#include "core/simd.hpp"
 #include "pointcloud/pointcloud.hpp"
 #include "tensor/optim.hpp"
 
@@ -186,20 +187,13 @@ LatencyPredictor::LatencyPredictor(const PredictorConfig& cfg,
   }
   std::vector<std::int64_t> mlp_dims = cfg_.mlp_dims;
   mlp_dims.insert(mlp_dims.begin(), d);
-  mlp_ = std::make_unique<nn::Mlp>(
-      mlp_dims, rng, nn::Activation::Relu,
-      cfg_.log_space_output ? nn::Activation::None
-                            : nn::Activation::LeakyRelu,
-      /*batch_norm=*/false, cfg_.leaky_slope);
+  mlp_ = std::make_unique<nn::Mlp>(mlp_dims, rng, nn::Activation::Relu,
+                                   nn::Activation::None);
 }
 
 Tensor LatencyPredictor::forward(const ArchGraph& g) {
   Tensor h = g.features;
   for (auto& layer : gcn_) h = relu(layer->forward(h, g.edges));
-  if (!cfg_.log_space_output) {
-    Tensor pooled = gnn::global_mean_pool(h);  // [1, d]
-    return mlp_->forward(pooled);              // [1, 1]
-  }
   // Additive head: total latency is a sum of per-operation costs, so the
   // MLP scores every node and the readout sums positive per-node
   // contributions. softplus keeps contributions positive without the
@@ -212,102 +206,150 @@ Tensor LatencyPredictor::forward(const ArchGraph& g) {
   return reshape(total, {1, 1});
 }
 
-double LatencyPredictor::predict_ms(const hgnas::Arch& arch) {
+double LatencyPredictor::predict_ms(const hgnas::Arch& arch) const {
   return predict_batch_ms(std::span<const hgnas::Arch>(&arch, 1))[0];
 }
 
 std::vector<double> LatencyPredictor::predict_batch_ms(
-    std::span<const hgnas::Arch> archs) {
-  // The packed forward's kernels are too small to split across the pool,
-  // so a batch is split instead: one packed forward per pool thread, over
-  // contiguous parts. Every answer depends on its own graph only, so the
-  // split never changes one.
+    std::span<const hgnas::Arch> archs) const {
+  // A part's kernels are too small to split across the pool, so a batch is
+  // split instead: one forward per pool thread, over contiguous parts.
+  // Every answer depends on its own graph only, so the split never changes
+  // one.
   const auto n = static_cast<std::int64_t>(archs.size());
   const std::int64_t parts = std::min(n, core::num_threads());
   std::vector<double> latencies_ms(archs.size());
   core::parallel_invoke(parts, [&](std::int64_t p) {
     const std::int64_t lo = n * p / parts;
     const std::int64_t hi = n * (p + 1) / parts;
-    predict_packed(archs.subspan(static_cast<std::size_t>(lo),
-                                 static_cast<std::size_t>(hi - lo)),
-                   latencies_ms.data() + lo);
+    forward_no_tape(archs.subspan(static_cast<std::size_t>(lo),
+                                  static_cast<std::size_t>(hi - lo)),
+                    latencies_ms.data() + lo);
   });
   return latencies_ms;
 }
 
-void LatencyPredictor::predict_packed(std::span<const hgnas::Arch> archs,
-                                      double* latencies_ms) {
-  NoGradGuard ng;
-  const auto n_graphs = static_cast<std::int64_t>(archs.size());
+namespace {
 
-  // Pack the N architecture graphs block-diagonally: node ids offset per
-  // graph, features stacked row-wise, and a node -> graph segment index for
-  // the readout. No edge crosses a graph boundary, and every kernel below
-  // (GCN normalisation, gather/scatter, row-wise linears) is local to a
-  // node/edge/row, so the packed pass computes exactly what N separate
-  // forwards would.
+/// y[rows, out] = x[rows, in] · W + b: matmul()'s kernel, then the bias
+/// added to each row as add(y, bias) does, reading the weights in place.
+void linear_rows(const nn::Linear& lin, const float* x, float* y,
+                 std::int64_t rows) {
+  const std::int64_t out = lin.out_features();
+  detail::raw_matmul(x, lin.weight().data().data(), y, rows,
+                     lin.in_features(), out);
+  const float* b = lin.bias().data().data();
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < out; ++j) y[i * out + j] += b[j];
+}
+
+void relu_in_place(float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.f ? x[i] : 0.f;
+}
+
+}  // namespace
+
+void LatencyPredictor::forward_no_tape(std::span<const hgnas::Arch> archs,
+                                       double* latencies_ms) const {
+  // Pack the graphs block-diagonally: node ids offset per graph, features
+  // stacked row-wise. No edge crosses a graph boundary, and every step
+  // below is local to a node, an edge or a row, so the packed pass
+  // computes exactly what a lone forward() of each graph computes.
   std::vector<ArchGraph> graphs;
   graphs.reserve(archs.size());
-  std::int64_t total_nodes = 0, total_edges = 0;
+  // Graph i owns the packed nodes [node_begin[i], node_begin[i + 1]).
+  std::vector<std::int64_t> node_begin = {0};
+  node_begin.reserve(archs.size() + 1);
+  std::int64_t n_edges = 0;
   for (const hgnas::Arch& arch : archs) {
     graphs.push_back(arch_to_graph(arch, workload_, cfg_.device_slot));
-    total_nodes += graphs.back().edges.num_nodes;
-    total_edges += graphs.back().edges.num_edges();
+    node_begin.push_back(node_begin.back() + graphs.back().edges.num_nodes);
+    n_edges += graphs.back().edges.num_edges();
   }
+  const std::int64_t n = node_begin.back();
+
+  std::int64_t width = kFeatureDim;
+  for (const auto& layer : gcn_)
+    width = std::max(width, layer->linear().out_features());
+  for (std::size_t i = 0; i < mlp_->num_layers(); ++i)
+    width = std::max(width, mlp_->layer(i).out_features());
+  // Two [n, width] scratch buffers: every layer reads one and writes the
+  // other, each holding dense [n, dim] rows of the current layer's width.
+  std::vector<float> a(static_cast<std::size_t>(n * width));
+  std::vector<float> b(static_cast<std::size_t>(n * width));
+
   graph::EdgeList packed;
-  packed.num_nodes = total_nodes;
-  packed.src.reserve(static_cast<std::size_t>(total_edges));
-  packed.dst.reserve(static_cast<std::size_t>(total_edges));
-  std::vector<float> feat;
-  feat.reserve(static_cast<std::size_t>(total_nodes * kFeatureDim));
-  std::vector<std::int64_t> graph_of;
-  graph_of.reserve(static_cast<std::size_t>(total_nodes));
-  std::int64_t offset = 0;
+  packed.num_nodes = n;
+  packed.src.reserve(static_cast<std::size_t>(n_edges));
+  packed.dst.reserve(static_cast<std::size_t>(n_edges));
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const ArchGraph& g = graphs[gi];
-    for (std::size_t e = 0; e < g.edges.src.size(); ++e) {
+    const std::int64_t offset = node_begin[gi];
+    for (std::size_t e = 0; e < g.edges.src.size(); ++e)
       packed.add_edge(g.edges.src[e] + offset, g.edges.dst[e] + offset);
+    const auto fd = g.features.data();
+    std::copy(fd.begin(), fd.end(), a.begin() + offset * kFeatureDim);
+  }
+  const gnn::GcnNorm norm = gnn::gcn_norm(packed);
+  const detail::IndexCsr by_dst =
+      detail::group_by_index(packed.dst, n, "predictor");
+
+  // GCN layers: b = a·W + bias, then a[v] = the sum over v's in-edges, in
+  // ascending edge order, of scale * b[src], plus the self-loop term, then
+  // ReLU — the taped layer's gather/scale/scatter-sum/add, element for
+  // element.
+  for (const auto& layer : gcn_) {
+    const nn::Linear& lin = layer->linear();
+    const std::int64_t c = lin.out_features();
+    linear_rows(lin, a.data(), b.data(), n);
+    for (std::int64_t v = 0; v < n; ++v) {
+      float* orow = a.data() + v * c;
+      std::fill(orow, orow + c, 0.f);
+      const auto vs = static_cast<std::size_t>(v);
+      for (std::int64_t s = by_dst.row_ptr[vs]; s < by_dst.row_ptr[vs + 1];
+           ++s) {
+        const auto e = static_cast<std::size_t>(
+            by_dst.items[static_cast<std::size_t>(s)]);
+        simd::axpy(orow, norm.edge[e], b.data() + packed.src[e] * c, c);
+      }
+      simd::axpy(orow, norm.self[vs], b.data() + v * c, c);
+      relu_in_place(orow, c);
     }
-    const auto gd = g.features.data();
-    feat.insert(feat.end(), gd.begin(), gd.end());
-    graph_of.insert(graph_of.end(),
-                    static_cast<std::size_t>(g.edges.num_nodes),
-                    static_cast<std::int64_t>(gi));
-    offset += g.edges.num_nodes;
   }
 
-  Tensor h = Tensor::from_vector({total_nodes, kFeatureDim}, std::move(feat));
-  for (auto& layer : gcn_) h = relu(layer->forward(h, packed));
-  Tensor out;  // [n_graphs, 1]
-  if (cfg_.log_space_output) {
-    // Additive head (see forward()): per-node softplus contributions,
-    // segment-summed per graph in ascending node order — the same
-    // accumulation sequence as a lone forward's sum_all.
-    Tensor z = mlp_->forward(h);  // [total_nodes, 1]
-    Tensor contrib = add(relu(z), log_op(add(exp_op(neg(abs_op(z))), 1.f)));
-    out = scatter_reduce(contrib, graph_of, n_graphs, Reduce::Sum);
-  } else {
-    Tensor pooled = scatter_reduce(h, graph_of, n_graphs, Reduce::Mean);
-    out = mlp_->forward(pooled);
+  // MLP: ReLU after every layer but the last; the last leaves z [n, 1].
+  float* x = a.data();
+  float* y = b.data();
+  for (std::size_t i = 0; i < mlp_->num_layers(); ++i) {
+    const nn::Linear& lin = mlp_->layer(i);
+    linear_rows(lin, x, y, n);
+    if (i + 1 < mlp_->num_layers()) relu_in_place(y, n * lin.out_features());
+    std::swap(x, y);
   }
 
-  for (std::int64_t i = 0; i < n_graphs; ++i)
-    latencies_ms[i] =
-        std::max(0.0, static_cast<double>(out.at({i, 0})) * scale_ms_);
+  // Softplus head (see forward()), summed per graph in ascending node
+  // order like forward()'s sum_all.
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    float total = 0.f;
+    for (std::int64_t v = node_begin[gi]; v < node_begin[gi + 1]; ++v) {
+      const float z = x[v];
+      total += (z > 0.f ? z : 0.f) + std::log(std::exp(-std::fabs(z)) + 1.f);
+    }
+    latencies_ms[gi] = std::max(0.0, static_cast<double>(total) * scale_ms_);
+  }
 }
 
 double LatencyPredictor::fit(const std::vector<LabeledArch>& train,
                              Rng& rng) {
   check(!train.empty(), "fit: empty training set");
-  // Normalisation scale: arithmetic mean for the raw head, geometric mean
-  // for the exponential head (centres z near zero).
+  // Normalisation scale: the geometric-mean label, so targets sit near 1
+  // whatever the device's latency range.
   double acc = 0.0;
   for (const auto& s : train) {
     check(s.latency_ms > 0.0, "fit: non-positive latency label");
-    acc += cfg_.log_space_output ? std::log(s.latency_ms) : s.latency_ms;
+    acc += std::log(s.latency_ms);
   }
-  acc /= static_cast<double>(train.size());
-  scale_ms_ = cfg_.log_space_output ? std::exp(acc) : acc;
+  scale_ms_ = std::exp(acc / static_cast<double>(train.size()));
 
   // Pre-build graphs once (they are label-independent).
   std::vector<ArchGraph> graphs;

@@ -21,8 +21,11 @@
 //  * One predictor instance per target device (the paper likewise trains
 //    per-platform labels; the "target device" input selects the instance).
 //  * Loss: MAPE, as in the paper. Predictions are scaled by the training
-//    -set mean so one set of hyper-parameters serves devices whose latency
-//    ranges differ by 100x.
+//    -set geometric-mean latency so one set of hyper-parameters serves
+//    devices whose latency ranges differ by 100x.
+//  * Head: the MLP scores every node and a softplus keeps each score
+//    positive; the latency is the sum of the node scores, because a
+//    network's latency is a sum of per-operation costs.
 #pragma once
 
 #include <memory>
@@ -77,12 +80,6 @@ struct PredictorConfig {
   float lr = 2e-3f;  // stable for the softplus-sum head; 5e-3 diverges
   std::int64_t epochs = 60;
   std::int64_t batch_size = 16;
-  float leaky_slope = 0.01f;
-  /// Parametrise the output as scale * exp(z) instead of a raw scalar.
-  /// The loss stays MAPE (as in the paper); the exponential head just makes
-  /// relative errors symmetric when candidate latencies span orders of
-  /// magnitude, which this repo's random-architecture space does.
-  bool log_space_output = true;
   /// Device one-hot written into the global node (-1: single-device
   /// predictor). Enables one shared predictor across platforms.
   int device_slot = -1;
@@ -108,18 +105,23 @@ class LatencyPredictor final : public nn::Module {
 
   /// Predicted latency (ms) for an architecture. Never negative. Runs
   /// through predict_batch_ms at batch size 1.
-  double predict_ms(const hgnas::Arch& arch);
+  double predict_ms(const hgnas::Arch& arch) const;
 
-  /// Predicted latencies for N architectures through packed GCN forwards,
-  /// one per pool thread over a contiguous part of the batch: a part's
-  /// graphs are stacked block-diagonally (node ids offset, features
-  /// concatenated) so every GCN layer runs a single adjacency pass, and
-  /// the readout segment-reduces per graph.
-  /// All GCN/MLP arithmetic is per-node/per-edge/per-row local, so each
-  /// element is bit-for-bit identical to a lone predict_ms of that
-  /// architecture — batching changes wall clock, never answers. Safe to
-  /// call concurrently (forward passes only read the trained weights).
-  std::vector<double> predict_batch_ms(std::span<const hgnas::Arch> archs);
+  /// Predicted latencies for N architectures: the serving path behind
+  /// predict_ms, the search-side evaluator and the engine's predictions.
+  /// The batch splits into one contiguous part per pool thread. Each part
+  /// runs one forward without the autograd tape: its graphs stacked
+  /// block-diagonally (node ids offset, features concatenated), the GCN
+  /// normalisation and the by-destination edge grouping built once, every
+  /// layer run over two scratch buffers, the trained weights read in
+  /// place, and the readout summed per graph.
+  /// Every output element sees the same float operations in the same order
+  /// as forward() on that architecture's graph alone, so answers are bit
+  /// for bit the taped forward's, for any batch and pool width (asserted in
+  /// tests/test_predictor.cpp). Safe to call concurrently: it only reads
+  /// the trained weights.
+  std::vector<double> predict_batch_ms(
+      std::span<const hgnas::Arch> archs) const;
 
   /// Train on labelled architectures (MAPE loss, Adam). Returns final
   /// training-set MAPE.
@@ -131,18 +133,27 @@ class LatencyPredictor final : public nn::Module {
 
   const hgnas::Workload& workload() const { return workload_; }
 
- private:
+  /// Training and reference forward of one graph through the autograd
+  /// tape: fit() trains through it, and predict_batch_ms is tested bit
+  /// for bit against it. Returns the [1, 1] prediction in units of
+  /// scale_ms(); the served latency is max(0, output * scale_ms()).
   Tensor forward(const ArchGraph& g);
-  /// One packed forward over `archs`; writes their latencies to
-  /// latencies_ms[0..).
-  void predict_packed(std::span<const hgnas::Arch> archs,
-                      double* latencies_ms);
+
+  /// Latency unit of forward()'s output: the training set's geometric-mean
+  /// latency (ms), set by fit().
+  double scale_ms() const { return scale_ms_; }
+
+ private:
+  /// The serving path's forward over one part of a batch; writes the
+  /// part's latencies to latencies_ms[0..).
+  void forward_no_tape(std::span<const hgnas::Arch> archs,
+                       double* latencies_ms) const;
 
   PredictorConfig cfg_;
   hgnas::Workload workload_;
   std::vector<std::unique_ptr<gnn::GcnLayer>> gcn_;
   std::unique_ptr<nn::Mlp> mlp_;
-  double scale_ms_ = 1.0;  // training-set mean latency
+  double scale_ms_ = 1.0;
 };
 
 /// Sample `count` random architectures and label them with simulated
@@ -171,7 +182,8 @@ std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
     const hgnas::Workload& w);
 
 /// Wrap a trained predictor as a search-side latency evaluator. Each query
-/// costs `query_cost_s` of simulated wall clock (milliseconds, §III-D).
+/// costs `query_cost_s` seconds of simulated search time (default 5 ms:
+/// the paper's predictor answers in milliseconds, §III-D).
 hgnas::LatencyFn make_predictor_evaluator(
     std::shared_ptr<LatencyPredictor> predictor, double query_cost_s = 0.005);
 

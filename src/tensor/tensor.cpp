@@ -82,8 +82,10 @@ Tensor make_op(Shape shape, std::vector<float> data,
 // row of b streams through, cutting b reloads by the block factor.
 constexpr std::int64_t kMatmulRowBlock = 4;
 
-void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n) {
+}  // namespace
+
+void detail::raw_matmul(const float* a, const float* b, float* c,
+                        std::int64_t m, std::int64_t k, std::int64_t n) {
   core::parallel_for(
       0, m, row_grain(k * n), [=](std::int64_t lo, std::int64_t hi) {
         std::fill(c + lo * n, c + hi * n, 0.f);
@@ -101,6 +103,8 @@ void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
         }
       });
 }
+
+namespace {
 
 // c[m,n] += a^T[m,k_rows] ... specialised transposed products for backward.
 void raw_matmul_at_b(const float* a, const float* b, float* c, std::int64_t m,
@@ -586,7 +590,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                      shape_to_string(a.shape()) + " x " +
                      shape_to_string(b.shape()));
   std::vector<float> out(static_cast<std::size_t>(m * n));
-  raw_matmul(a.data().data(), b.data().data(), out.data(), m, k, n);
+  detail::raw_matmul(a.data().data(), b.data().data(), out.data(), m, k, n);
 
   std::vector<float> a_copy(a.data().begin(), a.data().end());
   std::vector<float> b_copy(b.data().begin(), b.data().end());

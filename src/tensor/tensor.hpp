@@ -73,6 +73,13 @@ struct IndexCsr {
 IndexCsr group_by_index(std::span<const std::int64_t> index,
                         std::int64_t num_buckets, const char* what);
 
+/// c[m, n] = a[m, k] · b[k, n], row-major, without touching the tape: the
+/// kernel behind matmul(). Each c[i, j] sums its k terms in ascending order
+/// from 0, skipping zero a[i, p], so a caller that feeds it the same
+/// operands gets matmul()'s floats bit for bit. c must not alias a or b.
+void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
+                std::int64_t k, std::int64_t n);
+
 /// Build a custom autograd op outside tensor.cpp (fused kernels). Decides
 /// requires_grad from `parents` and records the tape edge exactly like the
 /// built-in ops; `backward_fn` must scatter self.grad into the parents via

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -175,56 +176,70 @@ TEST(Predictor, GeneralisesAndRanks) {
 }
 
 TEST(Predictor, PredictBatchEqualsSerialForwardsExactly) {
-  // The serving layer coalesces queued queries into one packed forward;
-  // that is only sound if batching can never change an answer. Exact
-  // equality, not tolerance: the block-diagonal pass must replay the very
-  // same arithmetic as N lone forwards.
-  Rng rng(21);
-  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
-  auto train = collect_labeled_archs(dev, test_space(), test_workload(),
-                                     80, 17);
-  LatencyPredictor pred(tiny_predictor_config(), test_workload(), rng);
-  pred.fit(train, rng);
+  // predict_batch_ms serves every query through a forward without the
+  // autograd tape; it must answer bit for bit what the taped forward() —
+  // the training path — gives for each architecture's graph alone, for any
+  // batch composition and pool width. EXPECT_EQ, not EXPECT_DOUBLE_EQ: no
+  // ULP of slack. The predictor is fitted, so ReLU zeros and the matmul's
+  // zero skip occur as they do in serving, and the architectures come from
+  // the served 12-position space on the paper workload.
+  const hgnas::Workload w;
+  const hgnas::SpaceConfig space;
+  hw::Device dev = hw::make_device(hw::DeviceKind::JetsonTx2);
+  const auto train = collect_labeled_archs(dev, space, w, 80, 23);
 
-  std::vector<hgnas::Arch> archs;
-  for (int i = 0; i < 10; ++i)
-    archs.push_back(hgnas::random_arch(test_space(), rng));
+  for (const int device_slot : {-1, 2}) {
+    SCOPED_TRACE("device_slot " + std::to_string(device_slot));
+    PredictorConfig cfg;
+    cfg.epochs = 8;
+    cfg.device_slot = device_slot;
+    Rng rng(31);
+    LatencyPredictor pred(cfg, w, rng);
+    pred.fit(train, rng);
 
-  std::vector<double> serial;
-  for (const auto& a : archs) serial.push_back(pred.predict_ms(a));
+    std::vector<hgnas::Arch> archs;
+    std::vector<double> reference;
+    for (int i = 0; i < 200; ++i) {
+      archs.push_back(hgnas::random_arch(space, rng));
+      const Tensor out = pred.forward(arch_to_graph(archs.back(), w,
+                                                    device_slot));
+      reference.push_back(std::max(
+          0.0, static_cast<double>(out.item()) * pred.scale_ms()));
+    }
+    // A collapsed fit answers 0 everywhere and would prove little.
+    std::vector<double> distinct = reference;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    ASSERT_GT(distinct.size(), 150u);
 
-  const std::vector<double> whole = pred.predict_batch_ms(archs);
-  ASSERT_EQ(whole.size(), archs.size());
-  for (std::size_t i = 0; i < archs.size(); ++i)
-    EXPECT_DOUBLE_EQ(whole[i], serial[i]) << "arch " << i;
+    for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      core::ScopedNumThreads scoped(threads);
 
-  // Batch composition must not matter either: any split gives the same
-  // numbers.
-  const std::vector<double> head = pred.predict_batch_ms(
-      std::span<const hgnas::Arch>(archs.data(), 3));
-  const std::vector<double> tail = pred.predict_batch_ms(
-      std::span<const hgnas::Arch>(archs.data() + 3, archs.size() - 3));
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(head[i], serial[i]);
-  for (std::size_t i = 3; i < archs.size(); ++i)
-    EXPECT_DOUBLE_EQ(tail[i - 3], serial[i]);
+      const std::vector<double> whole = pred.predict_batch_ms(archs);
+      ASSERT_EQ(whole.size(), archs.size());
+      for (std::size_t i = 0; i < archs.size(); ++i)
+        EXPECT_EQ(whole[i], reference[i]) << "whole batch, arch " << i;
 
-  EXPECT_TRUE(pred.predict_batch_ms({}).empty());
-}
+      for (std::size_t i = 0; i < archs.size(); ++i)
+        EXPECT_EQ(pred.predict_ms(archs[i]), reference[i]) << "lone arch " << i;
 
-TEST(Predictor, PredictBatchExactForMeanPoolHeadToo) {
-  // Same exactness for the non-default global-mean-pool head (the packed
-  // readout segment-means instead of segment-summing).
-  Rng rng(22);
-  PredictorConfig cfg = tiny_predictor_config();
-  cfg.log_space_output = false;
-  LatencyPredictor pred(cfg, test_workload(), rng);
-  std::vector<hgnas::Arch> archs;
-  for (int i = 0; i < 6; ++i)
-    archs.push_back(hgnas::random_arch(test_space(), rng));
-  const std::vector<double> batch = pred.predict_batch_ms(archs);
-  for (std::size_t i = 0; i < archs.size(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], pred.predict_ms(archs[i])) << "arch " << i;
+      // Uneven batches: parts of different sizes at every pool width.
+      std::size_t lo = 0;
+      for (const std::size_t len : {1u, 2u, 5u, 17u, 64u, 111u}) {
+        const std::vector<double> part = pred.predict_batch_ms(
+            std::span<const hgnas::Arch>(archs.data() + lo, len));
+        ASSERT_EQ(part.size(), len);
+        for (std::size_t i = 0; i < len; ++i)
+          EXPECT_EQ(part[i], reference[lo + i]) << "arch " << lo + i;
+        lo += len;
+      }
+      ASSERT_EQ(lo, archs.size());
+
+      EXPECT_TRUE(pred.predict_batch_ms({}).empty());
+    }
+  }
 }
 
 TEST(CollectLabeled, MultiDeviceShardingMatchesPerDeviceCollection) {
