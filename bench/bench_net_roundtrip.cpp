@@ -4,8 +4,8 @@
 //     net::Client -> loopback net::Server, vs the same N submissions
 //     through the in-process serve::Service (the futures API the server
 //     wraps). Reports requests/sec plus p50/p99 per-request round-trip.
-//  2. Batched remote predict: the same N archs in ONE kPredictBatch
-//     frame — the transport overhead (frame + syscall + wakeup) is paid
+//  2. Batched remote predict: the same N archs in ONE kPredictBatchN
+//     frame (net::Client::predict_batch) — the transport overhead (frame + syscall + wakeup) is paid
 //     once instead of N times.
 //  3. Mixed pipelined load: N predictions + N profiles with pipelined
 //     request ids (all in flight at once), requests/sec.

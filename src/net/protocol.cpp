@@ -75,6 +75,24 @@ std::string encode_version_farewell(const FrameHeader& peer) {
   return out;
 }
 
+bool is_request_type(std::uint16_t type) {
+  // Every enumerator is listed (and -Wswitch keeps it so): a value that
+  // names none of them falls out of the switch.
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kSearch:
+    case FrameType::kPredictLatency:
+    case FrameType::kProfile:
+    case FrameType::kProfileBaseline:
+    case FrameType::kTrainBaseline:
+    case FrameType::kGoodbye:
+    case FrameType::kPing:
+    case FrameType::kPredictBatchN:
+    case FrameType::kStats:
+      return true;
+  }
+  return false;
+}
+
 std::string encode_frame(FrameType type, bool reply, std::uint64_t request_id,
                          std::uint64_t deadline_us,
                          const std::string& payload) {

@@ -16,11 +16,12 @@
 //       version before dropping it (see encode_version_farewell), so an
 //       old client sees a clean typed error, not a silent hangup.
 //       Later v2 addition: kPredictBatchN, a multi-predict frame the
-//       server hands to the service as ONE unit of work (the packed
-//       block-diagonal forward) instead of N queued requests. Same
-//       payload codecs as kPredictBatch; an older v2 peer that does not
-//       know the type answers it with a typed INVALID_ARGUMENT reply, so
-//       a client can detect and fall back.
+//       server hands to the service as ONE queue entry. An older v2 peer
+//       that does not know the type answers it with a typed
+//       INVALID_ARGUMENT reply, so a client can detect and fall back.
+//       Type 3, the original per-element multi-predict frame, is retired:
+//       a server answers it like any unknown type (INVALID_ARGUMENT
+//       "unknown frame type 3").
 //
 // Frame layout (header is exactly kHeaderSize bytes):
 //
@@ -73,7 +74,7 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MB
 enum class FrameType : std::uint16_t {
   kSearch = 1,
   kPredictLatency = 2,
-  kPredictBatch = 3,
+  // 3 is retired (the per-element multi-predict frame): never reuse it.
   kProfile = 4,
   kProfileBaseline = 5,
   kTrainBaseline = 6,
@@ -91,12 +92,11 @@ enum class FrameType : std::uint16_t {
   /// protocol v2.
   kPing = 8,
   /// N latency predictions in one frame, submitted to the service as ONE
-  /// unit of work (serve::PredictBatchRequest -> the packed block-diagonal
-  /// forward) rather than N separate queue entries like kPredictBatch.
-  /// Payload: encode_predict_batch_request; reply:
-  /// encode_predict_batch_reply (one Result per element, in order). A
-  /// batch larger than kMaxWireBatch is refused up front with per-element
-  /// RESOURCE_EXHAUSTED (+ retry hint) — it never reaches the service.
+  /// queue entry (serve::PredictBatchRequest). Payload:
+  /// encode_predict_batch_request; reply: encode_predict_batch_reply (one
+  /// Result per element, in order). A batch larger than kMaxWireBatch is
+  /// refused up front with per-element RESOURCE_EXHAUSTED (+ retry hint)
+  /// — it never reaches the service.
   kPredictBatchN = 9,
   /// Empty-payload metrics scrape, answered from the server's I/O thread
   /// like kPing: the reply is OK + the full flattened metrics snapshot
@@ -108,6 +108,12 @@ enum class FrameType : std::uint16_t {
   kStats = 10,
 };
 inline constexpr std::uint16_t kReplyBit = 0x80;
+
+/// True when `type` (a header's type field) names a request a server
+/// serves: a FrameType enumerator without kReplyBit. Anything else — 0, a
+/// retired type, a reply, a type from a newer peer — is answered with
+/// INVALID_ARGUMENT "unknown frame type N".
+bool is_request_type(std::uint16_t type);
 
 /// Largest element count a server accepts in one kPredictBatchN frame.
 /// Bounds the block-diagonal forward a single frame can demand (the

@@ -105,8 +105,7 @@ class OutQueue {
 
 struct Server::Impl {
   /// One submitted request whose reply has not been written yet. The
-  /// future variant mirrors the request vocabulary; a batch holds one
-  /// future per element (the service coalesces them back together).
+  /// future variant mirrors the request vocabulary.
   struct Pending {
     std::uint64_t id = 0;
     FrameType type = FrameType::kSearch;
@@ -114,7 +113,6 @@ struct Server::Impl {
                  std::future<api::Result<api::LatencyReport>>,
                  std::future<api::Result<api::ProfileReport>>,
                  std::future<api::Result<api::TrainReport>>,
-                 std::vector<std::future<api::Result<api::LatencyReport>>>,
                  std::future<std::vector<api::Result<api::LatencyReport>>>>
         future;
     // Frame receipt, for the end-to-end "net.request" span (receipt ->
@@ -122,21 +120,10 @@ struct Server::Impl {
     std::chrono::steady_clock::time_point received_at;
 
     bool ready() const {
-      const auto done = [](const auto& f) {
-        return f.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-      };
       return std::visit(
-          [&](const auto& f) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                         std::vector<std::future<api::Result<
-                                             api::LatencyReport>>>>) {
-              for (const auto& e : f)
-                if (!done(e)) return false;
-              return true;
-            } else {
-              return done(f);
-            }
+          [](const auto& f) {
+            return f.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
           },
           future);
     }
@@ -480,11 +467,8 @@ struct Server::Impl {
 
   void handle_frame(Conn& c, const FrameHeader& h, const char* payload,
                     std::size_t len) {
-    const bool is_reply = (h.type & kReplyBit) != 0;
     const auto type = static_cast<FrameType>(h.type & ~kReplyBit);
-    if (is_reply || h.type == 0 ||
-        (h.type & ~kReplyBit) >
-            static_cast<std::uint16_t>(FrameType::kStats)) {
+    if (!is_request_type(h.type)) {
       reply_error(c, type, h.request_id,
                   api::Status::InvalidArgument(
                       "unknown frame type " + std::to_string(h.type)));
@@ -605,28 +589,6 @@ struct Server::Impl {
             serve::PredictLatencyRequest{std::move(arch), std::move(opts)});
         break;
       }
-      case FrameType::kPredictBatch: {
-        std::vector<api::Arch> archs;
-        if (!decode_predict_batch_request(&r, &archs) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed predict-batch request payload"));
-          return;
-        }
-        // One service submission per element: the coalescing queue packs
-        // them back into block-diagonal forwards, and a bad element fails
-        // alone. The shared notify fires per element; the reply goes out
-        // when the last future resolves.
-        std::vector<std::future<api::Result<api::LatencyReport>>> futures;
-        futures.reserve(archs.size());
-        for (api::Arch& a : archs) {
-          serve::RequestOptions element = opts;
-          futures.push_back(service->submit(
-              serve::PredictLatencyRequest{std::move(a), std::move(element)}));
-        }
-        p.future = std::move(futures);
-        break;
-      }
       case FrameType::kPredictBatchN: {
         std::vector<api::Arch> archs;
         if (!decode_predict_batch_request(&r, &archs) || !r.exhausted()) {
@@ -651,9 +613,8 @@ struct Server::Impl {
                      encode_predict_batch_reply(results));
           return;
         }
-        // ONE submission for the whole frame: the service runs it as a
-        // single unit of work (the packed block-diagonal forward) instead
-        // of N queue entries racing N other connections' elements.
+        // ONE submission for the whole frame: one queue entry, answered
+        // in one packed forward, never split across forwards.
         p.future = service->submit(
             serve::PredictBatchRequest{std::move(archs), std::move(opts)});
         break;
@@ -787,18 +748,6 @@ struct Server::Impl {
               encode_latency_report(rep, w);
             },
             hint);
-      }
-      case FrameType::kPredictBatch: {
-        auto& futures = std::get<
-            std::vector<std::future<api::Result<api::LatencyReport>>>>(
-            p.future);
-        std::vector<api::Result<api::LatencyReport>> results;
-        results.reserve(futures.size());
-        for (auto& f : futures) {
-          results.push_back(f.get());
-          if (!results.back().ok()) note_shed(results.back().status());
-        }
-        return encode_predict_batch_reply(results, hint);
       }
       case FrameType::kPredictBatchN: {
         std::vector<api::Result<api::LatencyReport>> results =

@@ -1,16 +1,17 @@
 // request.hpp — the typed request vocabulary of the hg::serve layer.
 //
-// A serve::Service answers five kinds of long-lived-loop requests, one
+// A serve::Service answers six kinds of long-lived-loop requests, one
 // struct each. Submitting a request returns a std::future carrying the
 // same Result<T> the matching Engine verb would return, so a caller
 // migrating from direct engine calls keeps its error handling unchanged.
 //
 // Scheduling class (decided by the service, not the caller):
-//  * PURE requests — PredictLatency, Profile, ProfileBaseline — touch only
+//  * PURE requests — PredictLatency, PredictBatch, Profile,
+//    ProfileBaseline — touch only
 //    immutable or internally-synchronized context state and run
 //    concurrently across the worker pool, in any order.
-//  * EXCLUSIVE requests — Search, TrainBaseline, and PredictLatency when
-//    the service's evaluator is "measured" (its noise stream is shared
+//  * EXCLUSIVE requests — Search, TrainBaseline, and predictions when the
+//    service's evaluator is "measured" (its noise stream is shared
 //    state) — consume the context RNG or mutate the supernet, so the
 //    service runs them one at a time, in submission order. That FIFO
 //    ordering is what makes a concurrent run's results bit-identical to a
@@ -79,25 +80,28 @@ struct SearchRequest {
   RequestOptions opts{};
 };
 
-/// One latency query through the service's configured evaluator. With
-/// evaluator "predictor", queued requests are coalesced into one packed
-/// GCN forward (Engine::predict_batch) — the answer is bit-identical to an
-/// uncoalesced query, only cheaper. ServiceConfig::predict_window_us adds
-/// a time window so trickle traffic coalesces too.
+/// One latency query through the service's configured evaluator: one
+/// queue entry of one arch. With evaluator "predictor" it is coalesced
+/// with the other queued predictions (lone and batch entries alike) into
+/// one packed GCN forward (Engine::predict_batch) — the answer is
+/// bit-identical to an uncoalesced query, only cheaper.
+/// ServiceConfig::predict_window_us adds a time window so trickle traffic
+/// coalesces too.
 struct PredictLatencyRequest {
   api::Arch arch;
   RequestOptions opts{};
 };
 
-/// N latency queries submitted as ONE unit of work: the whole batch is
-/// fed straight into Engine::predict_batch (the packed block-diagonal
-/// forward) instead of being queued as N separate requests. The future
-/// resolves with one Result per arch, in submission order; a bad element
-/// fails alone (the service falls back to lone queries when the packed
-/// forward rejects the batch), so every answer is bit-identical to an
-/// uncoalesced submission. This is what the wire's multi-predict frame
-/// (net::FrameType::kPredictBatchN) lands on. Stats count the batch as
-/// archs.size() predict requests but one queue slot.
+/// N latency queries submitted as ONE queue entry of N archs, never split:
+/// with evaluator "predictor" it is coalesced with the other queued
+/// predictions into one packed forward (Engine::predict_batch), like a
+/// lone PredictLatencyRequest. The future resolves with one Result per
+/// arch, in submission order; a bad element fails alone (the service
+/// falls back to lone queries when the packed forward rejects the batch),
+/// so every answer is bit-identical to an uncoalesced submission. This is
+/// what the wire's multi-predict frame (net::FrameType::kPredictBatchN)
+/// lands on. Stats count the batch as archs.size() requests but one queue
+/// slot; a refusal, expiry or cancellation resolves every element.
 struct PredictBatchRequest {
   std::vector<api::Arch> archs;
   RequestOptions opts{};

@@ -1,7 +1,9 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <exception>
+#include <future>
+#include <iterator>
+#include <span>
 #include <utility>
 
 namespace hg::serve {
@@ -43,6 +45,43 @@ std::int64_t us_between(std::chrono::steady_clock::time_point from,
                         std::chrono::steady_clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
       .count();
+}
+
+/// Settles one submission's promise, then fires its notify hook. Each
+/// closure that may resolve the request holds a copy (one shared promise,
+/// no extra allocation).
+template <typename R>
+struct Resolver {
+  explicit Resolver(std::function<void()> hook) : notify(std::move(hook)) {}
+
+  void operator()(R value) const {
+    promise->set_value(std::move(value));
+    if (notify) notify();
+  }
+
+  std::shared_ptr<std::promise<R>> promise =
+      std::make_shared<std::promise<R>>();
+  std::function<void()> notify;
+};
+
+/// One Result per arch, in order: one Engine::predict_batch call (for a
+/// "predictor", the packed forward), or — when it rejects the batch (one
+/// invalid genome fails the whole call) — one Engine::predict_latency per
+/// arch, so a bad element fails alone and every answer equals what an
+/// uncoalesced query would have produced.
+std::vector<api::Result<api::LatencyReport>> answer(
+    api::Engine& engine, const std::vector<api::Arch>& archs) {
+  std::vector<api::Result<api::LatencyReport>> results;
+  results.reserve(archs.size());
+  api::Result<std::vector<api::LatencyReport>> reports =
+      engine.predict_batch(archs);
+  if (reports.ok()) {
+    for (api::LatencyReport& r : reports.value()) results.emplace_back(r);
+  } else {
+    for (const api::Arch& a : archs)
+      results.push_back(engine.predict_latency(a));
+  }
+  return results;
 }
 
 /// Bridges an api-layer run object (SearchRun / TrainBaselineRun — same
@@ -193,60 +232,76 @@ void Service::record_shed_hint() {
   counters_.sheds_with_hint.inc();
 }
 
-Service::Admission Service::enqueue(QueuedTask task, bool exclusive,
-                                    bool count_predict, std::int64_t count) {
+std::deque<Service::QueuedTask>& Service::route(const QueuedTask& task) {
+  const bool prediction = task.predicted != nullptr;
+  if (task.make_steppable != nullptr || (prediction && measured_evaluator_))
+    return exclusive_queue_;
+  if (prediction && coalesce_predictions_) return predict_queue_;
+  return pure_queue_;
+}
+
+void Service::enqueue(QueuedTask task) {
+  api::Status refused;
+  QueuedTask refused_task;  // `task`, when it is not admitted
+  bool coalescing = false;
   bool wake_window = false;
   {
     core::MutexLock lock(queue_mutex_);
-    if (stopping_) return Admission::kShutDown;
-    if (draining_) return Admission::kDraining;
-    counters_.requests.inc(count);
-    if (count_predict)
-      counters_.predict_requests.inc(count);
-    const std::int64_t depth =
-        static_cast<std::int64_t>(pure_queue_.size() +
-                                  exclusive_queue_.size() +
-                                  predict_queue_.size());
-    if (service_cfg_.max_queue_depth > 0 &&
-        depth >= service_cfg_.max_queue_depth) {
-      counters_.rejected_requests.inc(count);
-      return Admission::kQueueFull;
-    }
-    if (exclusive) {
-      counters_.exclusive_requests.inc();
-      exclusive_queue_.push_back(std::move(task));
+    const std::int64_t count = task.requests();
+    if (stopping_) {
+      refused = shut_down_status();
+    } else if (draining_) {
+      refused = draining_status();
     } else {
-      pure_queue_.push_back(std::move(task));
+      counters_.requests.inc(count);
+      if (task.predicted != nullptr) counters_.predict_requests.inc(count);
+      if (service_cfg_.max_queue_depth > 0 &&
+          queued() >= service_cfg_.max_queue_depth) {
+        counters_.rejected_requests.inc(count);
+        refused = queue_full_status();
+      }
     }
-    wake_window = predict_window_waiter_;
+    if (refused.ok()) {
+      std::deque<QueuedTask>& queue = route(task);
+      if (&queue == &exclusive_queue_) counters_.exclusive_requests.inc();
+      coalescing = &queue == &predict_queue_;
+      queue.push_back(std::move(task));
+      wake_window = predict_window_waiter_;
+    } else {
+      refused_task = std::move(task);
+    }
+  }
+  if (!refused.ok()) {
+    refused_task.refuse(refused);
+    return;
   }
   // One admitted task, one woken worker. A window waiter gets its own
-  // signal: an exclusive arrival (or pure work with nobody free) is one of
-  // its early-fire conditions, and it sleeps on window_cv_, not work_cv_.
-  work_cv_.notify_one();
+  // signal: an arrival can satisfy its early-fire conditions (the group
+  // filled, an exclusive arrived, pure work with nobody free), and it
+  // sleeps on window_cv_, not work_cv_. While it holds the coalescing
+  // queue a new prediction is actionable by nobody else.
+  if (!(coalescing && wake_window)) work_cv_.notify_one();
   if (wake_window) window_cv_.notify_one();
-  return Admission::kAccepted;
 }
 
-template <typename T>
-std::future<api::Result<T>> Service::submit_task(
-    std::function<api::Result<T>(api::Engine&)> fn, RequestOptions opts,
-    bool exclusive, bool count_predict,
-    std::function<std::unique_ptr<Steppable>(
-        api::Engine&, std::function<void(api::Result<T>)>)>
-        make_run) {
-  auto promise = std::make_shared<std::promise<api::Result<T>>>();
-  std::future<api::Result<T>> future = promise->get_future();
-  auto resolve = [promise, notify = std::move(opts.notify)](
-                     api::Result<T> result) {
-    promise->set_value(std::move(result));
-    if (notify) notify();
-  };
+Service::QueuedTask Service::make_task(RequestOptions& opts) {
   QueuedTask task;
   task.deadline = opts.deadline;
   task.cancel = std::move(opts.cancel);
   task.enqueued_at = std::chrono::steady_clock::now();
   task.trace_id = effective_trace_id(opts.trace_id);
+  return task;
+}
+
+template <typename T>
+std::future<api::Result<T>> Service::submit_task(
+    std::function<api::Result<T>(api::Engine&)> fn, RequestOptions opts,
+    std::function<std::unique_ptr<Steppable>(
+        api::Engine&, std::function<void(api::Result<T>)>)>
+        make_run) {
+  const Resolver<api::Result<T>> resolve(std::move(opts.notify));
+  std::future<api::Result<T>> future = resolve.promise->get_future();
+  QueuedTask task = make_task(opts);
   if (make_run) {
     task.make_steppable = [make_run = std::move(make_run),
                            resolve](api::Engine& engine) {
@@ -258,22 +313,7 @@ std::future<api::Result<T>> Service::submit_task(
     };
   }
   task.fail = [resolve](const api::Status& status) { resolve(status); };
-  // Keep a handle for the not-admitted paths: `task` is gone after the
-  // move into enqueue.
-  const std::function<void(const api::Status&)> fail = task.fail;
-  switch (enqueue(std::move(task), exclusive, count_predict)) {
-    case Admission::kAccepted:
-      break;
-    case Admission::kShutDown:
-      fail(shut_down_status());
-      break;
-    case Admission::kQueueFull:
-      fail(queue_full_status());
-      break;
-    case Admission::kDraining:
-      fail(draining_status());
-      break;
-  }
+  enqueue(std::move(task));
   return future;
 }
 
@@ -281,8 +321,7 @@ std::future<api::Result<api::SearchReport>> Service::submit(
     SearchRequest req) {
   const api::EngineConfig cfg = req.cfg.value_or(base_cfg_);
   return submit_task<api::SearchReport>(
-      nullptr, std::move(req.opts), /*exclusive=*/true,
-      /*count_predict=*/false,
+      nullptr, std::move(req.opts),
       [this, cfg](api::Engine&,
                   std::function<void(api::Result<api::SearchReport>)> resolve)
           -> std::unique_ptr<Steppable> {
@@ -304,132 +343,32 @@ std::future<api::Result<api::SearchReport>> Service::submit(
 
 std::future<api::Result<api::LatencyReport>> Service::submit(
     PredictLatencyRequest req) {
-  // "measured" draws from the evaluator's shared noise stream: route it
-  // through the exclusive FIFO so concurrent runs replay the serial
-  // stream. Everything else is a pure read of trained/fitted state.
-  if (!coalesce_predictions_) {
-    return submit_task<api::LatencyReport>(
-        [arch = std::move(req.arch)](api::Engine& engine) {
-          return engine.predict_latency(arch);
-        },
-        std::move(req.opts), /*exclusive=*/measured_evaluator_,
-        /*count_predict=*/true);
-  }
-
-  // Predictor path: park the request on the coalescing queue; a worker
-  // drains a whole batch into one packed forward (waiting out
-  // predict_window_us first, when configured).
-  PredictTask task;
-  task.arch = std::move(req.arch);
-  task.opts = std::move(req.opts);
-  task.opts.trace_id = effective_trace_id(task.opts.trace_id);
-  task.enqueued_at = std::chrono::steady_clock::now();
-  task.promise =
-      std::make_shared<std::promise<api::Result<api::LatencyReport>>>();
-  auto future = task.promise->get_future();
-  // Handles for the not-admitted paths, taken before the move into the
-  // queue so the refusal below never reaches into a moved-from task.
-  const auto promise = task.promise;
-  const auto notify = task.opts.notify;
-  api::Status refused;
-  bool wake_window = false;
-  {
-    core::MutexLock lock(queue_mutex_);
-    if (stopping_) {
-      refused = shut_down_status();
-    } else if (draining_) {
-      refused = draining_status();
-    } else {
-      counters_.requests.inc();
-      counters_.predict_requests.inc();
-      const std::int64_t depth =
-          static_cast<std::int64_t>(pure_queue_.size() +
-                                    exclusive_queue_.size() +
-                                    predict_queue_.size());
-      if (service_cfg_.max_queue_depth > 0 &&
-          depth >= service_cfg_.max_queue_depth) {
-        counters_.rejected_requests.inc();
-        refused = queue_full_status();
-      } else {
-        predict_queue_.push_back(std::move(task));
-        wake_window = predict_window_waiter_;
-      }
-    }
-  }
-  if (!refused.ok()) {
-    promise->set_value(refused);
-    if (notify) notify();
-    return future;
-  }
-  // While a window waiter holds the coalescing queue the new query is
-  // only actionable by that waiter (the batch may just have filled);
-  // otherwise wake one worker to claim the queue.
-  if (wake_window)
-    window_cv_.notify_one();
-  else
-    work_cv_.notify_one();
+  // A batch of one: the entry's resolver unwraps its single element.
+  const Resolver<api::Result<api::LatencyReport>> resolve(
+      std::move(req.opts.notify));
+  std::future<api::Result<api::LatencyReport>> future =
+      resolve.promise->get_future();
+  QueuedTask task = make_task(req.opts);
+  task.archs.push_back(std::move(req.arch));
+  task.predicted = [resolve](PredictResults results) {
+    resolve(std::move(results.front()));
+  };
+  enqueue(std::move(task));
   return future;
 }
 
 std::future<std::vector<api::Result<api::LatencyReport>>> Service::submit(
     PredictBatchRequest req) {
-  using BatchResults = std::vector<api::Result<api::LatencyReport>>;
-  auto promise = std::make_shared<std::promise<BatchResults>>();
-  std::future<BatchResults> future = promise->get_future();
-  const std::size_t n = req.archs.size();
-  auto resolve = [promise, notify = std::move(req.opts.notify)](
-                     BatchResults results) {
-    promise->set_value(std::move(results));
-    if (notify) notify();
-  };
-  if (n == 0) {
+  const Resolver<PredictResults> resolve(std::move(req.opts.notify));
+  std::future<PredictResults> future = resolve.promise->get_future();
+  if (req.archs.empty()) {
     resolve({});
     return future;
   }
-
-  QueuedTask task;
-  task.deadline = req.opts.deadline;
-  task.cancel = std::move(req.opts.cancel);
-  task.enqueued_at = std::chrono::steady_clock::now();
-  task.trace_id = effective_trace_id(req.opts.trace_id);
-  task.run = [this, archs = std::move(req.archs),
-              resolve](api::Engine& engine) {
-    counters_.predict_batches.inc();
-    counters_.max_predict_batch.max_of(static_cast<std::int64_t>(archs.size()));
-    BatchResults results;
-    results.reserve(archs.size());
-    api::Result<std::vector<api::LatencyReport>> reports =
-        engine.predict_batch(archs);
-    if (reports.ok()) {
-      for (const api::LatencyReport& r : reports.value()) results.push_back(r);
-    } else {
-      // Same fallback as the coalescing worker: one bad element must not
-      // poison its batchmates, and every answer must equal what a lone
-      // submission would have produced.
-      for (const api::Arch& a : archs) results.push_back(engine.predict_latency(a));
-    }
-    resolve(std::move(results));
-  };
-  task.fail = [n, resolve](const api::Status& status) {
-    resolve(BatchResults(n, api::Result<api::LatencyReport>(status)));
-  };
-  const std::function<void(const api::Status&)> fail = task.fail;
-  // "measured" replays the evaluator's shared noise stream: run the batch
-  // on the exclusive FIFO so its elements draw exactly the serial stream.
-  switch (enqueue(std::move(task), /*exclusive=*/measured_evaluator_,
-                  /*count_predict=*/true, static_cast<std::int64_t>(n))) {
-    case Admission::kAccepted:
-      break;
-    case Admission::kShutDown:
-      fail(shut_down_status());
-      break;
-    case Admission::kQueueFull:
-      fail(queue_full_status());
-      break;
-    case Admission::kDraining:
-      fail(draining_status());
-      break;
-  }
+  QueuedTask task = make_task(req.opts);
+  task.archs = std::move(req.archs);
+  task.predicted = resolve;
+  enqueue(std::move(task));
   return future;
 }
 
@@ -439,7 +378,7 @@ std::future<api::Result<api::ProfileReport>> Service::submit(
       [arch = std::move(req.arch)](api::Engine& engine) {
         return engine.profile(arch);
       },
-      std::move(req.opts), /*exclusive=*/false);
+      std::move(req.opts));
 }
 
 std::future<api::Result<api::ProfileReport>> Service::submit(
@@ -451,15 +390,14 @@ std::future<api::Result<api::ProfileReport>> Service::submit(
         return workload ? engine.profile_baseline(name, *workload)
                         : engine.profile_baseline(name);
       },
-      std::move(opts), /*exclusive=*/false);
+      std::move(opts));
 }
 
 std::future<api::Result<api::TrainReport>> Service::submit(
     TrainBaselineRequest req) {
   const std::string name = std::move(req.name);
   return submit_task<api::TrainReport>(
-      nullptr, std::move(req.opts), /*exclusive=*/true,  // draws the ctx RNG
-      /*count_predict=*/false,
+      nullptr, std::move(req.opts),
       [name](api::Engine& engine,
              std::function<void(api::Result<api::TrainReport>)> resolve)
           -> std::unique_ptr<Steppable> {
@@ -508,10 +446,7 @@ ServiceStats Service::stats() const {
   snapshot.exclusive_service_time_p99_us =
       exclusive_service_time_us_.percentile_us(0.99);
   core::MutexLock lock(queue_mutex_);
-  snapshot.queue_depth =
-      static_cast<std::int64_t>(pure_queue_.size() +
-                                exclusive_queue_.size() +
-                                predict_queue_.size());
+  snapshot.queue_depth = queued();
   return snapshot;
 }
 
@@ -520,10 +455,7 @@ obs::Snapshot Service::metrics_snapshot() const {
   // queue_depth is the one live (non-monotone, non-instrument) value: it
   // is derived from the queue sizes, so inject it here.
   core::MutexLock lock(queue_mutex_);
-  snap["serve.queue_depth"] =
-      static_cast<std::int64_t>(pure_queue_.size() +
-                                exclusive_queue_.size() +
-                                predict_queue_.size());
+  snap["serve.queue_depth"] = queued();
   return snap;
 }
 
@@ -546,14 +478,54 @@ bool Service::pop_runnable(
       *out = std::move(task);
       return true;
     }
-    if (cancelled)
-      counters_.cancelled_requests.inc();
-    else
-      counters_.deadline_expired.inc();
+    (cancelled ? counters_.cancelled_requests : counters_.deadline_expired)
+        .inc(task.requests());
     failed->emplace_back(std::move(task),
                          cancelled ? cancelled_status() : expired_status());
   }
   return false;
+}
+
+bool Service::predict_group_full() const {
+  std::int64_t archs = 0;
+  for (const QueuedTask& t : predict_queue_) {
+    archs += t.requests();
+    if (archs >= service_cfg_.max_predict_batch) return true;
+  }
+  return false;
+}
+
+Service::PredictResults Service::execute(api::Engine& engine,
+                                         std::span<QueuedTask> group) {
+  QueuedTask& first = group.front();
+  if (first.predicted == nullptr) {  // one-piece work always runs alone
+    first.run(engine);
+    return {};
+  }
+  std::vector<api::Arch> packed;  // a coalesced group's archs, in order
+  if (group.size() > 1)
+    for (QueuedTask& t : group)
+      packed.insert(packed.end(), std::make_move_iterator(t.archs.begin()),
+                    std::make_move_iterator(t.archs.end()));
+  const std::vector<api::Arch>& archs = group.size() > 1 ? packed : first.archs;
+  counters_.predict_batches.inc();
+  counters_.max_predict_batch.max_of(static_cast<std::int64_t>(archs.size()));
+  return answer(engine, archs);
+}
+
+void Service::resolve(std::span<QueuedTask> group, PredictResults results) {
+  if (group.front().predicted == nullptr) return;
+  if (group.size() == 1) {
+    group.front().predicted(std::move(results));
+    return;
+  }
+  auto next = results.begin();
+  for (QueuedTask& t : group) {
+    const auto end = next + t.requests();
+    t.predicted(PredictResults(std::make_move_iterator(next),
+                               std::make_move_iterator(end)));
+    next = end;
+  }
 }
 
 void Service::worker_loop(std::size_t worker_index) {
@@ -572,8 +544,7 @@ void Service::worker_loop(std::size_t worker_index) {
           !exclusive_claimed_ &&
           (!exclusive_queue_.empty() || predict_work ||
            !pure_queue_.empty());
-      const bool drained = stopping_ && exclusive_queue_.empty() &&
-                           predict_queue_.empty() && pure_queue_.empty();
+      const bool drained = stopping_ && queued() == 0;
       if (work || drained) break;
       work_cv_.wait(lock);
     }
@@ -607,7 +578,7 @@ void Service::worker_loop(std::size_t worker_index) {
         // promise waiters and notify hooks). When a live task was popped
         // the claim stays held across the unlock, so no pure work starts.
         lock.unlock();
-        for (auto& [t, status] : failed) t.fail(status);
+        for (auto& [t, status] : failed) t.refuse(status);
         lock.lock();
       }
       if (!got) {
@@ -628,8 +599,9 @@ void Service::worker_loop(std::size_t worker_index) {
       HG_TRACE_ID(task.trace_id);
       const auto started = std::chrono::steady_clock::now();
       bool finished = true;
+      PredictResults answers;
       if (!sliced) {
-        task.run(engine);
+        answers = execute(engine, std::span<QueuedTask>(&task, 1));
       } else {
         counters_.exclusive_slices.inc();
         if (task.steppable == nullptr) {
@@ -677,6 +649,7 @@ void Service::worker_loop(std::size_t worker_index) {
       exclusive_service_time_us_.record_us(run_us);
       obs::record_span(sliced ? "serve.slice" : "serve.exclusive", "serve",
                        task.trace_id, started, ended);
+      resolve(std::span<QueuedTask>(&task, 1), std::move(answers));
       lock.lock();
       exclusive_claimed_ = false;
       if (!finished) {
@@ -695,19 +668,20 @@ void Service::worker_loop(std::size_t worker_index) {
       continue;
     }
 
-    if (!exclusive_claimed_ && !predict_queue_.empty() &&
-        !predict_window_waiter_) {
+    // Pure work: one group from the coalescing queue (it goes first), else
+    // one entry of the pure queue.
+    const bool coalescing = !predict_queue_.empty() && !predict_window_waiter_;
+    if (!exclusive_claimed_ && (coalescing || !pure_queue_.empty())) {
       // Time-windowed coalescing: with a window configured and room left
-      // in the batch, let the oldest queued query age to the window
+      // in the group, let the oldest queued entry age to the window
       // before firing, so queries arriving one at a time (remote trickle
       // traffic) still pack into one forward. Exactly ONE worker holds
       // the window (predict_window_waiter_) — the others keep serving
-      // pure traffic meanwhile. Fires early when the batch fills, an
+      // pure traffic meanwhile. Fires early when the group fills, an
       // exclusive request arrives, the service stops, or pure work is
       // queued with no free worker to take it.
-      if (service_cfg_.predict_window_us > 0 && !stopping_ &&
-          static_cast<std::int64_t>(predict_queue_.size()) <
-              service_cfg_.max_predict_batch) {
+      if (coalescing && service_cfg_.predict_window_us > 0 && !stopping_ &&
+          !predict_group_full()) {
         const auto fire_at =
             predict_queue_.front().enqueued_at +
             std::chrono::microseconds(service_cfg_.predict_window_us);
@@ -715,7 +689,7 @@ void Service::worker_loop(std::size_t worker_index) {
         // nobody else can take queued pure work while the window ages.
         // Sleeping on top of it would stall it for nothing — and running
         // it first could stall the *predictions* past the window (a
-        // profile can take seconds). So fire the batch early with
+        // profile can take seconds). So fire the group early with
         // whatever is queued: the packed forward is quick, the window
         // stays an upper bound on coalescing delay, and the pure work
         // runs right after.
@@ -726,8 +700,7 @@ void Service::worker_loop(std::size_t worker_index) {
             if (stopping_ || exclusive_claimed_ ||
                 !exclusive_queue_.empty() || predict_queue_.empty() ||
                 (!pure_queue_.empty() && no_free_worker()) ||
-                static_cast<std::int64_t>(predict_queue_.size()) >=
-                    service_cfg_.max_predict_batch)
+                predict_group_full())
               break;
             if (window_cv_.wait_until(lock, fire_at) ==
                 std::cv_status::timeout)
@@ -742,119 +715,52 @@ void Service::worker_loop(std::size_t worker_index) {
           continue;  // re-dispatch from the top with fresh state
         }
       }
-      {
-        const std::size_t want = std::min<std::size_t>(
-            predict_queue_.size(),
-            static_cast<std::size_t>(service_cfg_.max_predict_batch));
-        const auto now = std::chrono::steady_clock::now();
-        std::vector<PredictTask> batch;
-        std::vector<std::pair<PredictTask, api::Status>> refused;
-        batch.reserve(want);
-        for (std::size_t i = 0; i < want; ++i) {
-          PredictTask t = std::move(predict_queue_.front());
-          predict_queue_.pop_front();
-          if (is_cancelled(t.opts.cancel)) {
-            counters_.cancelled_requests.inc();
-            refused.emplace_back(std::move(t), cancelled_status());
-          } else if (now > t.opts.deadline) {
-            counters_.deadline_expired.inc();
-            refused.emplace_back(std::move(t), expired_status());
-          } else {
-            const std::int64_t wait_us = us_between(t.enqueued_at, now);
-            queue_wait_us_.record_us(wait_us);
-            pure_queue_wait_us_.record_us(wait_us);
-            obs::record_span("serve.queue_wait", "serve", t.opts.trace_id,
-                             t.enqueued_at, now);
-            batch.push_back(std::move(t));
-          }
-        }
-        if (!batch.empty()) {
-          counters_.predict_batches.inc();
-          counters_.max_predict_batch.max_of(static_cast<std::int64_t>(batch.size()));
-          ++pure_active_;
-        }
-        lock.unlock();
-        for (auto& [t, status] : refused) {
-          t.promise->set_value(status);
-          if (t.opts.notify) t.opts.notify();
-        }
-        if (!batch.empty()) {
-          std::vector<api::Arch> archs;
-          archs.reserve(batch.size());
-          for (const PredictTask& t : batch) archs.push_back(t.arch);
-          const auto started = std::chrono::steady_clock::now();
-          api::Result<std::vector<api::LatencyReport>> reports =
-              engine.predict_batch(archs);
-          if (reports.ok()) {
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-              batch[i].promise->set_value(reports.value()[i]);
-              if (batch[i].opts.notify) batch[i].opts.notify();
-            }
-          } else {
-            // One bad request (an invalid genome fails the whole packed
-            // forward) must not poison its batchmates: fall back to lone
-            // queries so every request gets exactly the answer an
-            // uncoalesced submission would have produced.
-            for (PredictTask& t : batch) {
-              t.promise->set_value(engine.predict_latency(t.arch));
-              if (t.opts.notify) t.opts.notify();
-            }
-          }
-          const auto ended = std::chrono::steady_clock::now();
-          const std::int64_t run_us = us_between(started, ended);
-          service_time_us_.record_us(run_us);
-          pure_service_time_us_.record_us(run_us);
-          // One packed forward serves the whole batch; the span carries
-          // the oldest element's attribution.
-          obs::record_span("serve.predict_batch", "serve",
-                           batch.front().opts.trace_id, started, ended);
-        }
-        lock.lock();
-        if (!batch.empty()) {
-          --pure_active_;
-          // Only an exclusive claimant waits on the active count; nobody
-          // else needs to hear about a completion.
-          if (pure_active_ == 0 && exclusive_claimed_)
-            gate_cv_.notify_one();
-        }
-        continue;
-      }
-    }
-
-    if (!exclusive_claimed_ && !pure_queue_.empty()) {
-      QueuedTask task;
+      // Whole entries from the front until the group holds
+      // max_predict_batch archs (an entry is never split); the pure queue
+      // gives one entry.
+      std::deque<QueuedTask>& queue = coalescing ? predict_queue_ : pure_queue_;
+      std::vector<QueuedTask> group;
       std::vector<std::pair<QueuedTask, api::Status>> failed;
-      // The pop and the pure_active_ bump share one continuous lock hold
+      std::int64_t archs = 0;
+      QueuedTask task;
+      // The pops and the pure_active_ bump share one continuous lock hold
       // with the exclusive_claimed_ check above: an exclusive claimant
       // waiting for pure_active_ == 0 can never interleave between them,
       // which is what keeps exclusive runs bit-identical to serial.
-      const bool got =
-          pop_runnable(pure_queue_, &failed, &task, pure_queue_wait_us_);
-      if (got) ++pure_active_;
+      while ((coalescing ? archs < service_cfg_.max_predict_batch
+                         : group.empty()) &&
+             pop_runnable(queue, &failed, &task, pure_queue_wait_us_)) {
+        archs += task.requests();
+        group.push_back(std::move(task));
+      }
+      if (!group.empty()) ++pure_active_;
       lock.unlock();
-      for (auto& [t, status] : failed) t.fail(status);
-      if (got) {
-        HG_TRACE_ID(task.trace_id);
+      for (auto& [t, status] : failed) t.refuse(status);
+      if (!group.empty()) {
+        HG_TRACE_ID(group.front().trace_id);
         const auto started = std::chrono::steady_clock::now();
-        task.run(engine);
+        PredictResults answers = execute(engine, group);
         const auto ended = std::chrono::steady_clock::now();
         const std::int64_t run_us = us_between(started, ended);
         service_time_us_.record_us(run_us);
         pure_service_time_us_.record_us(run_us);
-        obs::record_span("serve.pure", "serve", task.trace_id, started,
-                         ended);
+        // A coalesced group runs as one unit; its span carries the oldest
+        // entry's attribution.
+        obs::record_span(coalescing ? "serve.predict_batch" : "serve.pure",
+                         "serve", group.front().trace_id, started, ended);
+        resolve(group, std::move(answers));
       }
       lock.lock();
-      if (got) {
+      if (!group.empty()) {
         --pure_active_;
+        // Only an exclusive claimant waits on the active count; nobody
+        // else needs to hear about a completion.
         if (pure_active_ == 0 && exclusive_claimed_) gate_cv_.notify_one();
       }
       continue;
     }
 
-    if (stopping_ && exclusive_queue_.empty() && predict_queue_.empty() &&
-        pure_queue_.empty())
-      return;
+    if (stopping_ && queued() == 0) return;
   }
 }
 

@@ -22,11 +22,15 @@
 //     queued pure traffic interleaves — flat predict p99 under a long
 //     search — while results stay bit-identical to an unpreempted run (see
 //     the config field).
-//   * Queued PredictLatency requests against a "predictor" evaluator are
-//     coalesced: a worker drains up to ServiceConfig::max_predict_batch of
-//     them and answers with ONE packed GCN forward
-//     (Engine::predict_batch), which is bit-identical per element to
-//     serial queries but pays the per-forward overhead once.
+//   * Every latency prediction is one queue entry: a PredictLatency is an
+//     entry of one arch, a PredictBatch an entry of N. Against a
+//     "predictor" evaluator the entries wait on one coalescing queue: a
+//     worker takes whole entries from its front until the group holds
+//     ServiceConfig::max_predict_batch archs and answers them with ONE
+//     packed GCN forward (Engine::predict_batch), bit-identical per
+//     element to serial queries but paying the per-forward overhead once.
+//     Other evaluators answer each entry alone, on the pure queue (or the
+//     exclusive FIFO for "measured").
 //
 // Admission control and queue-time guarantees (all per-request, see
 // serve/request.hpp):
@@ -38,10 +42,10 @@
 //   * A request whose RequestOptions::cancel flag is set before it starts
 //     resolves to CANCELLED without running.
 //   * ServiceConfig::predict_window_us makes a worker that picks up a
-//     lone coalescible PredictLatency wait up to the window for more to
-//     arrive before firing the packed forward, so remote trickle traffic
-//     still batches. 0 preserves the drain-what-is-queued behavior
-//     bit-exactly.
+//     coalescing group smaller than max_predict_batch archs wait up to the
+//     window for more to arrive before firing the packed forward, so
+//     remote trickle traffic still batches. 0 preserves the
+//     drain-what-is-queued behavior bit-exactly.
 //
 // Lifecycle: create() -> submit() from any thread -> shutdown() (drains
 // queued work, joins the workers; the destructor calls it too). After
@@ -56,6 +60,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -74,22 +79,27 @@ namespace hg::serve {
 struct ServiceConfig {
   /// Worker threads (each with its own Engine on the shared context).
   std::int64_t num_workers = 2;
-  /// Most PredictLatency requests coalesced into one packed forward.
-  /// 1 disables coalescing (every query is its own forward).
+  /// Archs a worker gathers into one packed forward on a "predictor"
+  /// service: it takes whole queue entries from the front until the group
+  /// holds at least this many archs. An entry is never split, so a
+  /// PredictBatchRequest larger than the limit runs whole. 1 disables
+  /// coalescing (every entry is its own forward).
   std::int64_t max_predict_batch = 16;
   /// Bound on the number of *queued* (admitted, not yet started)
   /// requests across all three queues. A submission that would exceed it
   /// resolves immediately to RESOURCE_EXHAUSTED. 0 = unbounded.
   std::int64_t max_queue_depth = 0;
   /// Time-based predict-coalescing window (microseconds): a worker about
-  /// to fire a packed forward with fewer than max_predict_batch queries
-  /// waits until the *oldest* queued query has aged this long, giving
-  /// trickle traffic (one request per connection round-trip) a chance to
-  /// coalesce. 0 = fire immediately with whatever is queued (the
-  /// historical behavior, bit-exactly). The window is an *upper bound*
-  /// on coalescing delay: when pure work is queued and no other worker
-  /// is free to take it (always true with num_workers == 1), the window
-  /// fires early instead of sleeping on top of runnable work.
+  /// to fire a packed forward with fewer than max_predict_batch queued
+  /// archs waits until the *oldest* queued entry has aged this long,
+  /// giving trickle traffic (one request per connection round-trip) a
+  /// chance to coalesce. A batch entry smaller than the limit may wait
+  /// out the window like a lone query. 0 = fire immediately with
+  /// whatever is queued (the historical behavior, bit-exactly). The
+  /// window is an *upper bound* on coalescing delay: when pure work is
+  /// queued and no other worker is free to take it (always true with
+  /// num_workers == 1), the window fires early instead of sleeping on top
+  /// of runnable work.
   std::int64_t predict_window_us = 0;
   /// Non-empty: enable request-scoped tracing (obs::TraceCollector) for
   /// this service's lifetime and write the collected spans as Chrome
@@ -120,9 +130,9 @@ struct ServiceConfig {
 struct ServiceStats {
   std::int64_t requests = 0;            // everything submitted
   std::int64_t exclusive_requests = 0;  // ran on the exclusive FIFO path
-  std::int64_t predict_requests = 0;    // PredictLatency submissions
-  std::int64_t predict_batches = 0;     // packed forwards actually run
-  std::int64_t max_predict_batch = 0;   // largest coalesced batch seen
+  std::int64_t predict_requests = 0;    // predicted archs submitted
+  std::int64_t predict_batches = 0;     // prediction groups answered
+  std::int64_t max_predict_batch = 0;   // largest group seen, in archs
   std::int64_t queue_depth = 0;         // live: admitted, not yet started
   std::int64_t rejected_requests = 0;   // refused: bounded queue was full
   std::int64_t deadline_expired = 0;    // expired while queued or mid-run
@@ -134,7 +144,7 @@ struct ServiceStats {
   // bound of the log-linear bucket holding the quantile, so it is exact to
   // within ~25% — see obs::Histogram). queue_wait covers admission ->
   // dispatch for every queued request; service_time covers the execution
-  // of one unit of work (one task, or one packed predict forward).
+  // of one unit of work (one task, or one prediction group).
   std::int64_t queue_wait_p50_us = 0;
   std::int64_t queue_wait_p99_us = 0;
   std::int64_t service_time_p50_us = 0;
@@ -145,7 +155,7 @@ struct ServiceStats {
   std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
   std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
   // The same distributions split by request kind: pure covers predict /
-  // profile / profile_baseline (and packed predict forwards), exclusive
+  // profile / profile_baseline (and prediction groups), exclusive
   // covers search / train_baseline / measured-evaluator traffic. A
   // preempted exclusive records one wait and one service-time sample per
   // dispatch (each slice waited and ran separately).
@@ -207,9 +217,9 @@ class Service {
   std::future<api::Result<api::SearchReport>> submit(SearchRequest req);
   std::future<api::Result<api::LatencyReport>> submit(
       PredictLatencyRequest req);
-  /// One unit of work, one packed forward, per-element results (see
-  /// PredictBatchRequest). An admission refusal (shutdown / draining /
-  /// queue full) resolves every element with that status.
+  /// One queue entry, per-element results (see PredictBatchRequest). An
+  /// admission refusal (shutdown / draining / queue full), expiry or
+  /// cancellation resolves every element with that status.
   std::future<std::vector<api::Result<api::LatencyReport>>> submit(
       PredictBatchRequest req);
   std::future<api::Result<api::ProfileReport>> submit(ProfileRequest req);
@@ -254,14 +264,20 @@ class Service {
  private:
   Service() = default;
 
-  /// One admitted request parked on the pure or exclusive queue. `run`
-  /// resolves the promise with the verb's Result; `fail` resolves it with
-  /// an admission-side Status (expiry / cancellation) without running.
-  /// Both fire the request's notify hook.
+  /// One latency prediction's results: one Result per arch, in order.
+  using PredictResults = std::vector<api::Result<api::LatencyReport>>;
+
+  /// One admitted request parked on a queue. Every resolution fires the
+  /// request's notify hook.
   struct QueuedTask {
-    /// Set for work that runs in one piece (pure verbs, measured-evaluator
-    /// predictions).
+    /// Set for one-piece work (profile / profile_baseline).
     std::function<void(api::Engine&)> run;
+    /// Set instead for a latency prediction: its archs (one for a
+    /// PredictLatencyRequest, N for a PredictBatchRequest) and the resolver
+    /// that receives one Result per arch, in order.
+    std::vector<api::Arch> archs;
+    std::function<void(PredictResults)> predicted;
+    /// Resolves any other task with a Status; see refuse().
     std::function<void(const api::Status&)> fail;
     /// Set instead of `run` for the long exclusive verbs (search /
     /// train_baseline): builds the stepwise run on first dispatch.
@@ -276,26 +292,49 @@ class Service {
     /// wire request id for remote work), or a fresh local id when tracing
     /// is enabled; 0 = unattributed.
     std::uint64_t trace_id = 0;
-  };
 
-  /// How enqueue() disposed of a submission.
-  enum class Admission { kAccepted, kShutDown, kQueueFull, kDraining };
+    /// The logical requests this entry carries: its arch count for a
+    /// prediction, else 1.
+    std::int64_t requests() const {
+      return predicted != nullptr ? static_cast<std::int64_t>(archs.size())
+                                  : 1;
+    }
+
+    /// Resolves the entry with an admission-side Status (refusal / expiry
+    /// / cancellation) without running it — every element of a
+    /// prediction.
+    void refuse(const api::Status& status) {
+      if (predicted == nullptr)
+        fail(status);
+      else
+        predicted(PredictResults(archs.size(),
+                                 api::Result<api::LatencyReport>(status)));
+    }
+  };
 
   void start_workers(std::int64_t n);
   void worker_loop(std::size_t worker_index);
 
-  /// Admit `task` to the pure or exclusive queue, bumping the request
-  /// counters (incl. predict_requests when `count_predict`) atomically
-  /// with admission. `count` is the number of logical requests the task
-  /// carries (> 1 for a PredictBatchRequest, which still occupies one
-  /// queue slot). Non-accepted submissions bump rejected_requests / leave
-  /// the queue untouched; the caller resolves the future.
-  Admission enqueue(QueuedTask task, bool exclusive,
-                    bool count_predict = false, std::int64_t count = 1);
+  /// An entry carrying the scheduling fields of `opts` (deadline, cancel
+  /// flag, trace id), stamped as enqueued now.
+  static QueuedTask make_task(RequestOptions& opts);
 
-  /// The common submit shape: park `fn` on a queue, resolve its promise
-  /// with the Result it returns — or with FAILED_PRECONDITION /
-  /// RESOURCE_EXHAUSTED when the submission is not admitted. When
+  /// Admit `task` to the queue its kind routes to (see route()), bumping
+  /// the request counters by its request count — its arch count for a
+  /// prediction, else 1 — atomically with admission. A submission that is
+  /// not admitted (shutdown / draining / queue full) is resolved here
+  /// through task.refuse().
+  void enqueue(QueuedTask task);
+
+  /// The one routing decision: search / train_baseline and "measured"
+  /// predictions (the evaluator's noise stream is shared state) go to the
+  /// exclusive FIFO, predictions against a "predictor" to the coalescing
+  /// queue, everything else to the pure queue.
+  std::deque<QueuedTask>& route(const QueuedTask& task)
+      HG_REQUIRES(queue_mutex_);
+
+  /// The common submit shape for the Result-returning verbs: park `fn` on
+  /// its queue, resolve the promise with the Result it returns. When
   /// `make_run` is set the task is a stepwise run instead and `fn` is
   /// unused: `make_run` builds it on first dispatch around the promise's
   /// resolver. Defined in service.cpp (instantiated for the facade report
@@ -303,18 +342,17 @@ class Service {
   template <typename T>
   std::future<api::Result<T>> submit_task(
       std::function<api::Result<T>(api::Engine&)> fn, RequestOptions opts,
-      bool exclusive, bool count_predict = false,
       std::function<std::unique_ptr<Steppable>(
           api::Engine&, std::function<void(api::Result<T>)>)>
           make_run = {});
 
   /// Pops the task at the queue front, moving every leading task that is
   /// cancelled or expired into `failed` (with the Status to resolve it
-  /// with) and bumping the matching counters. Runs entirely under the
-  /// caller's lock — it never releases mutex_, so the dispatch decision
-  /// that follows (claiming exclusivity, bumping pure_active_) stays
-  /// atomic with the pop; the caller resolves `failed` outside the lock.
-  /// Returns false when the queue is drained.
+  /// with) and bumping the matching counters by its request count. Runs
+  /// entirely under the caller's lock — it never releases mutex_, so the
+  /// dispatch decision that follows (claiming exclusivity, bumping
+  /// pure_active_) stays atomic with the pop; the caller resolves `failed`
+  /// outside the lock. Returns false when the queue is drained.
   /// `kind_wait` additionally receives the queue-wait sample in the
   /// per-kind (pure vs exclusive) histogram for the queue being popped.
   bool pop_runnable(std::deque<QueuedTask>& queue,
@@ -322,18 +360,33 @@ class Service {
                     QueuedTask* out, LatencyHistogram& kind_wait)
       HG_REQUIRES(queue_mutex_);
 
+  /// Runs popped work outside the lock: one one-piece entry through its
+  /// `run` (which resolves it; returns nothing), or a group of prediction
+  /// entries through ONE answer() call over their archs in queue order,
+  /// returning the answers unresolved.
+  PredictResults execute(api::Engine& engine, std::span<QueuedTask> group);
+
+  /// Hands each prediction entry of `group` its slice of `results` (a
+  /// no-op for other work). The worker calls it after recording the
+  /// unit's service time, so a caller holding its answer also finds the
+  /// sample in the stats.
+  static void resolve(std::span<QueuedTask> group, PredictResults results);
+
+  /// Admitted entries not yet started, across all three queues.
+  std::int64_t queued() const HG_REQUIRES(queue_mutex_) {
+    return static_cast<std::int64_t>(pure_queue_.size() +
+                                     exclusive_queue_.size() +
+                                     predict_queue_.size());
+  }
+
+  /// True when the coalescing queue holds at least max_predict_batch archs.
+  bool predict_group_full() const HG_REQUIRES(queue_mutex_);
+
   /// True when every other worker is busy (with one worker, always): queued
   /// pure work then has nobody to run it but the caller.
   bool no_free_worker() const HG_REQUIRES(queue_mutex_) {
     return service_cfg_.num_workers - 1 - pure_active_ <= 0;
   }
-
-  struct PredictTask {
-    api::Arch arch;
-    std::shared_ptr<std::promise<api::Result<api::LatencyReport>>> promise;
-    RequestOptions opts;
-    std::chrono::steady_clock::time_point enqueued_at;
-  };
 
   api::EngineConfig base_cfg_;
   ServiceConfig service_cfg_;
@@ -393,7 +446,7 @@ class Service {
   std::condition_variable_any window_cv_;
   std::deque<QueuedTask> pure_queue_ HG_GUARDED_BY(queue_mutex_);
   std::deque<QueuedTask> exclusive_queue_ HG_GUARDED_BY(queue_mutex_);
-  std::deque<PredictTask> predict_queue_ HG_GUARDED_BY(queue_mutex_);
+  std::deque<QueuedTask> predict_queue_ HG_GUARDED_BY(queue_mutex_);
   std::int64_t pure_active_ HG_GUARDED_BY(queue_mutex_) = 0;
   // A worker owns the next exclusive task.
   bool exclusive_claimed_ HG_GUARDED_BY(queue_mutex_) = false;

@@ -1014,42 +1014,60 @@ TEST(NetBatchFrame, OversizedBatchRefusedPerElementWithoutRunning) {
   EXPECT_TRUE(sane.ok()) << sane.status().to_string();
 }
 
-TEST(NetBatchFrame, LegacyPredictBatchFrameStillServed) {
-  // An old client speaking the original per-element kPredictBatch frame
-  // gets the same answers as the new single-unit path — the server keeps
-  // both verbs.
+TEST(NetBatchFrame, RetiredFrameTypeGetsTypedRefusal) {
+  // Type 3 was the per-element multi-predict frame. It is retired: even
+  // with a well-formed batch payload it must get the same typed refusal as
+  // any unknown type (0, 11), under its request id, and the connection
+  // must go on serving.
   const api::EngineConfig cfg = tiny_cfg();
   const std::vector<api::Arch> archs = sample_archs(cfg, 4);
   auto server = Server::create(cfg);
   ASSERT_TRUE(server.ok()) << server.status().to_string();
-
-  Writer w;
-  encode_predict_batch_request(archs, &w);
   RawConn conn(server.value()->port());
   ASSERT_TRUE(conn.ok());
-  conn.send_bytes(encode_frame(FrameType::kPredictBatch, /*reply=*/false,
-                               /*id=*/21, 0, w.bytes()));
+
+  Writer batch;
+  encode_predict_batch_request(archs, &batch);
+  for (const std::uint16_t type : {3, 0, 11}) {
+    const std::uint64_t id = 20 + type;
+    conn.send_bytes(encode_frame(static_cast<FrameType>(type),
+                                 /*reply=*/false, id, 0, batch.bytes()));
+    FrameHeader reply;
+    std::string payload;
+    ASSERT_TRUE(read_reply_frame(conn.fd(), &reply, &payload))
+        << "type " << type;
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.type, type | kReplyBit);
+    Reader r(payload);
+    api::Status status;
+    ASSERT_TRUE(decode_status(&r, &status));
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unknown frame type " + std::to_string(type));
+  }
+  EXPECT_EQ(server.value()->service()->stats().requests, 0);
+
+  // Same connection: a normal predict_latency is answered.
+  Writer one;
+  encode_predict_request(archs[0], &one);
+  conn.send_bytes(encode_frame(FrameType::kPredictLatency, /*reply=*/false,
+                               /*id=*/40, 0, one.bytes()));
   FrameHeader reply;
   std::string payload;
   ASSERT_TRUE(read_reply_frame(conn.fd(), &reply, &payload));
-  EXPECT_EQ(reply.request_id, 21u);
-  EXPECT_EQ(reply.type, static_cast<std::uint16_t>(FrameType::kPredictBatch) |
-                            kReplyBit);
+  EXPECT_EQ(reply.request_id, 40u);
   Reader r(payload);
-  std::vector<api::Result<api::LatencyReport>> elements;
-  ASSERT_TRUE(decode_predict_batch_reply(&r, &elements));
-  ASSERT_EQ(elements.size(), archs.size());
-
+  api::Result<api::LatencyReport> served = api::Status::Internal("unset");
+  ASSERT_TRUE(decode_reply<api::LatencyReport>(
+      &r, [](Reader* in, api::LatencyReport* out) {
+        return decode_latency_report(in, out);
+      },
+      &served));
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
   auto engine = api::Engine::create(cfg);
   ASSERT_TRUE(engine.ok());
-  api::Result<std::vector<api::LatencyReport>> local =
-      engine.value().predict_batch(archs);
-  ASSERT_TRUE(local.ok());
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    ASSERT_TRUE(elements[i].ok()) << elements[i].status().to_string();
-    EXPECT_DOUBLE_EQ(elements[i].value().latency_ms,
-                     local.value()[i].latency_ms);
-  }
+  EXPECT_EQ(served.value().latency_ms,
+            engine.value().predict_latency(archs[0]).value().latency_ms);
 }
 
 TEST(NetBatchFrameFuzz, CorruptBatchFramesNeverCrashTheServer) {

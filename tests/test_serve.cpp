@@ -247,6 +247,46 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
             .value()
             .latency_ms);
   }
+
+  // Lone and batch entries share the one coalescing queue: behind a stall,
+  // lone queries, a 4-arch batch and a batch larger than max_predict_batch
+  // (never split, so it runs whole) all answer exactly what a lone
+  // Engine::predict_latency answers.
+  const ServiceStats before = service->stats();
+  const std::size_t large = ServiceConfig{}.max_predict_batch + 5;
+  std::vector<api::Arch> small_batch(archs.begin(), archs.begin() + 4);
+  std::vector<api::Arch> large_batch;
+  for (std::size_t i = 0; i < large; ++i)
+    large_batch.push_back(archs[i % archs.size()]);
+  auto stall_again = service->submit(SearchRequest{});
+  std::vector<std::future<api::Result<api::LatencyReport>>> lone;
+  for (std::size_t i = 0; i < 3; ++i)
+    lone.push_back(service->submit(PredictLatencyRequest{archs[i]}));
+  auto small_future = service->submit(PredictBatchRequest{small_batch});
+  auto large_future = service->submit(PredictBatchRequest{large_batch});
+  lone.push_back(service->submit(PredictLatencyRequest{archs[3]}));
+  ASSERT_TRUE(stall_again.get().ok());
+  const auto expect_lone_answer = [&](const api::Result<api::LatencyReport>& r,
+                                      const api::Arch& arch) {
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().latency_ms,
+              engine.value().predict_latency(arch).value().latency_ms);
+  };
+  for (std::size_t i = 0; i < lone.size(); ++i)
+    expect_lone_answer(lone[i].get(), archs[i]);
+  const auto small_results = small_future.get();
+  ASSERT_EQ(small_results.size(), small_batch.size());
+  for (std::size_t i = 0; i < small_batch.size(); ++i)
+    expect_lone_answer(small_results[i], small_batch[i]);
+  const auto large_results = large_future.get();
+  ASSERT_EQ(large_results.size(), large);
+  for (std::size_t i = 0; i < large; ++i)
+    expect_lone_answer(large_results[i], large_batch[i]);
+  const ServiceStats after = service->stats();
+  EXPECT_GE(after.max_predict_batch, static_cast<std::int64_t>(large));
+  EXPECT_EQ(after.predict_requests - before.predict_requests,
+            static_cast<std::int64_t>(lone.size() + small_batch.size() +
+                                      large));
 }
 
 TEST(Serve, IncompatibleSearchConfigFailsThatRequestOnly) {
@@ -375,32 +415,80 @@ TEST(ServeBatch, BatchRequestMatchesLoneSubmissionsBitIdentically) {
   batch_service->shutdown();
 }
 
+/// tiny_cfg() with a small fitted "predictor" evaluator.
+api::EngineConfig tiny_predictor_cfg() {
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.evaluator = "predictor";
+  cfg.predictor_samples = 40;
+  cfg.predictor_epochs = 4;
+  return cfg;
+}
+
 TEST(ServeBatch, BadElementFailsAloneInBatchRequest) {
-  const api::EngineConfig cfg = tiny_cfg();
-  auto probe = api::Engine::create(cfg);
-  ASSERT_TRUE(probe.ok());
+  for (const api::EngineConfig& cfg : {tiny_cfg(), tiny_predictor_cfg()}) {
+    SCOPED_TRACE(cfg.evaluator);
+    auto probe = api::Engine::create(cfg);
+    ASSERT_TRUE(probe.ok());
 
-  auto service = make_service(cfg, 2);
-  ASSERT_NE(service, nullptr);
-  std::vector<api::Arch> archs;
-  archs.push_back(probe.value().sample_arch());
-  archs.push_back(api::Arch{});  // no genes: fails validation
-  archs.push_back(probe.value().sample_arch());
+    auto service = make_service(cfg, 2);
+    ASSERT_NE(service, nullptr);
+    std::vector<api::Arch> archs;
+    archs.push_back(probe.value().sample_arch());
+    archs.push_back(api::Arch{});  // no genes: fails validation
+    archs.push_back(probe.value().sample_arch());
 
-  std::vector<api::Result<api::LatencyReport>> results =
-      service->submit(PredictBatchRequest{archs}).get();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok()) << results[0].status().to_string();
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), api::StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].ok()) << results[2].status().to_string();
+    std::vector<api::Result<api::LatencyReport>> results =
+        service->submit(PredictBatchRequest{archs}).get();
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok()) << results[0].status().to_string();
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_EQ(results[1].status().code(), api::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(results[2].ok()) << results[2].status().to_string();
 
-  // The good elements answer exactly what lone submissions answer.
-  api::Result<api::LatencyReport> lone0 =
-      service->submit(PredictLatencyRequest{archs[0]}).get();
-  ASSERT_TRUE(lone0.ok());
-  EXPECT_DOUBLE_EQ(results[0].value().latency_ms, lone0.value().latency_ms);
-  service->shutdown();
+    // The good elements answer exactly what lone submissions answer.
+    api::Result<api::LatencyReport> lone0 =
+        service->submit(PredictLatencyRequest{archs[0]}).get();
+    ASSERT_TRUE(lone0.ok());
+    EXPECT_DOUBLE_EQ(results[0].value().latency_ms, lone0.value().latency_ms);
+    service->shutdown();
+  }
+}
+
+TEST(ServeBatch, ExpiredOrCancelledBatchCountsEveryElement) {
+  // A batch entry that dies in the queue resolves every element and bumps
+  // deadline_expired / cancelled_requests by its arch count, the same
+  // count serve.requests was bumped by — so requests still equals the sum
+  // of its outcomes.
+  constexpr std::int64_t kArchs = 6;
+  for (const api::EngineConfig& cfg : {tiny_cfg(), tiny_predictor_cfg()}) {
+    SCOPED_TRACE(cfg.evaluator);
+    auto service = make_service(cfg, 2);
+    ASSERT_NE(service, nullptr);
+    auto probe = api::Engine::create(cfg, service->context());
+    ASSERT_TRUE(probe.ok());
+    std::vector<api::Arch> archs;
+    for (std::int64_t i = 0; i < kArchs; ++i)
+      archs.push_back(probe.value().sample_arch());
+
+    RequestOptions expired;
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    for (const auto& r :
+         service->submit(PredictBatchRequest{archs, expired}).get())
+      EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
+
+    RequestOptions cancelled;
+    cancelled.cancel = std::make_shared<std::atomic<bool>>(true);
+    for (const auto& r :
+         service->submit(PredictBatchRequest{archs, cancelled}).get())
+      EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+
+    const ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.requests, 2 * kArchs);
+    EXPECT_EQ(stats.deadline_expired, kArchs);
+    EXPECT_EQ(stats.cancelled_requests, kArchs);
+    service->shutdown();
+  }
 }
 
 TEST(ServeBatch, EmptyBatchResolvesImmediately) {
