@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/check.hpp"
 #include "tensor/optim.hpp"
 
 namespace hg::baselines {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("baselines: " + msg);
-}
+constexpr char kCheckScope[] = "baselines: ";
 
 }  // namespace
 
@@ -27,11 +26,11 @@ DgcnnConfig DgcnnConfig::scaled(std::int64_t num_classes, std::int64_t k) {
 }
 
 Dgcnn::Dgcnn(DgcnnConfig cfg, Rng& rng) : cfg_(std::move(cfg)) {
-  check(cfg_.dims.size() >= 1, "Dgcnn: need at least one EdgeConv layer");
-  check(cfg_.reuse_from_layer >= 1 &&
-            cfg_.reuse_from_layer <=
-                static_cast<std::int64_t>(cfg_.dims.size()),
-        "Dgcnn: reuse_from_layer must be in [1, num_layers]");
+  HG_CHECK(cfg_.dims.size() >= 1, "Dgcnn: need at least one EdgeConv layer");
+  HG_CHECK(cfg_.reuse_from_layer >= 1 &&
+               cfg_.reuse_from_layer <=
+                   static_cast<std::int64_t>(cfg_.dims.size()),
+           "Dgcnn: reuse_from_layer must be in [1, num_layers]");
   std::int64_t in = 3;
   std::int64_t concat_dim = 0;
   for (auto out : cfg_.dims) {
@@ -49,10 +48,10 @@ Dgcnn::Dgcnn(DgcnnConfig cfg, Rng& rng) : cfg_(std::move(cfg)) {
 }
 
 Tensor Dgcnn::forward(const Tensor& points) {
-  check(points.dim() == 2 && points.shape()[1] == 3,
-        "Dgcnn: points must be [n, 3]");
+  HG_CHECK(points.dim() == 2 && points.shape()[1] == 3,
+           "Dgcnn: points must be [n, 3]");
   const std::int64_t n = points.shape()[0];
-  check(n > 1, "Dgcnn: need at least 2 points");
+  HG_CHECK(n > 1, "Dgcnn: need at least 2 points");
   const std::int64_t kk = std::min<std::int64_t>(cfg_.k, n - 1);
 
   Tensor h = points;
@@ -103,7 +102,7 @@ double Dgcnn::param_mb() const {
 }
 
 hw::Trace Dgcnn::trace(const DgcnnConfig& cfg, std::int64_t num_points) {
-  check(num_points > 1, "Dgcnn::trace: need at least 2 points");
+  HG_CHECK(num_points > 1, "Dgcnn::trace: need at least 2 points");
   const std::int64_t n = num_points;
   const std::int64_t kk = std::min<std::int64_t>(cfg.k, n - 1);
   const std::int64_t e = n * kk;
@@ -177,10 +176,10 @@ TailorGnn::TailorGnn(TailorConfig cfg, Rng& rng) : cfg_(std::move(cfg)) {
 }
 
 Tensor TailorGnn::forward(const Tensor& points) {
-  check(points.dim() == 2 && points.shape()[1] == 3,
-        "TailorGnn: points must be [n, 3]");
+  HG_CHECK(points.dim() == 2 && points.shape()[1] == 3,
+           "TailorGnn: points must be [n, 3]");
   const std::int64_t n = points.shape()[0];
-  check(n > 1, "TailorGnn: need at least 2 points");
+  HG_CHECK(n > 1, "TailorGnn: need at least 2 points");
   const std::int64_t kk = std::min<std::int64_t>(cfg_.k, n - 1);
 
   // Single spatial graph for the whole network [7].
@@ -231,7 +230,7 @@ double TailorGnn::param_mb() const {
 }
 
 hw::Trace TailorGnn::trace(const TailorConfig& cfg, std::int64_t num_points) {
-  check(num_points > 1, "TailorGnn::trace: need at least 2 points");
+  HG_CHECK(num_points > 1, "TailorGnn::trace: need at least 2 points");
   const std::int64_t n = num_points;
   const std::int64_t kk = std::min<std::int64_t>(cfg.k, n - 1);
   const std::int64_t e = n * kk;
@@ -274,7 +273,7 @@ core::Stepper train_baseline_stepwise(ModelT& model,
                                       const pointcloud::Dataset& data,
                                       std::int64_t epochs, float lr, Rng& rng,
                                       BaselineEval* out) {
-  check(epochs > 0, "train_baseline: epochs must be positive");
+  HG_CHECK(epochs > 0, "train_baseline: epochs must be positive");
   Adam opt(model.parameters(), lr);
   model.set_training(true);
   const auto& train = data.train();

@@ -8,8 +8,13 @@
 //    splits [begin, end) into chunks computed only from (range, grain,
 //    thread count); which worker executes which chunk is irrelevant because
 //    every kernel keeps the per-output-element arithmetic order identical
-//    to the serial loop. Consequently results are bit-for-bit identical for
-//    ANY thread count, including 1.
+//    to the serial loop. So each kernel's output is bit-for-bit the same
+//    however its range is partitioned, at any width including 1. That is a
+//    per-kernel guarantee, not an end-to-end one: some callers pick a
+//    different algorithm at width 1 (the search scores candidates serially
+//    from one shared RNG stream), so a search at 1 thread finds another
+//    winner than at 2 or 3, while every width above 1 agrees. ROADMAP item
+//    2 ("One numeric path at every thread count") removes those branches.
 //  * `set_num_threads(1)` short-circuits every parallel_for into a plain
 //    inline call of the serial body — the legacy single-threaded path,
 //    bit-for-bit and with zero synchronisation overhead.

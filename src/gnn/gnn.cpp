@@ -179,14 +179,11 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
   const std::int64_t* src = g.src.data();
 
   detail::IndexCsr by_dst = detail::group_by_index(g.dst, n, "aggregate_fused");
-  // The backward capture (feature/edge copies, norms, degrees) is built
-  // only when a tape edge will actually be recorded — the inference-heavy
-  // search path runs under NoGradGuard and skips all of it.
-  const bool needs_grad = detail::grad_enabled() && x.requires_grad();
-  const bool needs_norm =
-      needs_grad &&
-      (mt == MessageType::Distance || mt == MessageType::Full);
-  std::vector<float> norm(needs_norm ? static_cast<std::size_t>(e) : 0);
+  // Per-edge rel-norms, kept for the backward pass of the messages that
+  // take a square root.
+  const bool keeps_norm =
+      mt == MessageType::Distance || mt == MessageType::Full;
+  std::vector<float> norm(keeps_norm ? static_cast<std::size_t>(e) : 0);
 
   std::vector<float> out(static_cast<std::size_t>(n * m), 0.f);
   std::vector<std::int64_t> arg;  // Max/Min winners, [n * m]
@@ -205,7 +202,7 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
         const std::int64_t ei = by_dst.items[static_cast<std::size_t>(s)];
         const float nv =
             fused_edge_message(xd, src[ei], v, c, mt, buf.data());
-        if (needs_norm) norm[static_cast<std::size_t>(ei)] = nv;
+        if (keeps_norm) norm[static_cast<std::size_t>(ei)] = nv;
         if (extremal) {
           simd::extremal_update(orow, arg.data() + v * m, buf.data(), ei, m,
                                 is_max);
@@ -219,135 +216,131 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
     }
   });
 
-  if (!needs_grad)
-    return detail::make_custom_op({n, m}, std::move(out), {x}, nullptr);
-
   // Everything the backward pass needs, by value (the graph and x may die
-  // before backward() runs).
-  std::vector<float> x_copy(x.data().begin(), x.data().end());
-  std::vector<std::int64_t> src_copy(g.src.begin(), g.src.end());
-  std::vector<std::int64_t> dst_copy(g.dst.begin(), g.dst.end());
-  std::vector<std::int64_t> degree(static_cast<std::size_t>(n));
-  for (std::int64_t v = 0; v < n; ++v)
-    degree[static_cast<std::size_t>(v)] =
-        by_dst.row_ptr[static_cast<std::size_t>(v) + 1] -
-        by_dst.row_ptr[static_cast<std::size_t>(v)];
+  // before backward() runs), built only when make_op records the edge.
+  return detail::make_op({n, m}, std::move(out), {x}, [&] {
+    std::vector<float> x_copy(x.data().begin(), x.data().end());
+    std::vector<std::int64_t> src_copy(g.src.begin(), g.src.end());
+    std::vector<std::int64_t> dst_copy(g.dst.begin(), g.dst.end());
+    std::vector<std::int64_t> degree(static_cast<std::size_t>(n));
+    for (std::int64_t v = 0; v < n; ++v)
+      degree[static_cast<std::size_t>(v)] =
+          by_dst.row_ptr[static_cast<std::size_t>(v) + 1] -
+          by_dst.row_ptr[static_cast<std::size_t>(v)];
 
-  auto backward = [n, e, c, m, mt, reduce, x_copy = std::move(x_copy),
-                   src_copy = std::move(src_copy),
-                   dst_copy = std::move(dst_copy), norm = std::move(norm),
-                   arg = std::move(arg), degree = std::move(degree),
-                   by_dst = std::move(by_dst)](detail::TensorImpl& self) {
-    detail::TensorImpl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    const float* gout = self.grad.data();
-    const float* xd = x_copy.data();
+    return [n, e, c, m, mt, reduce, x_copy = std::move(x_copy),
+            src_copy = std::move(src_copy), dst_copy = std::move(dst_copy),
+            norm = std::move(norm), arg = std::move(arg),
+            degree = std::move(degree),
+            by_dst = std::move(by_dst)](detail::TensorImpl& self) {
+      detail::TensorImpl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      const float* gout = self.grad.data();
+      const float* xd = x_copy.data();
 
-    // Message-tensor gradient, evaluated lazily per (edge, channel): what
-    // scatter_reduce's backward would have written into the materialised
-    // [e, m] buffer.
-    auto gm = [&](std::int64_t ei, std::int64_t mj) -> float {
-      const std::int64_t v = dst_copy[static_cast<std::size_t>(ei)];
-      const float gv = gout[static_cast<std::size_t>(v * m + mj)];
-      switch (reduce) {
-        case Reduce::Sum: return gv;
-        case Reduce::Mean:
-          return gv * (1.f / static_cast<float>(
-                                 degree[static_cast<std::size_t>(v)]));
-        case Reduce::Max:
-        case Reduce::Min:
-          return arg[static_cast<std::size_t>(v * m + mj)] == ei ? gv : 0.f;
-      }
-      return 0.f;
-    };
-    // d message / d rel, chained through the norm for Distance/Full. The
-    // expression shape ((g * (0.5/norm)) * (2 * rel)) reproduces the
-    // sqrt -> sum -> square reference backward exactly.
-    auto rel_grad = [&](std::int64_t ei, std::int64_t j) -> float {
-      const float rel =
-          xd[src_copy[static_cast<std::size_t>(ei)] * c + j] -
-          xd[dst_copy[static_cast<std::size_t>(ei)] * c + j];
-      if (mt == MessageType::Distance)
-        return (gm(ei, 0) * (0.5f / norm[static_cast<std::size_t>(ei)])) *
-               (2.f * rel);
-      // Full: direct rel channels plus the distance channel.
-      return gm(ei, 2 * c + j) +
-             (gm(ei, 3 * c) * (0.5f / norm[static_cast<std::size_t>(ei)])) *
-                 (2.f * rel);
-    };
-    // Per-edge gradient w.r.t. the source / destination feature row. The
-    // combinations mirror how the reference tape sums each gather's
-    // contributions before scattering them back into x.
-    auto src_grad = [&](std::int64_t ei, std::int64_t j) -> float {
-      switch (mt) {
-        case MessageType::SourcePos: return gm(ei, j);
-        case MessageType::TargetPos: return 0.f;
-        case MessageType::RelPos: return gm(ei, j);
-        case MessageType::Distance: return rel_grad(ei, j);
-        case MessageType::SourceRel: return gm(ei, j) + gm(ei, c + j);
-        case MessageType::TargetRel: return gm(ei, c + j);
-        case MessageType::Full: return gm(ei, c + j) + rel_grad(ei, j);
-      }
-      return 0.f;
-    };
-    auto dst_grad = [&](std::int64_t ei, std::int64_t j) -> float {
-      switch (mt) {
-        case MessageType::SourcePos: return 0.f;
-        case MessageType::TargetPos: return gm(ei, j);
-        case MessageType::RelPos: return -gm(ei, j);
-        case MessageType::Distance: return -rel_grad(ei, j);
-        case MessageType::SourceRel: return -gm(ei, c + j);
-        case MessageType::TargetRel: return gm(ei, j) - gm(ei, c + j);
-        case MessageType::Full: return gm(ei, j) - rel_grad(ei, j);
-      }
-      return 0.f;
-    };
-
-    const std::int64_t grain = fused_node_grain(n, e, c);
-    auto gather_into = [&](const detail::IndexCsr& csr, auto&& edge_grad) {
-      std::vector<float> buf(static_cast<std::size_t>(n * c), 0.f);
-      core::parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t v = lo; v < hi; ++v) {
-          float* row = buf.data() + v * c;
-          const std::int64_t b = csr.row_ptr[static_cast<std::size_t>(v)];
-          const std::int64_t t = csr.row_ptr[static_cast<std::size_t>(v) + 1];
-          for (std::int64_t s = b; s < t; ++s) {
-            const std::int64_t ei = csr.items[static_cast<std::size_t>(s)];
-            for (std::int64_t j = 0; j < c; ++j) row[j] += edge_grad(ei, j);
-          }
+      // Message-tensor gradient, evaluated lazily per (edge, channel): what
+      // scatter_reduce's backward would have written into the materialised
+      // [e, m] buffer.
+      auto gm = [&](std::int64_t ei, std::int64_t mj) -> float {
+        const std::int64_t v = dst_copy[static_cast<std::size_t>(ei)];
+        const float gv = gout[static_cast<std::size_t>(v * m + mj)];
+        switch (reduce) {
+          case Reduce::Sum: return gv;
+          case Reduce::Mean:
+            return gv * (1.f / static_cast<float>(
+                                   degree[static_cast<std::size_t>(v)]));
+          case Reduce::Max:
+          case Reduce::Min:
+            return arg[static_cast<std::size_t>(v * m + mj)] == ei ? gv : 0.f;
         }
-      });
-      return buf;
+        return 0.f;
+      };
+      // d message / d rel, chained through the norm for Distance/Full. The
+      // expression shape ((g * (0.5/norm)) * (2 * rel)) reproduces the
+      // sqrt -> sum -> square reference backward exactly.
+      auto rel_grad = [&](std::int64_t ei, std::int64_t j) -> float {
+        const float rel =
+            xd[src_copy[static_cast<std::size_t>(ei)] * c + j] -
+            xd[dst_copy[static_cast<std::size_t>(ei)] * c + j];
+        if (mt == MessageType::Distance)
+          return (gm(ei, 0) * (0.5f / norm[static_cast<std::size_t>(ei)])) *
+                 (2.f * rel);
+        // Full: direct rel channels plus the distance channel.
+        return gm(ei, 2 * c + j) +
+               (gm(ei, 3 * c) * (0.5f / norm[static_cast<std::size_t>(ei)])) *
+                   (2.f * rel);
+      };
+      // Per-edge gradient w.r.t. the source / destination feature row. The
+      // combinations mirror how the reference tape sums each gather's
+      // contributions before scattering them back into x.
+      auto src_grad = [&](std::int64_t ei, std::int64_t j) -> float {
+        switch (mt) {
+          case MessageType::SourcePos: return gm(ei, j);
+          case MessageType::TargetPos: return 0.f;
+          case MessageType::RelPos: return gm(ei, j);
+          case MessageType::Distance: return rel_grad(ei, j);
+          case MessageType::SourceRel: return gm(ei, j) + gm(ei, c + j);
+          case MessageType::TargetRel: return gm(ei, c + j);
+          case MessageType::Full: return gm(ei, c + j) + rel_grad(ei, j);
+        }
+        return 0.f;
+      };
+      auto dst_grad = [&](std::int64_t ei, std::int64_t j) -> float {
+        switch (mt) {
+          case MessageType::SourcePos: return 0.f;
+          case MessageType::TargetPos: return gm(ei, j);
+          case MessageType::RelPos: return -gm(ei, j);
+          case MessageType::Distance: return -rel_grad(ei, j);
+          case MessageType::SourceRel: return -gm(ei, c + j);
+          case MessageType::TargetRel: return gm(ei, j) - gm(ei, c + j);
+          case MessageType::Full: return gm(ei, j) - rel_grad(ei, j);
+        }
+        return 0.f;
+      };
+
+      const std::int64_t grain = fused_node_grain(n, e, c);
+      auto gather_into = [&](const detail::IndexCsr& csr, auto&& edge_grad) {
+        std::vector<float> buf(static_cast<std::size_t>(n * c), 0.f);
+        core::parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t v = lo; v < hi; ++v) {
+            float* row = buf.data() + v * c;
+            const std::int64_t b = csr.row_ptr[static_cast<std::size_t>(v)];
+            const std::int64_t t = csr.row_ptr[static_cast<std::size_t>(v) + 1];
+            for (std::int64_t s = b; s < t; ++s) {
+              const std::int64_t ei = csr.items[static_cast<std::size_t>(s)];
+              for (std::int64_t j = 0; j < c; ++j) row[j] += edge_grad(ei, j);
+            }
+          }
+        });
+        return buf;
+      };
+
+      const bool has_src = mt != MessageType::TargetPos;
+      const bool has_dst = mt != MessageType::SourcePos;
+      std::vector<float> sbuf, dbuf;
+      if (has_src) {
+        const detail::IndexCsr by_src =
+            detail::group_by_index(src_copy, n, "aggregate_fused");
+        sbuf = gather_into(by_src, src_grad);
+      }
+      // The destination grouping is reused from the forward pass (captured
+      // above) — dst_copy would sort to the identical CSR.
+      if (has_dst) dbuf = gather_into(by_dst, dst_grad);
+      // Accumulation order mirrors the reference tape's reverse-topological
+      // execution: for messages listing the target part first in the concat
+      // (TargetRel, Full) the source gather's backward runs first; otherwise
+      // the destination gather's does.
+      const bool src_first =
+          mt == MessageType::TargetRel || mt == MessageType::Full;
+      if (src_first) {
+        if (has_src) p.accumulate_grad(sbuf);
+        if (has_dst) p.accumulate_grad(dbuf);
+      } else {
+        if (has_dst) p.accumulate_grad(dbuf);
+        if (has_src) p.accumulate_grad(sbuf);
+      }
     };
-
-    const bool has_src = mt != MessageType::TargetPos;
-    const bool has_dst = mt != MessageType::SourcePos;
-    std::vector<float> sbuf, dbuf;
-    if (has_src) {
-      const detail::IndexCsr by_src =
-          detail::group_by_index(src_copy, n, "aggregate_fused");
-      sbuf = gather_into(by_src, src_grad);
-    }
-    // The destination grouping is reused from the forward pass (captured
-    // above) — dst_copy would sort to the identical CSR.
-    if (has_dst) dbuf = gather_into(by_dst, dst_grad);
-    // Accumulation order mirrors the reference tape's reverse-topological
-    // execution: for messages listing the target part first in the concat
-    // (TargetRel, Full) the source gather's backward runs first; otherwise
-    // the destination gather's does.
-    const bool src_first =
-        mt == MessageType::TargetRel || mt == MessageType::Full;
-    if (src_first) {
-      if (has_src) p.accumulate_grad(sbuf);
-      if (has_dst) p.accumulate_grad(dbuf);
-    } else {
-      if (has_dst) p.accumulate_grad(dbuf);
-      if (has_src) p.accumulate_grad(sbuf);
-    }
-  };
-
-  return detail::make_custom_op({n, m}, std::move(out), {x},
-                                std::move(backward));
+  });
 }
 
 Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 
@@ -14,13 +15,7 @@ namespace hg::graph {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("graph: " + msg);
-}
-
-void check(bool cond, const std::string& msg) {
-  if (!cond) fail(msg);
-}
+constexpr char kCheckScope[] = "graph: ";
 
 float sq_dist3(const float* a, const float* b) {
   const float dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
@@ -34,7 +29,7 @@ Csr to_csr(const EdgeList& edges) {
   csr.num_nodes = edges.num_nodes;
   csr.row_ptr.assign(static_cast<std::size_t>(edges.num_nodes) + 1, 0);
   for (auto d : edges.dst) {
-    check(d >= 0 && d < edges.num_nodes, "to_csr: dst out of range");
+    HG_CHECK(d >= 0 && d < edges.num_nodes, "to_csr: dst out of range");
     ++csr.row_ptr[static_cast<std::size_t>(d) + 1];
   }
   std::partial_sum(csr.row_ptr.begin(), csr.row_ptr.end(),
@@ -44,7 +39,7 @@ Csr to_csr(const EdgeList& edges) {
                                    csr.row_ptr.end() - 1);
   for (std::size_t e = 0; e < edges.src.size(); ++e) {
     const auto s = edges.src[e];
-    check(s >= 0 && s < edges.num_nodes, "to_csr: src out of range");
+    HG_CHECK(s >= 0 && s < edges.num_nodes, "to_csr: src out of range");
     csr.neighbors[static_cast<std::size_t>(
         cursor[static_cast<std::size_t>(edges.dst[e])]++)] = s;
   }
@@ -53,10 +48,10 @@ Csr to_csr(const EdgeList& edges) {
 
 EdgeList knn_graph_brute(std::span<const float> points, std::int64_t n,
                          std::int64_t k) {
-  check(n >= 0, "knn: negative n");
-  check(static_cast<std::int64_t>(points.size()) == n * 3,
-        "knn: points span must be n*3 floats");
-  check(k > 0, "knn: k must be positive");
+  HG_CHECK(n >= 0, "knn: negative n");
+  HG_CHECK(static_cast<std::int64_t>(points.size()) == n * 3,
+           "knn: points span must be n*3 floats");
+  HG_CHECK(k > 0, "knn: k must be positive");
   EdgeList out;
   out.num_nodes = n;
   if (n <= 1) return out;
@@ -109,9 +104,9 @@ EdgeList knn_graph_brute(std::span<const float> points, std::int64_t n,
 
 EdgeList knn_graph_grid(std::span<const float> points, std::int64_t n,
                         std::int64_t k) {
-  check(static_cast<std::int64_t>(points.size()) == n * 3,
-        "knn: points span must be n*3 floats");
-  check(k > 0, "knn: k must be positive");
+  HG_CHECK(static_cast<std::int64_t>(points.size()) == n * 3,
+           "knn: points span must be n*3 floats");
+  HG_CHECK(k > 0, "knn: k must be positive");
   EdgeList out;
   out.num_nodes = n;
   if (n <= 1) return out;
@@ -228,8 +223,8 @@ EdgeList knn_graph(std::span<const float> points, std::int64_t n,
 }
 
 EdgeList random_graph(std::int64_t n, std::int64_t k, Rng& rng) {
-  check(n >= 0, "random_graph: negative n");
-  check(k > 0, "random_graph: k must be positive");
+  HG_CHECK(n >= 0, "random_graph: negative n");
+  HG_CHECK(k > 0, "random_graph: k must be positive");
   EdgeList out;
   out.num_nodes = n;
   if (n <= 1) return out;
@@ -255,9 +250,9 @@ EdgeList random_graph(std::int64_t n, std::int64_t k, Rng& rng) {
 
 EdgeList knn_graph_features(std::span<const float> features, std::int64_t n,
                             std::int64_t dim, std::int64_t k) {
-  check(static_cast<std::int64_t>(features.size()) == n * dim,
-        "knn_features: span must be n*dim floats");
-  check(k > 0 && dim > 0, "knn_features: k and dim must be positive");
+  HG_CHECK(static_cast<std::int64_t>(features.size()) == n * dim,
+           "knn_features: span must be n*dim floats");
+  HG_CHECK(k > 0 && dim > 0, "knn_features: k and dim must be positive");
   EdgeList out;
   out.num_nodes = n;
   if (n <= 1) return out;

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/check.hpp"
+
 namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("hgnas: " + msg);
-}
+constexpr char kCheckScope[] = "hgnas: ";
 
 /// Per-position option count of the full fine-grained space:
 /// connect(2) + aggregate(4 aggregators x 7 messages) + combine(6) +
@@ -142,7 +142,7 @@ std::vector<std::int64_t> channel_flow(const Arch& arch, const Workload& w) {
 }
 
 hw::Trace lower_to_trace(const Arch& arch, const Workload& w) {
-  check(w.num_points > 1, "lower_to_trace: need at least 2 points");
+  HG_CHECK(w.num_points > 1, "lower_to_trace: need at least 2 points");
   const std::int64_t n = w.num_points;
   const std::int64_t kk = std::min<std::int64_t>(w.k, n - 1);
   const std::int64_t e = n * kk;
@@ -289,7 +289,8 @@ OpType random_op(Rng& rng) {
 }  // namespace
 
 Arch random_arch(const SpaceConfig& cfg, Rng& rng) {
-  check(cfg.num_positions > 0, "random_arch: num_positions must be positive");
+  HG_CHECK(cfg.num_positions > 0,
+           "random_arch: num_positions must be positive");
   Arch a;
   a.genes.resize(static_cast<std::size_t>(cfg.num_positions));
   for (auto& g : a.genes) {
@@ -331,8 +332,8 @@ Arch mutate_ops(const Arch& parent, double p_op, Rng& rng) {
 }
 
 Arch crossover(const Arch& a, const Arch& b, Rng& rng) {
-  check(a.genes.size() == b.genes.size(),
-        "crossover: position count mismatch");
+  HG_CHECK(a.genes.size() == b.genes.size(),
+           "crossover: position count mismatch");
   Arch child = a;
   for (std::size_t i = 0; i < child.genes.size(); ++i)
     if (rng.bernoulli(0.5)) child.genes[i] = b.genes[i];

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/check.hpp"
 #include "tensor/optim.hpp"
 
 namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("GnnModel: " + msg);
-}
+constexpr char kCheckScope[] = "GnnModel: ";
 
 constexpr std::int64_t kMaxChannels = 8192;  // guard against Full-message blowup
 
@@ -19,12 +18,12 @@ constexpr std::int64_t kMaxChannels = 8192;  // guard against Full-message blowu
 
 GnnModel::GnnModel(Arch arch, Workload workload, Rng& rng)
     : arch_(std::move(arch)), workload_(workload) {
-  check(!arch_.genes.empty(), "empty architecture");
+  HG_CHECK(!arch_.genes.empty(), "empty architecture");
   const auto flow = channel_flow(arch_, workload_);
   for (auto d : flow)
-    check(d > 0 && d <= kMaxChannels,
-          "channel count " + std::to_string(d) +
-              " out of range (aggregate message blowup?)");
+    HG_CHECK(d > 0 && d <= kMaxChannels,
+             "channel count " + std::to_string(d) +
+                 " out of range (aggregate message blowup?)");
 
   combine_lin_.resize(arch_.genes.size());
   combine_bn_.resize(arch_.genes.size());
@@ -42,11 +41,11 @@ GnnModel::GnnModel(Arch arch, Workload workload, Rng& rng)
 }
 
 Tensor GnnModel::forward(const Tensor& points, Rng& rng) {
-  check(points.dim() == 2 && points.shape()[1] == workload_.in_dim,
-        "forward: points must be [n, " + std::to_string(workload_.in_dim) +
-            "], got " + shape_to_string(points.shape()));
+  HG_CHECK(points.dim() == 2 && points.shape()[1] == workload_.in_dim,
+           "forward: points must be [n, " + std::to_string(workload_.in_dim) +
+               "], got " + shape_to_string(points.shape()));
   const std::int64_t n = points.shape()[0];
-  check(n > 1, "forward: need at least 2 points");
+  HG_CHECK(n > 1, "forward: need at least 2 points");
   const std::int64_t kk = std::min<std::int64_t>(workload_.k, n - 1);
 
   Tensor h = points;
@@ -135,7 +134,7 @@ core::Stepper train_model_stepwise(GnnModel& model,
                                    const pointcloud::Dataset& data,
                                    TrainConfig cfg, Rng& rng,
                                    EvalResult* out) {
-  check(cfg.epochs > 0 && cfg.batch_size > 0, "train_model: bad config");
+  HG_CHECK(cfg.epochs > 0 && cfg.batch_size > 0, "train_model: bad config");
   Adam opt(model.parameters(), cfg.lr, 0.9f, 0.999f, 1e-8f,
            cfg.weight_decay);
   const auto& train = data.train();

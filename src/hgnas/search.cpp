@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "hgnas/serialize_arch.hpp"
 
@@ -16,9 +17,7 @@ namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("HgnasSearch: " + msg);
-}
+constexpr char kCheckScope[] = "HgnasSearch: ";
 
 /// Candidate evaluation fans out across the pool when it is active. The
 /// serial path (1 thread) reproduces the historical sequential pipeline —
@@ -250,10 +249,10 @@ bool EvalCache::load(const std::string& path) {
 LatencyFn make_measurement_evaluator(const hw::Device& device,
                                      const Workload& workload,
                                      std::uint64_t seed) {
-  check(device.spec().supports_online_measurement,
-        "device " + device.name() +
-            " does not support online measurement (paper §IV-D); use the "
-            "predictor instead");
+  HG_CHECK(device.spec().supports_online_measurement,
+           "device " + device.name() +
+               " does not support online measurement (paper §IV-D); use the "
+               "predictor instead");
   auto rng = std::make_shared<Rng>(seed);
   return [&device, workload, rng](const Arch& arch) -> LatencyEval {
     const hw::Trace trace = lower_to_trace(arch, workload);
@@ -277,20 +276,20 @@ HgnasSearch::HgnasSearch(SuperNet& supernet, const pointcloud::Dataset& data,
     : supernet_(supernet), data_(data), cfg_(std::move(cfg)),
       latency_(std::move(latency)),
       cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {
-  check(static_cast<bool>(latency_), "latency evaluator required");
-  check(cfg_.population >= 2, "population must be >= 2");
-  check(cfg_.parents >= 1 && cfg_.parents <= cfg_.population,
-        "parents must be in [1, population]");
-  check(cfg_.iterations >= 1, "iterations must be >= 1");
-  check(cfg_.latency_scale_ms > 0.0, "latency_scale_ms must be positive");
-  check(!cfg_.latency_constraint_ms || *cfg_.latency_constraint_ms > 0.0,
-        "latency_constraint_ms must be positive when set");
-  check(!cfg_.memory_constraint_mb || *cfg_.memory_constraint_mb > 0.0,
-        "memory_constraint_mb must be positive when set");
-  check(!cfg_.size_constraint_mb || *cfg_.size_constraint_mb > 0.0,
-        "size_constraint_mb must be positive when set");
-  check(cfg_.space.num_positions == supernet.space().num_positions,
-        "search space and supernet disagree on position count");
+  HG_CHECK(static_cast<bool>(latency_), "latency evaluator required");
+  HG_CHECK(cfg_.population >= 2, "population must be >= 2");
+  HG_CHECK(cfg_.parents >= 1 && cfg_.parents <= cfg_.population,
+           "parents must be in [1, population]");
+  HG_CHECK(cfg_.iterations >= 1, "iterations must be >= 1");
+  HG_CHECK(cfg_.latency_scale_ms > 0.0, "latency_scale_ms must be positive");
+  HG_CHECK(!cfg_.latency_constraint_ms || *cfg_.latency_constraint_ms > 0.0,
+           "latency_constraint_ms must be positive when set");
+  HG_CHECK(!cfg_.memory_constraint_mb || *cfg_.memory_constraint_mb > 0.0,
+           "memory_constraint_mb must be positive when set");
+  HG_CHECK(!cfg_.size_constraint_mb || *cfg_.size_constraint_mb > 0.0,
+           "size_constraint_mb must be positive when set");
+  HG_CHECK(cfg_.space.num_positions == supernet.space().num_positions,
+           "search space and supernet disagree on position count");
 }
 
 double HgnasSearch::objective(double acc, double latency_ms, bool oom) const {

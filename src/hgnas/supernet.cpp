@@ -3,23 +3,22 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/check.hpp"
 #include "core/parallel.hpp"
 
 namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("SuperNet: " + msg);
-}
+constexpr char kCheckScope[] = "SuperNet: ";
 
 }  // namespace
 
 SuperNet::SuperNet(const SpaceConfig& space, const SupernetConfig& cfg,
                    Rng& rng)
     : space_(space), cfg_(cfg) {
-  check(space_.num_positions > 0, "num_positions must be positive");
-  check(cfg_.hidden > 0, "hidden width must be positive");
+  HG_CHECK(space_.num_positions > 0, "num_positions must be positive");
+  HG_CHECK(cfg_.hidden > 0, "hidden width must be positive");
   const std::int64_t H = cfg_.hidden;
   input_proj_ = std::make_unique<nn::Linear>(3, H, rng);
   const auto P = static_cast<std::size_t>(space_.num_positions);
@@ -49,14 +48,14 @@ SuperNet::SuperNet(const SpaceConfig& space, const SupernetConfig& cfg,
 }
 
 Tensor SuperNet::forward(const Arch& arch, const Tensor& points, Rng& rng) {
-  check(arch.num_positions() == space_.num_positions,
-        "architecture has " + std::to_string(arch.num_positions()) +
-            " positions, supernet expects " +
-            std::to_string(space_.num_positions));
-  check(points.dim() == 2 && points.shape()[1] == 3,
-        "points must be [n, 3]");
+  HG_CHECK(arch.num_positions() == space_.num_positions,
+           "architecture has " + std::to_string(arch.num_positions()) +
+               " positions, supernet expects " +
+               std::to_string(space_.num_positions));
+  HG_CHECK(points.dim() == 2 && points.shape()[1] == 3,
+           "points must be [n, 3]");
   const std::int64_t n = points.shape()[0];
-  check(n > 1, "need at least 2 points");
+  HG_CHECK(n > 1, "need at least 2 points");
   const std::int64_t kk = std::min<std::int64_t>(cfg_.k, n - 1);
 
   Tensor h = leaky_relu(input_proj_->forward(points), 0.2f);
@@ -154,8 +153,8 @@ core::Stepper SuperNet::train_epoch_stepwise(
     const std::vector<pointcloud::Sample>& train,
     std::function<Arch(Rng&)> sampler, Adam& opt, std::int64_t batch_size,
     Rng& rng, double* mean_loss) {
-  check(!train.empty(), "train_epoch: empty split");
-  check(batch_size > 0, "train_epoch: batch_size must be positive");
+  HG_CHECK(!train.empty(), "train_epoch: empty split");
+  HG_CHECK(batch_size > 0, "train_epoch: batch_size must be positive");
   weight_version_.fetch_add(1, std::memory_order_acq_rel);
   set_training(true);
   auto order = pointcloud::shuffled_indices(train.size(), rng);
@@ -231,7 +230,7 @@ double SuperNet::evaluate(const Arch& arch,
                           std::int64_t max_samples, Rng& rng) {
   // Checked before the mode toggle: a throw below would otherwise leave
   // the supernet stuck in inference mode for callers that catch it.
-  check(!val.empty(), "evaluate: empty split");
+  HG_CHECK(!val.empty(), "evaluate: empty split");
   set_training(false);
   const double acc = evaluate_concurrent(arch, val, max_samples, rng);
   set_training(true);
@@ -250,7 +249,7 @@ double SuperNet::evaluate_concurrent(const Arch& arch,
 AccuracyProbe SuperNet::begin_probe(Arch arch,
                                     const std::vector<pointcloud::Sample>& val,
                                     std::int64_t max_samples, Rng rng) {
-  check(!val.empty(), "evaluate: empty split");
+  HG_CHECK(!val.empty(), "evaluate: empty split");
   AccuracyProbe probe{std::move(arch), rng};
   probe.count = std::min<std::size_t>(
       val.size(), static_cast<std::size_t>(

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/check.hpp"
+
 namespace hg::hw {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("hw: " + msg);
-}
+constexpr char kCheckScope[] = "hw: ";
 
 /// Calibration targets taken from the paper: Table II DGCNN row (total
 /// latency at 1024 points) and the Fig. 3 execution-time breakdown, in
@@ -89,7 +89,7 @@ double Trace::max_workspace_mb() const {
 
 TraceBuilder& TraceBuilder::knn(std::int64_t n, std::int64_t dim,
                                 std::int64_t k) {
-  check(n > 0 && dim > 0 && k > 0, "knn: all arguments must be positive");
+  HG_CHECK(n > 0 && dim > 0 && k > 0, "knn: all arguments must be positive");
   const double nn = static_cast<double>(n) * static_cast<double>(n);
   const double work =
       nn * (static_cast<double>(dim) + std::log2(static_cast<double>(k) + 1));
@@ -103,7 +103,7 @@ TraceBuilder& TraceBuilder::knn(std::int64_t n, std::int64_t dim,
 }
 
 TraceBuilder& TraceBuilder::random_sample(std::int64_t n, std::int64_t k) {
-  check(n > 0 && k > 0, "random_sample: arguments must be positive");
+  HG_CHECK(n > 0 && k > 0, "random_sample: arguments must be positive");
   const double work = static_cast<double>(n) * static_cast<double>(k);
   trace_.ops.push_back({OpCategory::Sample,
                         "random(n=" + std::to_string(n) +
@@ -121,7 +121,7 @@ constexpr double kIrregularTrafficCostInMacs = 32.0;
 
 TraceBuilder& TraceBuilder::aggregate(std::int64_t edges,
                                       std::int64_t msg_dim) {
-  check(edges >= 0 && msg_dim > 0, "aggregate: bad arguments");
+  HG_CHECK(edges >= 0 && msg_dim > 0, "aggregate: bad arguments");
   const double elems =
       static_cast<double>(edges) * static_cast<double>(msg_dim);
   trace_.ops.push_back({OpCategory::Aggregate,
@@ -135,8 +135,8 @@ TraceBuilder& TraceBuilder::aggregate(std::int64_t edges,
 TraceBuilder& TraceBuilder::edge_mlp_aggregate(std::int64_t edges,
                                                std::int64_t in_dim,
                                                std::int64_t out_dim) {
-  check(edges >= 0 && in_dim > 0 && out_dim > 0,
-        "edge_mlp_aggregate: bad arguments");
+  HG_CHECK(edges >= 0 && in_dim > 0 && out_dim > 0,
+           "edge_mlp_aggregate: bad arguments");
   const double e = static_cast<double>(edges);
   const double work = e * 2.0 * static_cast<double>(in_dim) *
                       static_cast<double>(out_dim);
@@ -155,7 +155,7 @@ TraceBuilder& TraceBuilder::edge_mlp_aggregate(std::int64_t edges,
 
 TraceBuilder& TraceBuilder::combine(std::int64_t n, std::int64_t in_dim,
                                     std::int64_t out_dim) {
-  check(n >= 0 && in_dim > 0 && out_dim > 0, "combine: bad arguments");
+  HG_CHECK(n >= 0 && in_dim > 0 && out_dim > 0, "combine: bad arguments");
   const double work = static_cast<double>(n) * static_cast<double>(in_dim) *
                       static_cast<double>(out_dim);
   // Workspace: input rows stay live plus linear / norm / activation
@@ -175,21 +175,21 @@ TraceBuilder& TraceBuilder::combine(std::int64_t n, std::int64_t in_dim,
 
 TraceBuilder& TraceBuilder::other(std::int64_t n, std::int64_t dim,
                                   const std::string& name) {
-  check(n >= 0 && dim > 0, "other: bad arguments");
+  HG_CHECK(n >= 0 && dim > 0, "other: bad arguments");
   const double work = static_cast<double>(n) * static_cast<double>(dim);
   trace_.ops.push_back({OpCategory::Others, name, work, work * 4.0 / 1e6});
   return *this;
 }
 
 TraceBuilder& TraceBuilder::set_param_mb(double mb) {
-  check(mb >= 0.0, "set_param_mb: negative");
+  HG_CHECK(mb >= 0.0, "set_param_mb: negative");
   trace_.param_mb = mb;
   return *this;
 }
 
 Device::Device(DeviceSpec spec) : spec_(std::move(spec)) {
   for (double c : spec_.coef)
-    check(c >= 0.0, "device coefficient must be non-negative");
+    HG_CHECK(c >= 0.0, "device coefficient must be non-negative");
 }
 
 double Device::latency_ms(const Trace& t) const {
@@ -257,7 +257,7 @@ std::string device_kind_name(DeviceKind kind) {
 
 Trace dgcnn_reference_trace(std::int64_t num_points, std::int64_t k,
                             std::int64_t num_classes) {
-  check(num_points > 1 && k > 0, "dgcnn_reference_trace: bad arguments");
+  HG_CHECK(num_points > 1 && k > 0, "dgcnn_reference_trace: bad arguments");
   const std::int64_t n = num_points;
   const std::int64_t kk = std::min<std::int64_t>(k, n - 1);
   const std::int64_t e = n * kk;
@@ -340,10 +340,12 @@ Device make_device(DeviceKind kind) {
     const double target_ms =
         target.pct[static_cast<std::size_t>(c)] * target.total_ms -
         op_count[static_cast<std::size_t>(c)] * spec.op_overhead_ms;
-    check(work > 0.0, "calibration: reference trace has no work in category " +
-                          category_name(static_cast<OpCategory>(c)));
-    check(target_ms > 0.0,
-          "calibration: op overhead exceeds category budget for " + spec.name);
+    HG_CHECK(work > 0.0,
+             "calibration: reference trace has no work in category " +
+                 category_name(static_cast<OpCategory>(c)));
+    HG_CHECK(target_ms > 0.0,
+             "calibration: op overhead exceeds category budget for " +
+                 spec.name);
     spec.coef[static_cast<std::size_t>(c)] = target_ms / work / 1e3;
   }
   return Device(spec);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "pointcloud/pointcloud.hpp"
@@ -14,9 +15,7 @@ namespace hg::predictor {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("predictor: " + msg);
-}
+constexpr char kCheckScope[] = "predictor: ";
 
 // Node-type slots of the 7-dim one-hot.
 enum NodeType : std::int64_t {
@@ -81,9 +80,9 @@ float log_channel(std::int64_t c) {
 
 ArchGraph arch_to_graph(const hgnas::Arch& arch, const hgnas::Workload& w,
                         int device_slot) {
-  check(!arch.genes.empty(), "arch_to_graph: empty architecture");
-  check(device_slot >= -1 && device_slot < hw::kNumDevices,
-        "arch_to_graph: device_slot out of range");
+  HG_CHECK(!arch.genes.empty(), "arch_to_graph: empty architecture");
+  HG_CHECK(device_slot >= -1 && device_slot < hw::kNumDevices,
+           "arch_to_graph: device_slot out of range");
   const std::int64_t P = arch.num_positions();
   // Node ids: 0 input, 1..P positions, P+1 output, P+2 global.
   const std::int64_t n_nodes = P + 3;
@@ -177,9 +176,9 @@ ArchGraph arch_to_graph(const hgnas::Arch& arch, const hgnas::Workload& w,
 LatencyPredictor::LatencyPredictor(const PredictorConfig& cfg,
                                    const hgnas::Workload& w, Rng& rng)
     : cfg_(cfg), workload_(w) {
-  check(!cfg_.gcn_dims.empty(), "need at least one GCN layer");
-  check(cfg_.mlp_dims.size() >= 2 && cfg_.mlp_dims.back() == 1,
-        "MLP must end in a single scalar output");
+  HG_CHECK(!cfg_.gcn_dims.empty(), "need at least one GCN layer");
+  HG_CHECK(cfg_.mlp_dims.size() >= 2 && cfg_.mlp_dims.back() == 1,
+           "MLP must end in a single scalar output");
   std::int64_t d = kFeatureDim;
   for (auto h : cfg_.gcn_dims) {
     gcn_.push_back(std::make_unique<gnn::GcnLayer>(d, h, rng, Reduce::Sum));
@@ -341,12 +340,12 @@ void LatencyPredictor::forward_no_tape(std::span<const hgnas::Arch> archs,
 
 double LatencyPredictor::fit(const std::vector<LabeledArch>& train,
                              Rng& rng) {
-  check(!train.empty(), "fit: empty training set");
+  HG_CHECK(!train.empty(), "fit: empty training set");
   // Normalisation scale: the geometric-mean label, so targets sit near 1
   // whatever the device's latency range.
   double acc = 0.0;
   for (const auto& s : train) {
-    check(s.latency_ms > 0.0, "fit: non-positive latency label");
+    HG_CHECK(s.latency_ms > 0.0, "fit: non-positive latency label");
     acc += std::log(s.latency_ms);
   }
   scale_ms_ = std::exp(acc / static_cast<double>(train.size()));
@@ -388,7 +387,7 @@ double LatencyPredictor::fit(const std::vector<LabeledArch>& train,
 
 PredictorMetrics LatencyPredictor::evaluate(
     const std::vector<LabeledArch>& test) {
-  check(!test.empty(), "evaluate: empty test set");
+  HG_CHECK(!test.empty(), "evaluate: empty test set");
   PredictorMetrics m;
   double se = 0.0;
   std::int64_t within = 0;
@@ -419,7 +418,7 @@ std::vector<LabeledArch> collect_labeled_archs(const hw::Device& device,
                                                const hgnas::Workload& w,
                                                std::int64_t count,
                                                std::uint64_t seed) {
-  check(count > 0, "collect_labeled_archs: count must be positive");
+  HG_CHECK(count > 0, "collect_labeled_archs: count must be positive");
   Rng rng(seed);
   std::vector<LabeledArch> out;
   out.reserve(static_cast<std::size_t>(count));
@@ -473,9 +472,9 @@ std::vector<LabeledArch> collect_labeled_archs(const hw::Device& device,
       out.push_back(std::move(s));
     }
   }
-  check(static_cast<std::int64_t>(out.size()) == count,
-        "collect_labeled_archs: too many OOM architectures on " +
-            device.name());
+  HG_CHECK(static_cast<std::int64_t>(out.size()) == count,
+           "collect_labeled_archs: too many OOM architectures on " +
+               device.name());
   return out;
 }
 
@@ -483,8 +482,10 @@ std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
     std::span<const CollectSpec> specs, const hgnas::SpaceConfig& space,
     const hgnas::Workload& w) {
   for (const CollectSpec& spec : specs) {
-    check(spec.device != nullptr, "collect_labeled_archs_multi: null device");
-    check(spec.count > 0, "collect_labeled_archs_multi: count must be positive");
+    HG_CHECK(spec.device != nullptr,
+             "collect_labeled_archs_multi: null device");
+    HG_CHECK(spec.count > 0,
+             "collect_labeled_archs_multi: count must be positive");
   }
   const std::size_t n_dev = specs.size();
   std::vector<std::vector<LabeledArch>> out(n_dev);
@@ -566,15 +567,15 @@ std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
   }
 
   for (std::size_t d = 0; d < n_dev; ++d)
-    check(static_cast<std::int64_t>(out[d].size()) == specs[d].count,
-          "collect_labeled_archs: too many OOM architectures on " +
-              specs[d].device->name());
+    HG_CHECK(static_cast<std::int64_t>(out[d].size()) == specs[d].count,
+             "collect_labeled_archs: too many OOM architectures on " +
+                 specs[d].device->name());
   return out;
 }
 
 hgnas::LatencyFn make_predictor_evaluator(
     std::shared_ptr<LatencyPredictor> predictor, double query_cost_s) {
-  check(predictor != nullptr, "make_predictor_evaluator: null predictor");
+  HG_CHECK(predictor != nullptr, "make_predictor_evaluator: null predictor");
   return [predictor, query_cost_s](const hgnas::Arch& arch)
              -> hgnas::LatencyEval {
     return {predictor->predict_ms(arch), query_cost_s, false};

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "tensor/rng.hpp"
@@ -14,6 +15,8 @@
 namespace hg {
 
 namespace {
+
+constexpr char kCheckScope[] = "tensor: ";
 
 thread_local bool g_grad_enabled = true;
 
@@ -32,14 +35,7 @@ std::int64_t row_grain(std::int64_t work_per_row) {
       1, kWorkGrain / std::max<std::int64_t>(1, work_per_row));
 }
 
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("tensor: " + msg);
-}
-
-void check(bool cond, const std::string& msg) {
-  if (!cond) fail(msg);
-}
-
+using detail::make_op;
 using Impl = detail::TensorImpl;
 using ImplPtr = std::shared_ptr<Impl>;
 
@@ -48,27 +44,6 @@ ImplPtr make_impl(Shape shape, std::vector<float> data) {
   impl->shape = std::move(shape);
   impl->data = std::move(data);
   return impl;
-}
-
-/// Build an op result: decides requires_grad from parents and records the
-/// tape edge only when autograd is enabled and some parent needs gradients.
-Tensor make_op(Shape shape, std::vector<float> data,
-               std::vector<Tensor> parents,
-               std::function<void(Impl&)> backward_fn) {
-  auto impl = make_impl(std::move(shape), std::move(data));
-  bool needs = false;
-  if (detail::grad_enabled()) {
-    for (const auto& p : parents) {
-      if (p.impl()->requires_grad) needs = true;
-    }
-  }
-  if (needs) {
-    impl->requires_grad = true;
-    impl->parents.reserve(parents.size());
-    for (auto& p : parents) impl->parents.push_back(p.impl());
-    impl->backward_fn = std::move(backward_fn);
-  }
-  return Tensor(std::move(impl));
 }
 
 // ---- raw (tape-free) kernels used inside backward closures -----------------
@@ -167,149 +142,188 @@ enum class Broadcast { Exact, ScalarRhs, RowRhs, ColRhs };
 Broadcast classify_broadcast(const Shape& a, const Shape& b) {
   if (a == b) return Broadcast::Exact;
   if (shape_numel(b) == 1) return Broadcast::ScalarRhs;
-  if (a.size() == 2 && b.size() == 1 && b[0] == a[1]) return Broadcast::RowRhs;
-  if (a.size() == 2 && b.size() == 2 && b[0] == a[0] && b[1] == 1)
-    return Broadcast::ColRhs;
-  fail("incompatible shapes for broadcast: " + shape_to_string(a) + " vs " +
-       shape_to_string(b));
+  const bool matrix = a.size() == 2;
+  if (matrix && b.size() == 1 && b[0] == a[1]) return Broadcast::RowRhs;
+  HG_CHECK(matrix && b.size() == 2 && b[0] == a[0] && b[1] == 1,
+           "incompatible shapes for broadcast: " + shape_to_string(a) +
+               " vs " + shape_to_string(b));
+  return Broadcast::ColRhs;
 }
 
-float apply_bin(BinOp op, float x, float y) {
-  switch (op) {
-    case BinOp::Add: return x + y;
-    case BinOp::Sub: return x - y;
-    case BinOp::Mul: return x * y;
-    case BinOp::Div: return x / y;
+template <BinOp Op>
+float apply(float x, float y) {
+  if constexpr (Op == BinOp::Add) return x + y;
+  else if constexpr (Op == BinOp::Sub) return x - y;
+  else if constexpr (Op == BinOp::Mul) return x * y;
+  else return x / y;
+}
+
+/// Rows per chunk for an elementwise kernel over `cols`-wide rows.
+std::int64_t elem_row_grain(std::int64_t cols) {
+  return std::max<std::int64_t>(
+      1, kElemGrain / std::max<std::int64_t>(1, cols));
+}
+
+/// out = a (op) b with the op fixed at compile time and one loop per
+/// broadcast case, so no element pays for a dispatch or an index division.
+/// a is [rows, cols] for the row / column cases and flat otherwise.
+template <BinOp Op>
+void binary_kernel(const float* a, const float* b, float* out,
+                   std::int64_t n, std::int64_t rows, std::int64_t cols,
+                   Broadcast bc) {
+  switch (bc) {
+    case Broadcast::Exact:
+      core::parallel_for(0, n, kElemGrain, [=](std::int64_t lo,
+                                               std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) out[i] = apply<Op>(a[i], b[i]);
+      });
+      return;
+    case Broadcast::ScalarRhs:
+      core::parallel_for(0, n, kElemGrain, [=, s = b[0]](std::int64_t lo,
+                                                         std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) out[i] = apply<Op>(a[i], s);
+      });
+      return;
+    case Broadcast::RowRhs:
+      core::parallel_for(0, rows, elem_row_grain(cols), [=](std::int64_t lo,
+                                                            std::int64_t hi) {
+        for (std::int64_t r = lo; r < hi; ++r) {
+          const float* arow = a + r * cols;
+          float* orow = out + r * cols;
+          for (std::int64_t j = 0; j < cols; ++j)
+            orow[j] = apply<Op>(arow[j], b[j]);
+        }
+      });
+      return;
+    case Broadcast::ColRhs:
+      core::parallel_for(0, rows, elem_row_grain(cols), [=](std::int64_t lo,
+                                                            std::int64_t hi) {
+        for (std::int64_t r = lo; r < hi; ++r) {
+          const float* arow = a + r * cols;
+          float* orow = out + r * cols;
+          const float s = b[r];
+          for (std::int64_t j = 0; j < cols; ++j)
+            orow[j] = apply<Op>(arow[j], s);
+        }
+      });
+      return;
   }
-  return 0.f;
 }
 
-Tensor binary_op(const Tensor& a, const Tensor& b, BinOp op) {
+template <BinOp Op>
+Tensor binary_op(const Tensor& a, const Tensor& b) {
   const Broadcast bc = classify_broadcast(a.shape(), b.shape());
-  const auto& ad = a.data();
-  const auto& bd = b.data();
+  const auto ad = a.data();
+  const auto bd = b.data();
   const std::int64_t n = a.numel();
+  const std::int64_t rows = a.dim() == 2 ? a.shape()[0] : 1;
+  const std::int64_t cols = a.dim() == 2 ? a.shape()[1] : n;
   std::vector<float> out(static_cast<std::size_t>(n));
+  binary_kernel<Op>(ad.data(), bd.data(), out.data(), n, rows, cols, bc);
 
-  const std::int64_t cols = (a.dim() == 2) ? a.shape()[1] : n;
-  // Captured by value: this lambda outlives binary_op inside the backward
-  // closure below.
-  auto rhs_index = [bc, cols](std::int64_t i) -> std::int64_t {
-    switch (bc) {
-      case Broadcast::Exact: return i;
-      case Broadcast::ScalarRhs: return 0;
-      case Broadcast::RowRhs: return i % cols;
-      case Broadcast::ColRhs: return i / cols;
+  return make_op(a.shape(), std::move(out), {a, b}, [&] {
+    // Add and Sub scale the gradient by constants; only Mul and Div read
+    // the operands back.
+    constexpr bool kReadsOperands = Op == BinOp::Mul || Op == BinOp::Div;
+    std::vector<float> a_copy, b_copy;
+    if constexpr (kReadsOperands) {
+      a_copy.assign(ad.begin(), ad.end());
+      b_copy.assign(bd.begin(), bd.end());
     }
-    return 0;
-  };
-
-  {
-    const float* ap = ad.data();
-    const float* bp = bd.data();
-    float* op_ = out.data();
-    core::parallel_for(0, n, kElemGrain,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           op_[i] = apply_bin(op, ap[i], bp[rhs_index(i)]);
-                       });
-  }
-
-  // Capture everything the backward pass needs by value.
-  std::vector<float> a_copy(ad.begin(), ad.end());
-  std::vector<float> b_copy(bd.begin(), bd.end());
-  auto backward = [op, bc, cols, n, a_copy = std::move(a_copy),
-                   b_copy = std::move(b_copy),
-                   rhs_index](Impl& self) {
-    auto& g = self.grad;
-    Impl& pa = *self.parents[0];
-    Impl& pb = *self.parents[1];
-    if (pa.requires_grad) {
-      std::vector<float> ga(static_cast<std::size_t>(n));
-      core::parallel_for(0, n, kElemGrain,
-                         [&](std::int64_t lo, std::int64_t hi) {
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             const float gi = g[static_cast<std::size_t>(i)];
-                             switch (op) {
-                               case BinOp::Add:
-                               case BinOp::Sub: ga[i] = gi; break;
-                               case BinOp::Mul:
-                                 ga[i] = gi * b_copy[rhs_index(i)];
-                                 break;
-                               case BinOp::Div:
-                                 ga[i] = gi / b_copy[rhs_index(i)];
-                                 break;
-                             }
-                           }
-                         });
-      pa.accumulate_grad(ga);
-    }
-    if (pb.requires_grad) {
-      std::vector<float> gb(b_copy.size(), 0.f);
-      auto accumulate_range = [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const float gi = g[static_cast<std::size_t>(i)];
-          const std::int64_t j = rhs_index(i);
-          float contrib = 0.f;
-          switch (op) {
-            case BinOp::Add: contrib = gi; break;
-            case BinOp::Sub: contrib = -gi; break;
-            case BinOp::Mul:
+    return [bc, n, cols, b_numel = bd.size(), a_copy = std::move(a_copy),
+            b_copy = std::move(b_copy)](Impl& self) {
+      auto rhs_index = [bc, cols](std::int64_t i) -> std::int64_t {
+        switch (bc) {
+          case Broadcast::Exact: return i;
+          case Broadcast::ScalarRhs: return 0;
+          case Broadcast::RowRhs: return i % cols;
+          case Broadcast::ColRhs: return i / cols;
+        }
+        return 0;
+      };
+      const auto& g = self.grad;
+      Impl& pa = *self.parents[0];
+      Impl& pb = *self.parents[1];
+      if (pa.requires_grad) {
+        std::vector<float> ga(static_cast<std::size_t>(n));
+        core::parallel_for(0, n, kElemGrain, [&](std::int64_t lo,
+                                                 std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const float gi = g[static_cast<std::size_t>(i)];
+            if constexpr (Op == BinOp::Mul)
+              ga[i] = gi * b_copy[rhs_index(i)];
+            else if constexpr (Op == BinOp::Div)
+              ga[i] = gi / b_copy[rhs_index(i)];
+            else
+              ga[i] = gi;
+          }
+        });
+        pa.accumulate_grad(ga);
+      }
+      if (pb.requires_grad) {
+        std::vector<float> gb(b_numel, 0.f);
+        auto accumulate_range = [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const float gi = g[static_cast<std::size_t>(i)];
+            const std::int64_t j = rhs_index(i);
+            float contrib = gi;
+            if constexpr (Op == BinOp::Sub) {
+              contrib = -gi;
+            } else if constexpr (Op == BinOp::Mul) {
               contrib = gi * a_copy[static_cast<std::size_t>(i)];
-              break;
-            case BinOp::Div: {
+            } else if constexpr (Op == BinOp::Div) {
               const float bv = b_copy[static_cast<std::size_t>(j)];
               contrib = -gi * a_copy[static_cast<std::size_t>(i)] / (bv * bv);
-              break;
             }
+            gb[static_cast<std::size_t>(j)] += contrib;
           }
-          gb[static_cast<std::size_t>(j)] += contrib;
+        };
+        if (bc == Broadcast::Exact) {
+          // rhs_index(i) == i: disjoint writes, safe to fork.
+          core::parallel_for(0, n, kElemGrain, accumulate_range);
+        } else {
+          // Broadcast cases reduce many i into one j; keep the serial order.
+          accumulate_range(0, n);
         }
-      };
-      if (bc == Broadcast::Exact) {
-        // rhs_index(i) == i: disjoint writes, safe to fork.
-        core::parallel_for(0, n, kElemGrain, accumulate_range);
-      } else {
-        // Broadcast cases reduce many i into one j; keep the serial order.
-        accumulate_range(0, n);
+        pb.accumulate_grad(gb);
       }
-      pb.accumulate_grad(gb);
-    }
-    (void)bc;
-    (void)cols;
-  };
-
-  return make_op(a.shape(), std::move(out), {a, b}, std::move(backward));
+    };
+  });
 }
 
-/// Unary op with pointwise derivative expressed from (x, y).
-Tensor unary_op(const Tensor& a, const std::function<float(float)>& f,
-                const std::function<float(float, float)>& dfdx_from_xy) {
+/// Unary op y = f(x) whose derivative is expressed from (x, y). Both are
+/// functors known at compile time, so the element loops inline them.
+template <class F, class Dfdx>
+Tensor unary_op(const Tensor& a, F f, Dfdx dfdx_from_xy) {
   const auto ad = a.data();
+  const auto n = static_cast<std::int64_t>(ad.size());
   std::vector<float> out(ad.size());
-  core::parallel_for(0, static_cast<std::int64_t>(ad.size()), kElemGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         out[static_cast<std::size_t>(i)] = f(ad[i]);
-                     });
-  std::vector<float> x_copy(ad.begin(), ad.end());
-  std::vector<float> y_copy = out;
-  auto backward = [x_copy = std::move(x_copy), y_copy = std::move(y_copy),
-                   dfdx_from_xy](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(x_copy.size());
-    core::parallel_for(0, static_cast<std::int64_t>(x_copy.size()), kElemGrain,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           g[static_cast<std::size_t>(i)] =
-                               self.grad[static_cast<std::size_t>(i)] *
-                               dfdx_from_xy(x_copy[static_cast<std::size_t>(i)],
-                                            y_copy[static_cast<std::size_t>(i)]);
-                       });
-    p.accumulate_grad(g);
-  };
-  return make_op(a.shape(), std::move(out), {a}, std::move(backward));
+  const float* x = ad.data();
+  float* y = out.data();  // still the result's buffer after the move below
+  core::parallel_for(0, n, kElemGrain, [f, x, y](std::int64_t lo,
+                                                 std::int64_t hi) {
+    // A local copy: stores through y cannot alias it, so the functor's
+    // state stays in registers and the loop vectorizes.
+    const F local_f = f;
+    for (std::int64_t i = lo; i < hi; ++i) y[i] = local_f(x[i]);
+  });
+  return make_op(a.shape(), std::move(out), {a}, [&] {
+    return [dfdx_from_xy, x_copy = std::vector<float>(x, x + n),
+            y_copy = std::vector<float>(y, y + n)](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(x_copy.size());
+      core::parallel_for(
+          0, static_cast<std::int64_t>(x_copy.size()), kElemGrain,
+          [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const auto u = static_cast<std::size_t>(i);
+              g[u] = self.grad[u] * dfdx_from_xy(x_copy[u], y_copy[u]);
+            }
+          });
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 }  // namespace
@@ -319,7 +333,7 @@ Tensor unary_op(const Tensor& a, const std::function<float(float)>& f,
 std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
   for (auto d : shape) {
-    if (d < 0) fail("negative dimension in shape " + shape_to_string(shape));
+    HG_CHECK(d >= 0, "negative dimension in shape " + shape_to_string(shape));
     n *= d;
   }
   return n;
@@ -343,18 +357,11 @@ void TensorImpl::ensure_grad() {
 }
 
 void TensorImpl::accumulate_grad(std::span<const float> g) {
-  if (g.size() != data.size())
-    fail("gradient size mismatch: " + std::to_string(g.size()) + " vs " +
-         std::to_string(data.size()));
+  HG_CHECK(g.size() == data.size(),
+           "gradient size mismatch: " + std::to_string(g.size()) + " vs " +
+               std::to_string(data.size()));
   ensure_grad();
   for (std::size_t i = 0; i < g.size(); ++i) grad[i] += g[i];
-}
-
-Tensor make_custom_op(Shape shape, std::vector<float> data,
-                      std::vector<Tensor> parents,
-                      std::function<void(TensorImpl&)> backward_fn) {
-  return make_op(std::move(shape), std::move(data), std::move(parents),
-                 std::move(backward_fn));
 }
 
 NoGradGuard::NoGradGuard() : prev_(g_grad_enabled) { g_grad_enabled = false; }
@@ -390,9 +397,9 @@ Tensor Tensor::scalar(float value, bool requires_grad) {
 
 Tensor Tensor::from_vector(Shape shape, std::vector<float> values,
                            bool requires_grad) {
-  check(static_cast<std::int64_t>(values.size()) == shape_numel(shape),
-        "from_vector: " + std::to_string(values.size()) +
-            " values do not fill shape " + shape_to_string(shape));
+  HG_CHECK(static_cast<std::int64_t>(values.size()) == shape_numel(shape),
+           "from_vector: " + std::to_string(values.size()) +
+               " values do not fill shape " + shape_to_string(shape));
   auto impl = make_impl(std::move(shape), std::move(values));
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
@@ -415,24 +422,24 @@ Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi,
 }
 
 std::int64_t Tensor::size(std::int64_t axis) const {
-  check(axis >= 0 && axis < dim(), "size(): axis out of range");
+  HG_CHECK(axis >= 0 && axis < dim(), "size(): axis out of range");
   return impl_->shape[static_cast<std::size_t>(axis)];
 }
 
 float Tensor::item() const {
-  check(numel() == 1, "item(): tensor has " + std::to_string(numel()) +
-                          " elements, expected 1");
+  HG_CHECK(numel() == 1, "item(): tensor has " + std::to_string(numel()) +
+                             " elements, expected 1");
   return impl_->data[0];
 }
 
 float Tensor::at(std::initializer_list<std::int64_t> idx) const {
-  check(static_cast<std::int64_t>(idx.size()) == dim(),
-        "at(): rank mismatch");
+  HG_CHECK(static_cast<std::int64_t>(idx.size()) == dim(),
+           "at(): rank mismatch");
   std::int64_t flat = 0;
   std::size_t axis = 0;
   for (auto i : idx) {
     const auto d = impl_->shape[axis];
-    check(i >= 0 && i < d, "at(): index out of range");
+    HG_CHECK(i >= 0 && i < d, "at(): index out of range");
     flat = flat * d + i;
     ++axis;
   }
@@ -460,15 +467,15 @@ Tensor Tensor::clone() const {
 }
 
 void Tensor::backward() {
-  check(numel() == 1,
-        "backward() without a seed requires a scalar tensor; got shape " +
-            shape_to_string(shape()));
+  HG_CHECK(numel() == 1,
+           "backward() without a seed requires a scalar tensor; got shape " +
+               shape_to_string(shape()));
   backward(std::vector<float>{1.f});
 }
 
 void Tensor::backward(std::span<const float> seed) {
-  check(static_cast<std::int64_t>(seed.size()) == numel(),
-        "backward(): seed size mismatch");
+  HG_CHECK(static_cast<std::int64_t>(seed.size()) == numel(),
+           "backward(): seed size mismatch");
   // Iterative post-order DFS to topologically sort the tape.
   std::vector<Impl*> order;
   std::unordered_set<Impl*> visited;
@@ -504,16 +511,24 @@ void Tensor::backward(std::span<const float> seed) {
 
 // ---- binary ops -----------------------------------------------------------------
 
-Tensor add(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Add); }
-Tensor sub(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Sub); }
-Tensor mul(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Mul); }
-Tensor div(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Div); }
+Tensor add(const Tensor& a, const Tensor& b) {
+  return binary_op<BinOp::Add>(a, b);
+}
+Tensor sub(const Tensor& a, const Tensor& b) {
+  return binary_op<BinOp::Sub>(a, b);
+}
+Tensor mul(const Tensor& a, const Tensor& b) {
+  return binary_op<BinOp::Mul>(a, b);
+}
+Tensor div(const Tensor& a, const Tensor& b) {
+  return binary_op<BinOp::Div>(a, b);
+}
 
 Tensor add(const Tensor& a, float s) { return add(a, Tensor::scalar(s)); }
 Tensor sub(const Tensor& a, float s) { return sub(a, Tensor::scalar(s)); }
 Tensor mul(const Tensor& a, float s) { return mul(a, Tensor::scalar(s)); }
 Tensor div(const Tensor& a, float s) {
-  check(s != 0.f, "division by zero scalar");
+  HG_CHECK(s != 0.f, "division by zero scalar");
   return div(a, Tensor::scalar(s));
 }
 
@@ -556,14 +571,14 @@ Tensor exp_op(const Tensor& a) {
 
 Tensor log_op(const Tensor& a) {
   for (float x : a.data())
-    check(x > 0.f, "log of non-positive value " + std::to_string(x));
+    HG_CHECK(x > 0.f, "log of non-positive value " + std::to_string(x));
   return unary_op(a, [](float x) { return std::log(x); },
                   [](float x, float) { return 1.f / x; });
 }
 
 Tensor sqrt_op(const Tensor& a) {
   for (float x : a.data())
-    check(x >= 0.f, "sqrt of negative value " + std::to_string(x));
+    HG_CHECK(x >= 0.f, "sqrt of negative value " + std::to_string(x));
   return unary_op(a, [](float x) { return std::sqrt(x); },
                   [](float, float y) { return y > 0.f ? 0.5f / y : 0.f; });
 }
@@ -581,35 +596,36 @@ Tensor abs_op(const Tensor& a) {
 // ---- matmul / transpose -----------------------------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  check(a.dim() == 2 && b.dim() == 2, "matmul requires 2-D tensors, got " +
-                                          shape_to_string(a.shape()) + " x " +
-                                          shape_to_string(b.shape()));
+  HG_CHECK(a.dim() == 2 && b.dim() == 2,
+           "matmul requires 2-D tensors, got " + shape_to_string(a.shape()) +
+               " x " + shape_to_string(b.shape()));
   const std::int64_t m = a.shape()[0], k = a.shape()[1];
   const std::int64_t k2 = b.shape()[0], n = b.shape()[1];
-  check(k == k2, "matmul inner dimension mismatch: " +
-                     shape_to_string(a.shape()) + " x " +
-                     shape_to_string(b.shape()));
+  HG_CHECK(k == k2, "matmul inner dimension mismatch: " +
+                        shape_to_string(a.shape()) + " x " +
+                        shape_to_string(b.shape()));
   std::vector<float> out(static_cast<std::size_t>(m * n));
   detail::raw_matmul(a.data().data(), b.data().data(), out.data(), m, k, n);
 
-  std::vector<float> a_copy(a.data().begin(), a.data().end());
-  std::vector<float> b_copy(b.data().begin(), b.data().end());
-  auto backward = [m, k, n, a_copy = std::move(a_copy),
-                   b_copy = std::move(b_copy)](Impl& self) {
-    Impl& pa = *self.parents[0];
-    Impl& pb = *self.parents[1];
-    if (pa.requires_grad) {
-      std::vector<float> ga(static_cast<std::size_t>(m * k));
-      raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
-      pa.accumulate_grad(ga);
-    }
-    if (pb.requires_grad) {
-      std::vector<float> gb(static_cast<std::size_t>(k * n));
-      raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
-      pb.accumulate_grad(gb);
-    }
-  };
-  return make_op({m, n}, std::move(out), {a, b}, std::move(backward));
+  return make_op({m, n}, std::move(out), {a, b}, [&] {
+    return [m, k, n,
+            a_copy = std::vector<float>(a.data().begin(), a.data().end()),
+            b_copy = std::vector<float>(b.data().begin(), b.data().end())](
+               Impl& self) {
+      Impl& pa = *self.parents[0];
+      Impl& pb = *self.parents[1];
+      if (pa.requires_grad) {
+        std::vector<float> ga(static_cast<std::size_t>(m * k));
+        raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
+        pa.accumulate_grad(ga);
+      }
+      if (pb.requires_grad) {
+        std::vector<float> gb(static_cast<std::size_t>(k * n));
+        raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
+        pb.accumulate_grad(gb);
+      }
+    };
+  });
 }
 
 namespace {
@@ -640,20 +656,21 @@ void raw_transpose(const float* src, float* dst, std::int64_t r,
 }  // namespace
 
 Tensor transpose(const Tensor& a) {
-  check(a.dim() == 2, "transpose requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "transpose requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
   std::vector<float> out(static_cast<std::size_t>(r * c));
   raw_transpose(a.data().data(), out.data(), r, c);
-  auto backward = [r, c](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    // The gradient of a transpose is the transpose of the gradient
-    // ([c, r] -> [r, c]).
-    raw_transpose(self.grad.data(), g.data(), c, r);
-    p.accumulate_grad(g);
-  };
-  return make_op({c, r}, std::move(out), {a}, std::move(backward));
+  return make_op({c, r}, std::move(out), {a}, [&] {
+    return [r, c](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c));
+      // The gradient of a transpose is the transpose of the gradient
+      // ([c, r] -> [r, c]).
+      raw_transpose(self.grad.data(), g.data(), c, r);
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 // ---- reductions --------------------------------------------------------------------
@@ -662,68 +679,71 @@ Tensor sum_all(const Tensor& a) {
   float acc = 0.f;
   for (float x : a.data()) acc += x;
   const std::int64_t n = a.numel();
-  auto backward = [n](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(n), self.grad[0]);
-    p.accumulate_grad(g);
-  };
-  return make_op({}, {acc}, {a}, std::move(backward));
+  return make_op({}, {acc}, {a}, [&] {
+    return [n](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(n), self.grad[0]);
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor mean_all(const Tensor& a) {
-  check(a.numel() > 0, "mean of empty tensor");
+  HG_CHECK(a.numel() > 0, "mean of empty tensor");
   return div(sum_all(a), static_cast<float>(a.numel()));
 }
 
 Tensor sum_axis(const Tensor& a, int axis) {
-  check(a.dim() == 2, "sum_axis requires a 2-D tensor");
-  check(axis == 0 || axis == 1, "sum_axis: axis must be 0 or 1");
+  HG_CHECK(a.dim() == 2, "sum_axis requires a 2-D tensor");
+  HG_CHECK(axis == 0 || axis == 1, "sum_axis: axis must be 0 or 1");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
   const auto ad = a.data();
   if (axis == 0) {
     std::vector<float> out(static_cast<std::size_t>(c), 0.f);
     for (std::int64_t i = 0; i < r; ++i)
       for (std::int64_t j = 0; j < c; ++j) out[j] += ad[i * c + j];
-    auto backward = [r, c](Impl& self) {
+    return make_op({c}, std::move(out), {a}, [&] {
+      return [r, c](Impl& self) {
+        Impl& p = *self.parents[0];
+        if (!p.requires_grad) return;
+        std::vector<float> g(static_cast<std::size_t>(r * c));
+        for (std::int64_t i = 0; i < r; ++i)
+          for (std::int64_t j = 0; j < c; ++j)
+            g[i * c + j] = self.grad[static_cast<std::size_t>(j)];
+        p.accumulate_grad(g);
+      };
+    });
+  }
+  std::vector<float> out(static_cast<std::size_t>(r), 0.f);
+  for (std::int64_t i = 0; i < r; ++i)
+    for (std::int64_t j = 0; j < c; ++j) out[i] += ad[i * c + j];
+  return make_op({r}, std::move(out), {a}, [&] {
+    return [r, c](Impl& self) {
       Impl& p = *self.parents[0];
       if (!p.requires_grad) return;
       std::vector<float> g(static_cast<std::size_t>(r * c));
       for (std::int64_t i = 0; i < r; ++i)
         for (std::int64_t j = 0; j < c; ++j)
-          g[i * c + j] = self.grad[static_cast<std::size_t>(j)];
+          g[i * c + j] = self.grad[static_cast<std::size_t>(i)];
       p.accumulate_grad(g);
     };
-    return make_op({c}, std::move(out), {a}, std::move(backward));
-  }
-  std::vector<float> out(static_cast<std::size_t>(r), 0.f);
-  for (std::int64_t i = 0; i < r; ++i)
-    for (std::int64_t j = 0; j < c; ++j) out[i] += ad[i * c + j];
-  auto backward = [r, c](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    for (std::int64_t i = 0; i < r; ++i)
-      for (std::int64_t j = 0; j < c; ++j)
-        g[i * c + j] = self.grad[static_cast<std::size_t>(i)];
-    p.accumulate_grad(g);
-  };
-  return make_op({r}, std::move(out), {a}, std::move(backward));
+  });
 }
 
 Tensor mean_axis(const Tensor& a, int axis) {
   const float denom =
       static_cast<float>(axis == 0 ? a.shape()[0] : a.shape()[1]);
-  check(denom > 0.f, "mean_axis over empty axis");
+  HG_CHECK(denom > 0.f, "mean_axis over empty axis");
   return div(sum_axis(a, axis), denom);
 }
 
 namespace {
 
 Tensor extreme_axis0(const Tensor& a, bool is_max) {
-  check(a.dim() == 2, "max/min_axis0 requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "max/min_axis0 requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
-  check(r > 0, "max/min_axis0 over empty axis");
+  HG_CHECK(r > 0, "max/min_axis0 over empty axis");
   const auto ad = a.data();
   std::vector<float> out(static_cast<std::size_t>(c));
   std::vector<std::int64_t> arg(static_cast<std::size_t>(c), 0);
@@ -740,16 +760,17 @@ Tensor extreme_axis0(const Tensor& a, bool is_max) {
     out[static_cast<std::size_t>(j)] = best;
     arg[static_cast<std::size_t>(j)] = bi;
   }
-  auto backward = [r, c, arg = std::move(arg)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
-    for (std::int64_t j = 0; j < c; ++j)
-      g[arg[static_cast<std::size_t>(j)] * c + j] =
-          self.grad[static_cast<std::size_t>(j)];
-    p.accumulate_grad(g);
-  };
-  return make_op({c}, std::move(out), {a}, std::move(backward));
+  return make_op({c}, std::move(out), {a}, [&] {
+    return [r, c, arg = std::move(arg)](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
+      for (std::int64_t j = 0; j < c; ++j)
+        g[arg[static_cast<std::size_t>(j)] * c + j] =
+            self.grad[static_cast<std::size_t>(j)];
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 }  // namespace
@@ -760,38 +781,38 @@ Tensor min_axis0(const Tensor& a) { return extreme_axis0(a, false); }
 // ---- shape ops -----------------------------------------------------------------------
 
 Tensor reshape(const Tensor& a, Shape new_shape) {
-  check(shape_numel(new_shape) == a.numel(),
-        "reshape: element count mismatch " + shape_to_string(a.shape()) +
-            " -> " + shape_to_string(new_shape));
+  HG_CHECK(shape_numel(new_shape) == a.numel(),
+           "reshape: element count mismatch " + shape_to_string(a.shape()) +
+               " -> " + shape_to_string(new_shape));
   std::vector<float> out(a.data().begin(), a.data().end());
-  auto backward = [](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    p.accumulate_grad(self.grad);
-  };
-  return make_op(std::move(new_shape), std::move(out), {a},
-                 std::move(backward));
+  return make_op(std::move(new_shape), std::move(out), {a}, [&] {
+    return [](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      p.accumulate_grad(self.grad);
+    };
+  });
 }
 
 Tensor concat(const std::vector<Tensor>& parts, int axis) {
-  check(!parts.empty(), "concat of zero tensors");
-  check(axis == 0 || axis == 1, "concat: axis must be 0 or 1");
+  HG_CHECK(!parts.empty(), "concat of zero tensors");
+  HG_CHECK(axis == 0 || axis == 1, "concat: axis must be 0 or 1");
   for (const auto& p : parts)
-    check(p.dim() == 2, "concat requires 2-D tensors");
+    HG_CHECK(p.dim() == 2, "concat requires 2-D tensors");
 
   std::int64_t rows = parts[0].shape()[0], cols = parts[0].shape()[1];
   std::vector<std::int64_t> sizes;
   if (axis == 1) {
     cols = 0;
     for (const auto& p : parts) {
-      check(p.shape()[0] == rows, "concat axis=1: row count mismatch");
+      HG_CHECK(p.shape()[0] == rows, "concat axis=1: row count mismatch");
       sizes.push_back(p.shape()[1]);
       cols += p.shape()[1];
     }
   } else {
     rows = 0;
     for (const auto& p : parts) {
-      check(p.shape()[1] == cols, "concat axis=0: column count mismatch");
+      HG_CHECK(p.shape()[1] == cols, "concat axis=0: column count mismatch");
       sizes.push_back(p.shape()[0]);
       rows += p.shape()[0];
     }
@@ -817,34 +838,37 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
     }
   }
 
-  auto backward = [axis, rows, cols, sizes](Impl& self) {
-    std::int64_t off = 0;
-    for (std::size_t pi = 0; pi < self.parents.size(); ++pi) {
-      Impl& p = *self.parents[pi];
-      const std::int64_t sz = sizes[pi];
-      if (p.requires_grad) {
-        if (axis == 1) {
-          std::vector<float> g(static_cast<std::size_t>(rows * sz));
-          for (std::int64_t i = 0; i < rows; ++i)
-            std::copy(self.grad.begin() + i * cols + off,
-                      self.grad.begin() + i * cols + off + sz,
-                      g.begin() + i * sz);
-          p.accumulate_grad(g);
-        } else {
-          std::vector<float> g(static_cast<std::size_t>(sz * cols));
-          std::copy(self.grad.begin() + off * cols,
-                    self.grad.begin() + (off + sz) * cols, g.begin());
-          p.accumulate_grad(g);
+  const std::vector<std::reference_wrapper<const Tensor>> inputs(parts.begin(),
+                                                                 parts.end());
+  return make_op({rows, cols}, std::move(out), inputs, [&] {
+    return [axis, rows, cols, sizes = std::move(sizes)](Impl& self) {
+      std::int64_t off = 0;
+      for (std::size_t pi = 0; pi < self.parents.size(); ++pi) {
+        Impl& p = *self.parents[pi];
+        const std::int64_t sz = sizes[pi];
+        if (p.requires_grad) {
+          if (axis == 1) {
+            std::vector<float> g(static_cast<std::size_t>(rows * sz));
+            for (std::int64_t i = 0; i < rows; ++i)
+              std::copy(self.grad.begin() + i * cols + off,
+                        self.grad.begin() + i * cols + off + sz,
+                        g.begin() + i * sz);
+            p.accumulate_grad(g);
+          } else {
+            std::vector<float> g(static_cast<std::size_t>(sz * cols));
+            std::copy(self.grad.begin() + off * cols,
+                      self.grad.begin() + (off + sz) * cols, g.begin());
+            p.accumulate_grad(g);
+          }
         }
+        off += sz;
       }
-      off += sz;
-    }
-  };
-  return make_op({rows, cols}, std::move(out), parts, std::move(backward));
+    };
+  });
 }
 
 Tensor gather_rows(const Tensor& a, std::span<const std::int64_t> indices) {
-  check(a.dim() == 2, "gather_rows requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "gather_rows requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
   const std::int64_t e = static_cast<std::int64_t>(indices.size());
   const auto ad = a.data();
@@ -852,44 +876,45 @@ Tensor gather_rows(const Tensor& a, std::span<const std::int64_t> indices) {
   core::parallel_for(0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
       const std::int64_t src = indices[static_cast<std::size_t>(i)];
-      check(src >= 0 && src < r, "gather_rows: index " + std::to_string(src) +
-                                     " out of range [0, " + std::to_string(r) +
-                                     ")");
+      HG_CHECK(src >= 0 && src < r,
+               "gather_rows: index " + std::to_string(src) +
+                   " out of range [0, " + std::to_string(r) + ")");
       std::copy(ad.begin() + src * c, ad.begin() + (src + 1) * c,
                 out.begin() + i * c);
     }
   });
-  std::vector<std::int64_t> idx_copy(indices.begin(), indices.end());
-  auto backward = [r, c, e, idx_copy = std::move(idx_copy)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
-    for (std::int64_t i = 0; i < e; ++i) {
-      const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
-      for (std::int64_t j = 0; j < c; ++j)
-        g[dst * c + j] += self.grad[static_cast<std::size_t>(i * c + j)];
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({e, c}, std::move(out), {a}, std::move(backward));
+  return make_op({e, c}, std::move(out), {a}, [&] {
+    return [r, c, e, idx_copy = std::vector<std::int64_t>(
+                         indices.begin(), indices.end())](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
+      for (std::int64_t i = 0; i < e; ++i) {
+        const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
+        for (std::int64_t j = 0; j < c; ++j)
+          g[dst * c + j] += self.grad[static_cast<std::size_t>(i * c + j)];
+      }
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor slice_rows(const Tensor& a, std::int64_t begin, std::int64_t end) {
-  check(a.dim() == 2, "slice_rows requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "slice_rows requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
-  check(begin >= 0 && begin <= end && end <= r, "slice_rows: bad range");
+  HG_CHECK(begin >= 0 && begin <= end && end <= r, "slice_rows: bad range");
   const std::int64_t n = end - begin;
   const auto ad = a.data();
   std::vector<float> out(ad.begin() + begin * c, ad.begin() + end * c);
-  auto backward = [r, c, begin, n](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
-    std::copy(self.grad.begin(), self.grad.end(), g.begin() + begin * c);
-    (void)n;
-    p.accumulate_grad(g);
-  };
-  return make_op({n, c}, std::move(out), {a}, std::move(backward));
+  return make_op({n, c}, std::move(out), {a}, [&] {
+    return [r, c, begin](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
+      std::copy(self.grad.begin(), self.grad.end(), g.begin() + begin * c);
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 // ---- scatter ----------------------------------------------------------------------------
@@ -901,8 +926,8 @@ IndexCsr group_by_index(std::span<const std::int64_t> index,
   IndexCsr csr;
   csr.row_ptr.assign(static_cast<std::size_t>(num_buckets) + 1, 0);
   for (const std::int64_t v : index) {
-    check(v >= 0 && v < num_buckets,
-          std::string(what) + ": index out of range");
+    HG_CHECK(v >= 0 && v < num_buckets,
+             std::string(what) + ": index out of range");
     ++csr.row_ptr[static_cast<std::size_t>(v) + 1];
   }
   std::partial_sum(csr.row_ptr.begin(), csr.row_ptr.end(),
@@ -922,11 +947,11 @@ IndexCsr group_by_index(std::span<const std::int64_t> index,
 Tensor scatter_reduce(const Tensor& messages,
                       std::span<const std::int64_t> index,
                       std::int64_t num_nodes, Reduce reduce) {
-  check(messages.dim() == 2, "scatter_reduce: messages must be 2-D");
+  HG_CHECK(messages.dim() == 2, "scatter_reduce: messages must be 2-D");
   const std::int64_t e = messages.shape()[0], c = messages.shape()[1];
-  check(static_cast<std::int64_t>(index.size()) == e,
-        "scatter_reduce: index size must equal number of message rows");
-  check(num_nodes > 0, "scatter_reduce: num_nodes must be positive");
+  HG_CHECK(static_cast<std::int64_t>(index.size()) == e,
+           "scatter_reduce: index size must equal number of message rows");
+  HG_CHECK(num_nodes > 0, "scatter_reduce: num_nodes must be positive");
   const auto md = messages.data();
 
   // Group edges by destination (stable counting sort), then reduce each
@@ -960,33 +985,33 @@ Tensor scatter_reduce(const Tensor& messages,
             }
           }
         });
-    std::vector<std::int64_t> idx_copy(index.begin(), index.end());
-    std::vector<std::int64_t> degree(by_dst.row_ptr.size() - 1);
-    for (std::size_t v = 0; v + 1 < by_dst.row_ptr.size(); ++v)
-      degree[v] = by_dst.row_ptr[v + 1] - by_dst.row_ptr[v];
-    auto backward = [e, c, reduce, degree = std::move(degree),
-                     idx_copy = std::move(idx_copy)](Impl& self) {
-      Impl& p = *self.parents[0];
-      if (!p.requires_grad) return;
-      std::vector<float> g(static_cast<std::size_t>(e * c));
-      core::parallel_for(
-          0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
-              const float scale =
-                  reduce == Reduce::Mean
-                      ? 1.f / static_cast<float>(
-                                  degree[static_cast<std::size_t>(dst)])
-                      : 1.f;
-              for (std::int64_t j = 0; j < c; ++j)
-                g[i * c + j] =
-                    self.grad[static_cast<std::size_t>(dst * c + j)] * scale;
-            }
-          });
-      p.accumulate_grad(g);
-    };
-    return make_op({num_nodes, c}, std::move(out), {messages},
-                   std::move(backward));
+    return make_op({num_nodes, c}, std::move(out), {messages}, [&] {
+      std::vector<std::int64_t> degree(by_dst.row_ptr.size() - 1);
+      for (std::size_t v = 0; v + 1 < by_dst.row_ptr.size(); ++v)
+        degree[v] = by_dst.row_ptr[v + 1] - by_dst.row_ptr[v];
+      return [e, c, reduce, degree = std::move(degree),
+              idx_copy = std::vector<std::int64_t>(index.begin(), index.end())](
+                 Impl& self) {
+        Impl& p = *self.parents[0];
+        if (!p.requires_grad) return;
+        std::vector<float> g(static_cast<std::size_t>(e * c));
+        core::parallel_for(
+            0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
+              for (std::int64_t i = lo; i < hi; ++i) {
+                const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
+                const float scale =
+                    reduce == Reduce::Mean
+                        ? 1.f / static_cast<float>(
+                                    degree[static_cast<std::size_t>(dst)])
+                        : 1.f;
+                for (std::int64_t j = 0; j < c; ++j)
+                  g[i * c + j] =
+                      self.grad[static_cast<std::size_t>(dst * c + j)] * scale;
+              }
+            });
+        p.accumulate_grad(g);
+      };
+    });
   }
 
   // Max / Min: track winning edge per (node, channel); untouched rows are 0.
@@ -1013,32 +1038,32 @@ Tensor scatter_reduce(const Tensor& messages,
         }
       });
 
-  auto backward = [e, c, num_nodes, arg = std::move(arg)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(e * c), 0.f);
-    // arg[v * c + j] names an edge whose destination is v, so two distinct
-    // nodes can never route into the same (edge, channel) slot: the writes
-    // below are disjoint across v.
-    core::parallel_for(
-        0, num_nodes, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t v = lo; v < hi; ++v)
-            for (std::int64_t j = 0; j < c; ++j) {
-              const std::int64_t src = arg[static_cast<std::size_t>(v * c + j)];
-              if (src >= 0)
-                g[src * c + j] += self.grad[static_cast<std::size_t>(v * c + j)];
-            }
-        });
-    p.accumulate_grad(g);
-  };
-  return make_op({num_nodes, c}, std::move(out), {messages},
-                 std::move(backward));
+  return make_op({num_nodes, c}, std::move(out), {messages}, [&] {
+    return [e, c, num_nodes, arg = std::move(arg)](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(e * c), 0.f);
+      // arg[v * c + j] names an edge whose destination is v, so two distinct
+      // nodes can never route into the same (edge, channel) slot: the writes
+      // below are disjoint across v.
+      core::parallel_for(
+          0, num_nodes, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t v = lo; v < hi; ++v)
+              for (std::int64_t j = 0; j < c; ++j) {
+                const auto vj = static_cast<std::size_t>(v * c + j);
+                const std::int64_t src = arg[vj];
+                if (src >= 0) g[src * c + j] += self.grad[vj];
+              }
+          });
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 // ---- softmax & losses ----------------------------------------------------------------------
 
 Tensor softmax(const Tensor& a) {
-  check(a.dim() == 2, "softmax requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "softmax requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
   const auto ad = a.data();
   std::vector<float> out(static_cast<std::size_t>(r * c));
@@ -1053,27 +1078,28 @@ Tensor softmax(const Tensor& a) {
     }
     for (std::int64_t j = 0; j < c; ++j) out[i * c + j] /= denom;
   }
-  std::vector<float> y_copy = out;
-  auto backward = [r, c, y_copy = std::move(y_copy)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    for (std::int64_t i = 0; i < r; ++i) {
-      float dot = 0.f;
-      for (std::int64_t j = 0; j < c; ++j)
-        dot += self.grad[static_cast<std::size_t>(i * c + j)] *
-               y_copy[static_cast<std::size_t>(i * c + j)];
-      for (std::int64_t j = 0; j < c; ++j)
-        g[i * c + j] = y_copy[static_cast<std::size_t>(i * c + j)] *
-                       (self.grad[static_cast<std::size_t>(i * c + j)] - dot);
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({r, c}, std::move(out), {a}, std::move(backward));
+  const float* y = out.data();  // still the result's buffer after the move
+  return make_op({r, c}, std::move(out), {a}, [&] {
+    return [r, c, y_copy = std::vector<float>(y, y + r * c)](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c));
+      for (std::int64_t i = 0; i < r; ++i) {
+        float dot = 0.f;
+        for (std::int64_t j = 0; j < c; ++j)
+          dot += self.grad[static_cast<std::size_t>(i * c + j)] *
+                 y_copy[static_cast<std::size_t>(i * c + j)];
+        for (std::int64_t j = 0; j < c; ++j)
+          g[i * c + j] = y_copy[static_cast<std::size_t>(i * c + j)] *
+                         (self.grad[static_cast<std::size_t>(i * c + j)] - dot);
+      }
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor log_softmax(const Tensor& a) {
-  check(a.dim() == 2, "log_softmax requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "log_softmax requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
   const auto ad = a.data();
   std::vector<float> out(static_cast<std::size_t>(r * c));
@@ -1089,31 +1115,32 @@ Tensor log_softmax(const Tensor& a) {
       soft[i * c + j] = std::exp(out[i * c + j]);
     }
   }
-  auto backward = [r, c, soft = std::move(soft)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    for (std::int64_t i = 0; i < r; ++i) {
-      float row_sum = 0.f;
-      for (std::int64_t j = 0; j < c; ++j)
-        row_sum += self.grad[static_cast<std::size_t>(i * c + j)];
-      for (std::int64_t j = 0; j < c; ++j)
-        g[i * c + j] = self.grad[static_cast<std::size_t>(i * c + j)] -
-                       soft[static_cast<std::size_t>(i * c + j)] * row_sum;
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({r, c}, std::move(out), {a}, std::move(backward));
+  return make_op({r, c}, std::move(out), {a}, [&] {
+    return [r, c, soft = std::move(soft)](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c));
+      for (std::int64_t i = 0; i < r; ++i) {
+        float row_sum = 0.f;
+        for (std::int64_t j = 0; j < c; ++j)
+          row_sum += self.grad[static_cast<std::size_t>(i * c + j)];
+        for (std::int64_t j = 0; j < c; ++j)
+          g[i * c + j] = self.grad[static_cast<std::size_t>(i * c + j)] -
+                         soft[static_cast<std::size_t>(i * c + j)] * row_sum;
+      }
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor cross_entropy(const Tensor& logits,
                      std::span<const std::int64_t> labels) {
-  check(logits.dim() == 2, "cross_entropy: logits must be 2-D");
+  HG_CHECK(logits.dim() == 2, "cross_entropy: logits must be 2-D");
   const std::int64_t r = logits.shape()[0], c = logits.shape()[1];
-  check(static_cast<std::int64_t>(labels.size()) == r,
-        "cross_entropy: label count mismatch");
+  HG_CHECK(static_cast<std::int64_t>(labels.size()) == r,
+           "cross_entropy: label count mismatch");
   for (auto l : labels)
-    check(l >= 0 && l < c, "cross_entropy: label out of range");
+    HG_CHECK(l >= 0 && l < c, "cross_entropy: label out of range");
 
   const auto ad = logits.data();
   std::vector<float> soft(static_cast<std::size_t>(r * c));
@@ -1131,29 +1158,31 @@ Tensor cross_entropy(const Tensor& logits,
   }
   loss /= static_cast<float>(r);
 
-  std::vector<std::int64_t> lbl(labels.begin(), labels.end());
-  auto backward = [r, c, soft = std::move(soft), lbl = std::move(lbl)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    const float seed = self.grad[0] / static_cast<float>(r);
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    for (std::int64_t i = 0; i < r; ++i) {
-      const std::int64_t y = lbl[static_cast<std::size_t>(i)];
-      for (std::int64_t j = 0; j < c; ++j) {
-        float v = soft[static_cast<std::size_t>(i * c + j)];
-        if (j == y) v -= 1.f;
-        g[i * c + j] = v * seed;
+  return make_op({}, {loss}, {logits}, [&] {
+    return [r, c, soft = std::move(soft),
+            lbl = std::vector<std::int64_t>(labels.begin(), labels.end())](
+               Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      const float seed = self.grad[0] / static_cast<float>(r);
+      std::vector<float> g(static_cast<std::size_t>(r * c));
+      for (std::int64_t i = 0; i < r; ++i) {
+        const std::int64_t y = lbl[static_cast<std::size_t>(i)];
+        for (std::int64_t j = 0; j < c; ++j) {
+          float v = soft[static_cast<std::size_t>(i * c + j)];
+          if (j == y) v -= 1.f;
+          g[i * c + j] = v * seed;
+        }
       }
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({}, {loss}, {logits}, std::move(backward));
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 // ---- dropout -------------------------------------------------------------------------------
 
 Tensor dropout(const Tensor& a, float p, bool training, Rng& rng) {
-  check(p >= 0.f && p < 1.f, "dropout: p must be in [0, 1)");
+  HG_CHECK(p >= 0.f && p < 1.f, "dropout: p must be in [0, 1)");
   if (!training || p == 0.f) return a;
   const std::int64_t n = a.numel();
   const float scale = 1.f / (1.f - p);
@@ -1162,23 +1191,24 @@ Tensor dropout(const Tensor& a, float p, bool training, Rng& rng) {
   const auto ad = a.data();
   std::vector<float> out(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) out[i] = ad[i] * mask[i];
-  auto backward = [mask = std::move(mask)](Impl& self) {
-    Impl& par = *self.parents[0];
-    if (!par.requires_grad) return;
-    std::vector<float> g(mask.size());
-    for (std::size_t i = 0; i < mask.size(); ++i)
-      g[i] = self.grad[i] * mask[i];
-    par.accumulate_grad(g);
-  };
-  return make_op(a.shape(), std::move(out), {a}, std::move(backward));
+  return make_op(a.shape(), std::move(out), {a}, [&] {
+    return [mask = std::move(mask)](Impl& self) {
+      Impl& par = *self.parents[0];
+      if (!par.requires_grad) return;
+      std::vector<float> g(mask.size());
+      for (std::size_t i = 0; i < mask.size(); ++i)
+        g[i] = self.grad[i] * mask[i];
+      par.accumulate_grad(g);
+    };
+  });
 }
 
 // ---- helpers ---------------------------------------------------------------------------------
 
 std::vector<std::int64_t> argmax_rows(const Tensor& a) {
-  check(a.dim() == 2, "argmax_rows requires a 2-D tensor");
+  HG_CHECK(a.dim() == 2, "argmax_rows requires a 2-D tensor");
   const std::int64_t r = a.shape()[0], c = a.shape()[1];
-  check(c > 0, "argmax_rows: empty rows");
+  HG_CHECK(c > 0, "argmax_rows: empty rows");
   const auto ad = a.data();
   std::vector<std::int64_t> out(static_cast<std::size_t>(r));
   for (std::int64_t i = 0; i < r; ++i) {

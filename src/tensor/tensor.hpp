@@ -23,9 +23,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hg {
@@ -79,14 +81,6 @@ IndexCsr group_by_index(std::span<const std::int64_t> index,
 /// operands gets matmul()'s floats bit for bit. c must not alias a or b.
 void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n);
-
-/// Build a custom autograd op outside tensor.cpp (fused kernels). Decides
-/// requires_grad from `parents` and records the tape edge exactly like the
-/// built-in ops; `backward_fn` must scatter self.grad into the parents via
-/// accumulate_grad.
-Tensor make_custom_op(Shape shape, std::vector<float> data,
-                      std::vector<Tensor> parents,
-                      std::function<void(TensorImpl&)> backward_fn);
 
 /// RAII guard disabling autograd tape recording (inference / measurement).
 class NoGradGuard {
@@ -168,6 +162,49 @@ class Tensor {
  private:
   std::shared_ptr<detail::TensorImpl> impl_;
 };
+
+namespace detail {
+
+/// An op's inputs, held by reference: listing them takes no reference
+/// counts, which matters for weights that concurrent forwards share.
+using OpInputs = std::span<const std::reference_wrapper<const Tensor>>;
+
+/// Wrap an op's forward output. Every op, built-in or custom (the fused GNN
+/// aggregation), goes through here, and this is the one place that decides
+/// whether the op records a tape edge: autograd is enabled and some parent
+/// requires gradients. Only then is `make_backward()` called, so the
+/// closure it returns, and every input copy that closure captures, is never
+/// built on a no-grad forward. The closure must scatter self.grad into the
+/// parents via accumulate_grad.
+template <class MakeBackward>
+Tensor make_op(Shape shape, std::vector<float> data, OpInputs parents,
+               MakeBackward&& make_backward) {
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = std::move(shape);
+  impl->data = std::move(data);
+  bool record = false;
+  if (grad_enabled())
+    for (const Tensor& p : parents) record = record || p.requires_grad();
+  if (record) {
+    impl->requires_grad = true;
+    impl->parents.reserve(parents.size());
+    for (const Tensor& p : parents) impl->parents.push_back(p.impl());
+    impl->backward_fn = std::forward<MakeBackward>(make_backward)();
+  }
+  return Tensor(std::move(impl));
+}
+
+template <class MakeBackward>
+Tensor make_op(Shape shape, std::vector<float> data,
+               std::initializer_list<std::reference_wrapper<const Tensor>>
+                   parents,
+               MakeBackward&& make_backward) {
+  return make_op(std::move(shape), std::move(data),
+                 OpInputs(parents.begin(), parents.size()),
+                 std::forward<MakeBackward>(make_backward));
+}
+
+}  // namespace detail
 
 // ---- binary elementwise (broadcast: exact | scalar | [M] row | [N,1] col) --
 Tensor add(const Tensor& a, const Tensor& b);

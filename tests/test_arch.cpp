@@ -5,6 +5,7 @@
 #include <set>
 
 #include "hgnas/arch.hpp"
+#include "invalid_argument_text.hpp"
 
 namespace hg::hgnas {
 namespace {
@@ -250,7 +251,8 @@ TEST(Sampling, CrossoverSizeMismatchThrows) {
   big.num_positions = 8;
   Arch a = random_arch(small, rng);
   Arch b = random_arch(big, rng);
-  EXPECT_THROW(crossover(a, b, rng), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { crossover(a, b, rng); }),
+            "hgnas: crossover: position count mismatch");
 }
 
 TEST(ArchHash, EqualArchsSameHashDistinctDiffer) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "hgnas/model.hpp"
+#include "invalid_argument_text.hpp"
 
 namespace hg::hgnas {
 namespace {
@@ -43,7 +44,9 @@ TEST(GnnModel, ForwardProducesLogits) {
 TEST(GnnModel, EmptyArchThrows) {
   Rng rng(3);
   Arch a;
-  EXPECT_THROW(GnnModel(a, tiny_workload(), rng), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text(
+                [&] { GnnModel(a, tiny_workload(), rng); }),
+            "GnnModel: empty architecture");
 }
 
 TEST(GnnModel, ChannelBlowupRejected) {
@@ -74,10 +77,12 @@ TEST(GnnModel, WrongInputShapeThrows) {
   Arch a;
   a.genes = {gene(OpType::Aggregate)};
   GnnModel model(a, tiny_workload(), rng);
-  EXPECT_THROW(model.forward(Tensor::ones({32, 4}), rng),
-               std::invalid_argument);
-  EXPECT_THROW(model.forward(Tensor::ones({1, 3}), rng),
-               std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text(
+                [&] { model.forward(Tensor::ones({32, 4}), rng); }),
+            "GnnModel: forward: points must be [n, 3], got [32, 4]");
+  EXPECT_EQ(invalid_argument_text(
+                [&] { model.forward(Tensor::ones({1, 3}), rng); }),
+            "GnnModel: forward: need at least 2 points");
 }
 
 TEST(GnnModel, SkipConnectChangesOutputWhenDimsMatch) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,6 +154,136 @@ TEST(ParallelKernels, BlockedTransposeIsExactInverse) {
   Tensor back = transpose(t);
   for (std::int64_t i = 0; i < r * c; ++i)
     ASSERT_EQ(back.data()[i], v[static_cast<std::size_t>(i)]);
+}
+
+// ---- elementwise kernels against scalar reference loops --------------------
+
+bool same_bits(float x, float y) {
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+/// Shapes on both sides of the elementwise fork grain (1 << 15 elements),
+/// with odd widths so no row is a multiple of a vector length.
+const std::vector<std::pair<std::int64_t, std::int64_t>> kElemShapes = {
+    {1, 1}, {7, 5}, {32, 16}, {181, 181}, {300, 131}, {1024, 67}};
+
+// Every binary op in every broadcast case — exact, scalar right-hand side
+// (as a tensor and as a float), [C] row and [R, 1] column — matches the
+// per-element loop `a[i] op b[rhs(i)]` bit for bit at any pool width.
+TEST(ElementwiseKernels, BinaryOpsMatchScalarReferenceInEveryBroadcast) {
+  struct Op {
+    const char* name;
+    Tensor (*tensor_op)(const Tensor&, const Tensor&);
+    Tensor (*float_op)(const Tensor&, float);
+    float (*ref)(float, float);
+  };
+  const Op ops[] = {
+      {"add", add, add, [](float x, float y) { return x + y; }},
+      {"sub", sub, sub, [](float x, float y) { return x - y; }},
+      {"mul", mul, mul, [](float x, float y) { return x * y; }},
+      {"div", div, div, [](float x, float y) { return x / y; }},
+  };
+  for (const auto& [rows, cols] : kElemShapes) {
+    Rng rng(static_cast<std::uint64_t>(rows * 1000 + cols));
+    const auto av = random_values(static_cast<std::size_t>(rows * cols), rng);
+    const auto full = random_values(av.size(), rng);
+    const auto row = random_values(static_cast<std::size_t>(cols), rng);
+    const auto col = random_values(static_cast<std::size_t>(rows), rng);
+    const float s = rng.normal();
+    struct Rhs {
+      const char* name;
+      Tensor b;
+      std::function<float(std::int64_t, std::int64_t)> at;  // (r, c) -> b
+    };
+    const Rhs cases[] = {
+        {"exact", Tensor::from_vector({rows, cols}, full),
+         [&](std::int64_t r, std::int64_t c) {
+           return full[static_cast<std::size_t>(r * cols + c)];
+         }},
+        {"scalar", Tensor::scalar(s),
+         [&](std::int64_t, std::int64_t) { return s; }},
+        {"row", Tensor::from_vector({cols}, row),
+         [&](std::int64_t, std::int64_t c) {
+           return row[static_cast<std::size_t>(c)];
+         }},
+        {"col", Tensor::from_vector({rows, 1}, col),
+         [&](std::int64_t r, std::int64_t) {
+           return col[static_cast<std::size_t>(r)];
+         }},
+    };
+    const Tensor a = Tensor::from_vector({rows, cols}, av);
+    for (const std::int64_t threads : {1, 2, 3}) {
+      ScopedNumThreads scoped(threads);
+      for (const Op& op : ops) {
+        for (const Rhs& rhs : cases) {
+          SCOPED_TRACE(std::string(op.name) + " " + rhs.name + " [" +
+                       std::to_string(rows) + ", " + std::to_string(cols) +
+                       "] threads=" + std::to_string(threads));
+          const Tensor y = op.tensor_op(a, rhs.b);
+          ASSERT_EQ(y.shape(), a.shape());
+          for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t c = 0; c < cols; ++c) {
+              const std::int64_t i = r * cols + c;
+              ASSERT_TRUE(same_bits(
+                  y.data()[i],
+                  op.ref(av[static_cast<std::size_t>(i)], rhs.at(r, c))))
+                  << "element " << i;
+            }
+        }
+        const Tensor y = op.float_op(a, s);
+        for (std::int64_t i = 0; i < a.numel(); ++i)
+          ASSERT_TRUE(same_bits(y.data()[i],
+                                op.ref(av[static_cast<std::size_t>(i)], s)))
+              << op.name << " float rhs, element " << i;
+      }
+    }
+  }
+}
+
+// Every unary op matches `f(x)` evaluated one element at a time.
+TEST(ElementwiseKernels, UnaryOpsMatchScalarReference) {
+  struct Op {
+    const char* name;
+    std::function<Tensor(const Tensor&)> op;
+    float (*ref)(float);
+    bool positive_input;
+  };
+  const Op ops[] = {
+      {"relu", relu, [](float x) { return x > 0.f ? x : 0.f; }, false},
+      {"leaky_relu", [](const Tensor& t) { return leaky_relu(t, 0.2f); },
+       [](float x) { return x > 0.f ? x : 0.2f * x; }, false},
+      {"sigmoid", sigmoid,
+       [](float x) { return 1.f / (1.f + std::exp(-x)); }, false},
+      {"tanh", tanh_op, [](float x) { return std::tanh(x); }, false},
+      {"exp", exp_op, [](float x) { return std::exp(x); }, false},
+      {"log", log_op, [](float x) { return std::log(x); }, true},
+      {"sqrt", sqrt_op, [](float x) { return std::sqrt(x); }, true},
+      {"square", square, [](float x) { return x * x; }, false},
+      {"abs", abs_op, [](float x) { return std::fabs(x); }, false},
+      {"neg", neg, [](float x) { return -x; }, false},
+  };
+  for (const auto& [rows, cols] : kElemShapes) {
+    Rng rng(static_cast<std::uint64_t>(rows * 7 + cols));
+    auto xv = random_values(static_cast<std::size_t>(rows * cols), rng);
+    std::vector<float> pos(xv.size());
+    for (std::size_t i = 0; i < xv.size(); ++i)
+      pos[i] = std::fabs(xv[i]) + 1e-3f;
+    const Tensor x = Tensor::from_vector({rows, cols}, xv);
+    const Tensor xp = Tensor::from_vector({rows, cols}, pos);
+    for (const std::int64_t threads : {1, 2, 3}) {
+      ScopedNumThreads scoped(threads);
+      for (const Op& op : ops) {
+        SCOPED_TRACE(std::string(op.name) + " [" + std::to_string(rows) +
+                     ", " + std::to_string(cols) +
+                     "] threads=" + std::to_string(threads));
+        const std::vector<float>& in = op.positive_input ? pos : xv;
+        const Tensor y = op.op(op.positive_input ? xp : x);
+        ASSERT_EQ(y.shape(), x.shape());
+        for (std::size_t i = 0; i < in.size(); ++i)
+          ASSERT_TRUE(same_bits(y.data()[i], op.ref(in[i]))) << "element " << i;
+      }
+    }
+  }
 }
 
 TEST(ParallelKernels, ScatterReduceBitExactAcrossThreadCounts) {

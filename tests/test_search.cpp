@@ -2,7 +2,9 @@
 // evaluators, simulated clock.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -10,8 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "core/parallel.hpp"
 #include "hgnas/search.hpp"
+#include "hgnas/serialize_arch.hpp"
 #include "obs/trace.hpp"
 
 namespace hg::hgnas {
@@ -505,6 +509,96 @@ TEST(SearchStepper, TraceSpansNameThePhaseTheirWorkRanIn) {
   EXPECT_GE(count[1], (1 + cfg.iterations) * cfg.eval_val_samples);
   EXPECT_EQ(count[2], cfg.stage2_epochs * epoch_steps);
   EXPECT_GE(count[3], (1 + cfg.iterations) * cfg.eval_val_samples);
+}
+
+// ---- search fingerprints -------------------------------------------------
+
+/// One line pinning a search result bit for bit: the winner's objective,
+/// the evaluation counts, and an FNV-1a hash over the winner's text form
+/// plus every frontier point's accuracy and latency bits.
+std::string search_fingerprint(const SearchResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const char ch : arch_to_text(r.best_arch))
+    mix(static_cast<unsigned char>(ch));
+  for (const ParetoPoint& p : r.frontier) {
+    mix(std::bit_cast<std::uint64_t>(p.accuracy));
+    mix(std::bit_cast<std::uint64_t>(p.latency_ms));
+  }
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "obj=0x%016llx lq=%lld ap=%lld frontier=%zu fnv=0x%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(r.best_objective)),
+                static_cast<long long>(r.latency_queries),
+                static_cast<long long>(r.accuracy_probes), r.frontier.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::string engine_search_fingerprint(const api::EngineConfig& cfg) {
+  auto created = api::Engine::create(cfg);
+  if (!created.ok()) return created.status().to_string();
+  auto report = created.value().search();
+  if (!report.ok()) return report.status().to_string();
+  return search_fingerprint(report.value().result);
+}
+
+// Kernel rewrites (check formatting, tape capture, elementwise loops) must
+// leave every search result unchanged. These fingerprints were recorded
+// before those rewrites; a kernel change that moves any of them changed
+// the arithmetic, not just its cost.
+TEST(SearchFingerprint, TinySearchesArePinnedForEveryStrategyAndWidth) {
+  struct Case {
+    const char* strategy;
+    std::int64_t threads;
+    const char* fingerprint;
+  };
+  const Case cases[] = {
+      {"multistage", 1,
+       "obj=0x3fc3cd46659d12c7 lq=20 ap=40 frontier=1 fnv=0xad42eabd6a23e3d8"},
+      {"multistage", 2,
+       "obj=0x3fc186bd2b279f10 lq=20 ap=40 frontier=2 fnv=0x909354a98295be40"},
+      {"multistage", 3,
+       "obj=0x3fc186bd2b279f10 lq=20 ap=40 frontier=2 fnv=0x909354a98295be40"},
+      {"onestage", 1,
+       "obj=0x3fbc1d1daa834dbc lq=20 ap=20 frontier=3 fnv=0xb2ce374c080e4f34"},
+      {"onestage", 2,
+       "obj=0x3fc21749ce41b1ea lq=20 ap=20 frontier=2 fnv=0xca472ec985168b43"},
+      {"onestage", 3,
+       "obj=0x3fc21749ce41b1ea lq=20 ap=20 frontier=2 fnv=0xca472ec985168b43"},
+      {"random", 1,
+       "obj=0x3fc126f1d9a6a5ac lq=20 ap=20 frontier=3 fnv=0x2fac867d834f1934"},
+      {"random", 2,
+       "obj=0x3fd37a1636b208ab lq=20 ap=20 frontier=2 fnv=0xbe55b2f51203930a"},
+      {"random", 3,
+       "obj=0x3fd37a1636b208ab lq=20 ap=20 frontier=2 fnv=0xbe55b2f51203930a"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.strategy) + " @ " + std::to_string(c.threads));
+    api::EngineConfig cfg = api::EngineConfig::tiny();
+    cfg.strategy = c.strategy;
+    cfg.num_threads = c.threads;
+    EXPECT_EQ(engine_search_fingerprint(cfg), c.fingerprint);
+  }
+  core::set_num_threads(0);
+}
+
+// The paper-scale search perfbench serves (jetson-tx2, 12 positions, the
+// oracle evaluator, a 2-wide pool).
+TEST(SearchFingerprint, DefaultScaleJetsonSearchIsPinned) {
+  api::EngineConfig cfg;
+  cfg.device = "jetson-tx2";
+  cfg.num_threads = 2;
+  EXPECT_EQ(engine_search_fingerprint(cfg),
+            "obj=0x3fc5f810ad2ea50b lq=112 ap=448 frontier=2 "
+            "fnv=0x5bd1093b42d86633");
+  core::set_num_threads(0);
 }
 
 }  // namespace

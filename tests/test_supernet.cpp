@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "core/parallel.hpp"
 #include "hgnas/supernet.hpp"
+#include "invalid_argument_text.hpp"
 
 namespace hg::hgnas {
 namespace {
@@ -40,14 +42,49 @@ TEST(SuperNet, ForwardAnyRandomPath) {
   }
 }
 
+// The no-grad forward skips every backward capture; that must change no
+// value. Over many paths (every sample, aggregate and combine choice) and
+// at both the serial and the pooled kernel widths, the logits under
+// NoGradGuard equal the taped forward's bit for bit.
+TEST(SuperNet, NoGradForwardMatchesTapedForwardBitForBit) {
+  pointcloud::Dataset data(2, 32, 7);
+  for (const std::int64_t threads : {1, 2}) {
+    core::ScopedNumThreads pool(threads);
+    Rng rng(41);
+    SuperNet net(small_space(), small_config(), rng);
+    for (int i = 0; i < 200; ++i) {
+      const Arch a = random_arch(small_space(), rng);
+      const Tensor pts = pointcloud::Dataset::to_tensor(
+          data.train()[static_cast<std::size_t>(i) % data.train().size()]);
+      Rng taped_rng = rng;  // random-graph sampling draws the same edges
+      Rng inferred_rng = rng;
+      const Tensor taped = net.forward(a, pts, taped_rng);
+      ASSERT_TRUE(taped.requires_grad());
+      Tensor inferred;
+      {
+        NoGradGuard no_grad;
+        inferred = net.forward(a, pts, inferred_rng);
+      }
+      ASSERT_FALSE(inferred.requires_grad());
+      ASSERT_EQ(inferred.shape(), taped.shape());
+      for (std::int64_t j = 0; j < taped.numel(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(inferred.data()[j]),
+                  std::bit_cast<std::uint32_t>(taped.data()[j]))
+            << "threads=" << threads << " arch " << i << " logit " << j;
+      rng = taped_rng;
+    }
+  }
+}
+
 TEST(SuperNet, PositionCountMismatchThrows) {
   Rng rng(2);
   SuperNet net(small_space(), small_config(), rng);
   SpaceConfig other;
   other.num_positions = 12;
   Arch a = random_arch(other, rng);
-  EXPECT_THROW(net.forward(a, Tensor::ones({8, 3}), rng),
-               std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text(
+                [&] { net.forward(a, Tensor::ones({8, 3}), rng); }),
+            "SuperNet: architecture has 12 positions, supernet expects 6");
 }
 
 TEST(SuperNet, SharedWeightsAcrossPaths) {
@@ -137,7 +174,9 @@ TEST(SuperNet, EvaluateEmptySplitThrows) {
   SuperNet net(small_space(), small_config(), rng);
   std::vector<pointcloud::Sample> empty;
   Arch a = random_arch(small_space(), rng);
-  EXPECT_THROW(net.evaluate(a, empty, 10, rng), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text(
+                [&] { net.evaluate(a, empty, 10, rng); }),
+            "SuperNet: evaluate: empty split");
 }
 
 TEST(SuperNet, ReinitializeChangesWeightsInPlace) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "core/check.hpp"
+#include "invalid_argument_text.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -105,12 +108,14 @@ TEST(BinaryOps, ColBroadcast) {
 TEST(BinaryOps, IncompatibleShapesThrow) {
   Tensor a = Tensor::zeros({2, 3});
   Tensor b = Tensor::zeros({3, 2});
-  EXPECT_THROW(a + b, std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { a + b; }),
+            "tensor: incompatible shapes for broadcast: [2, 3] vs [3, 2]");
 }
 
 TEST(BinaryOps, DivisionByZeroScalarThrows) {
   Tensor a = Tensor::ones({2});
-  EXPECT_THROW(a / 0.f, std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { a / 0.f; }),
+            "tensor: division by zero scalar");
 }
 
 // ---- unary ops --------------------------------------------------------------
@@ -148,12 +153,14 @@ TEST(UnaryOps, ExpLog) {
 
 TEST(UnaryOps, LogOfNonPositiveThrows) {
   Tensor a = Tensor::from_vector({1}, {-1.f});
-  EXPECT_THROW(log_op(a), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { log_op(a); }),
+            "tensor: log of non-positive value -1.000000");
 }
 
 TEST(UnaryOps, SqrtOfNegativeThrows) {
   Tensor a = Tensor::from_vector({1}, {-4.f});
-  EXPECT_THROW(sqrt_op(a), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { sqrt_op(a); }),
+            "tensor: sqrt of negative value -4.000000");
 }
 
 TEST(UnaryOps, SquareAbsNeg) {
@@ -177,8 +184,13 @@ TEST(MatMul, KnownProduct) {
 }
 
 TEST(MatMul, InnerDimMismatchThrows) {
-  EXPECT_THROW(matmul(Tensor::zeros({2, 3}), Tensor::zeros({2, 3})),
-               std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([] {
+              matmul(Tensor::zeros({2, 3}), Tensor::zeros({2, 3}));
+            }),
+            "tensor: matmul inner dimension mismatch: [2, 3] x [2, 3]");
+  EXPECT_EQ(invalid_argument_text(
+                [] { matmul(Tensor::zeros({6}), Tensor::zeros({2, 3})); }),
+            "tensor: matmul requires 2-D tensors, got [6] x [2, 3]");
 }
 
 TEST(MatMul, IdentityPreserves) {
@@ -231,7 +243,8 @@ TEST(Reductions, MaxMinAxis0) {
 
 TEST(Reductions, BadAxisThrows) {
   Tensor a = Tensor::zeros({2, 2});
-  EXPECT_THROW(sum_axis(a, 2), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { sum_axis(a, 2); }),
+            "tensor: sum_axis: axis must be 0 or 1");
 }
 
 // ---- shape ops -----------------------------------------------------------------
@@ -263,8 +276,10 @@ TEST(ShapeOps, ConcatAxis0) {
 }
 
 TEST(ShapeOps, ConcatMismatchThrows) {
-  EXPECT_THROW(concat({Tensor::zeros({2, 2}), Tensor::zeros({3, 2})}, 1),
-               std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([] {
+              concat({Tensor::zeros({2, 2}), Tensor::zeros({3, 2})}, 1);
+            }),
+            "tensor: concat axis=1: row count mismatch");
 }
 
 TEST(ShapeOps, GatherRows) {
@@ -280,7 +295,8 @@ TEST(ShapeOps, GatherRows) {
 TEST(ShapeOps, GatherRowsOutOfRangeThrows) {
   Tensor a = Tensor::zeros({2, 2});
   std::vector<std::int64_t> idx = {3};
-  EXPECT_THROW(gather_rows(a, idx), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { gather_rows(a, idx); }),
+            "tensor: gather_rows: index 3 out of range [0, 2)");
 }
 
 TEST(ShapeOps, SliceRows) {
@@ -338,8 +354,9 @@ TEST(Scatter, EmptyNodeRowsAreZero) {
 TEST(Scatter, IndexOutOfRangeThrows) {
   Tensor msgs = Tensor::ones({1, 1});
   std::vector<std::int64_t> idx = {5};
-  EXPECT_THROW(scatter_reduce(msgs, idx, 2, Reduce::Sum),
-               std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text(
+                [&] { scatter_reduce(msgs, idx, 2, Reduce::Sum); }),
+            "tensor: scatter_reduce: index out of range");
 }
 
 // ---- softmax & losses -----------------------------------------------------------
@@ -384,7 +401,8 @@ TEST(CrossEntropy, PerfectPredictionNearZero) {
 TEST(CrossEntropy, LabelOutOfRangeThrows) {
   Tensor logits = Tensor::zeros({1, 3});
   std::vector<std::int64_t> labels = {3};
-  EXPECT_THROW(cross_entropy(logits, labels), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { cross_entropy(logits, labels); }),
+            "tensor: cross_entropy: label out of range");
 }
 
 // ---- dropout ----------------------------------------------------------------------
@@ -411,8 +429,10 @@ TEST(Dropout, ScalesSurvivors) {
 TEST(Dropout, InvalidProbabilityThrows) {
   Rng rng(3);
   Tensor a = Tensor::ones({2});
-  EXPECT_THROW(dropout(a, 1.f, true, rng), std::invalid_argument);
-  EXPECT_THROW(dropout(a, -0.1f, true, rng), std::invalid_argument);
+  EXPECT_EQ(invalid_argument_text([&] { dropout(a, 1.f, true, rng); }),
+            "tensor: dropout: p must be in [0, 1)");
+  EXPECT_EQ(invalid_argument_text([&] { dropout(a, -0.1f, true, rng); }),
+            "tensor: dropout: p must be in [0, 1)");
 }
 
 // ---- helpers ----------------------------------------------------------------------
@@ -428,6 +448,22 @@ TEST(ShapeHelpers, NumelAndToString) {
   EXPECT_EQ(shape_numel({2, 3, 4}), 24);
   EXPECT_EQ(shape_numel({}), 1);
   EXPECT_EQ(shape_to_string({2, 3}), "[2, 3]");
+}
+
+// ---- argument checks ----------------------------------------------------------------
+
+// HG_CHECK builds its message only on failure: on the success path the
+// message expression — in hot loops, a std::to_string per element or per
+// edge — never runs.
+TEST(Check, MessageIsBuiltOnlyWhenTheCheckFails) {
+  constexpr char kCheckScope[] = "unit: ";
+  int built = 0;
+  auto message = [&built] { return "call " + std::to_string(++built); };
+  for (int i = 0; i < 100; ++i) HG_CHECK(i < 100, message());
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(invalid_argument_text([&] { HG_CHECK(built > 0, message()); }),
+            "unit: call 1");
+  EXPECT_EQ(built, 1);
 }
 
 }  // namespace
