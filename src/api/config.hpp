@@ -96,10 +96,10 @@ struct EngineConfig {
   std::uint64_t seed = 2024;  // master seed for every stochastic component
 
   /// Width of the process-wide execution pool (kernels, concurrent
-  /// candidate evaluation). 0 = hardware concurrency. 1 disables the pool
-  /// and forces the historical single-threaded path bit-for-bit. Applied
-  /// process-wide by Engine::create (the pool is shared, like a BLAS
-  /// thread setting).
+  /// candidate evaluation). 0 = hardware concurrency; 1 runs every pooled
+  /// loop inline on the caller. The width sets speed only: every result is
+  /// bit-identical at every width. Applied process-wide by Engine::create
+  /// (the pool is shared, like a BLAS thread setting).
   std::int64_t num_threads = 0;
 
   /// Tiny preset: everything shrunk so a full engine lifecycle (create,

@@ -26,8 +26,9 @@ Result<std::shared_ptr<EvalContext>> EvalContext::build_base(
   std::shared_ptr<EvalContext> ctx(new EvalContext());
   ctx->cfg_ = cfg;
 
-  // Size the shared execution pool (0 = hardware concurrency, 1 = the
-  // bit-for-bit serial path). Process-wide, like a BLAS thread setting.
+  // Size the shared execution pool (0 = hardware concurrency, 1 = inline
+  // on the caller; results never depend on it). Process-wide, like a BLAS
+  // thread setting.
   try {
     core::set_num_threads(cfg.num_threads);
   } catch (const std::exception& e) {

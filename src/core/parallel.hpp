@@ -9,15 +9,13 @@
 //    thread count); which worker executes which chunk is irrelevant because
 //    every kernel keeps the per-output-element arithmetic order identical
 //    to the serial loop. So each kernel's output is bit-for-bit the same
-//    however its range is partitioned, at any width including 1. That is a
-//    per-kernel guarantee, not an end-to-end one: some callers pick a
-//    different algorithm at width 1 (the search scores candidates serially
-//    from one shared RNG stream), so a search at 1 thread finds another
-//    winner than at 2 or 3, while every width above 1 agrees. ROADMAP item
-//    2 ("One numeric path at every thread count") removes those branches.
+//    however its range is partitioned, at any width including 1. Callers
+//    build on the same rule — the width may size a split, never choose the
+//    arithmetic — so every end-to-end result (a search, a training run, a
+//    labelled set) is also the same at every width.
 //  * `set_num_threads(1)` short-circuits every parallel_for into a plain
-//    inline call of the serial body — the legacy single-threaded path,
-//    bit-for-bit and with zero synchronisation overhead.
+//    inline call of the serial body: the same arithmetic with zero
+//    synchronisation overhead.
 //  * Nested parallel_for calls run inline on the calling worker (no
 //    deadlock, no oversubscription): the outer level owns the pool.
 //  * Exceptions thrown inside a chunk are captured and rethrown on the
@@ -40,8 +38,8 @@ std::int64_t hardware_threads();
 std::int64_t num_threads();
 
 /// Resize the pool. n == 0 selects hardware concurrency; n == 1 disables
-/// the pool entirely (serial path). Must not be called from inside a
-/// parallel region. Idempotent when the width is unchanged.
+/// the workers (every loop runs inline on the caller). Must not be called
+/// from inside a parallel region. Idempotent when the width is unchanged.
 void set_num_threads(std::int64_t n);
 
 /// RAII thread-count override (tests, benches).

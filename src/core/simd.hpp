@@ -56,7 +56,7 @@ inline void scale_inv(float* dst, float d, std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) dst[j] /= d;
 }
 
-/// The Max/Min reduce step of gnn::aggregate_fused, one edge at a time:
+/// The Max/Min reduce step of gnn::aggregate, one edge at a time:
 /// lane j takes msg[j] (and records edge `ei` as the winner) when no edge
 /// has claimed it yet (arg[j] < 0) or msg[j] strictly beats out[j].
 /// Strict >/< keeps first-winner-on-ties and ignores NaN challengers,

@@ -145,7 +145,7 @@ float fused_edge_message(const float* xd, std::int64_t s, std::int64_t d,
       return nv;
     }
   }
-  throw std::invalid_argument("aggregate_fused: unknown message type");
+  throw std::invalid_argument("aggregate: unknown message type");
 }
 
 /// Per-node chunk grain for loops whose cost is edges * channels.
@@ -159,17 +159,17 @@ std::int64_t fused_node_grain(std::int64_t num_nodes, std::int64_t num_edges,
 
 }  // namespace
 
-Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
-                       MessageType mt, Reduce reduce) {
+Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
+                 Reduce reduce) {
   if (x.dim() != 2)
-    throw std::invalid_argument("aggregate_fused: x must be [N, C]");
+    throw std::invalid_argument("aggregate: x must be [N, C]");
   if (x.shape()[0] != g.num_nodes)
     throw std::invalid_argument(
-        "aggregate_fused: node count mismatch between features (" +
+        "aggregate: node count mismatch between features (" +
         std::to_string(x.shape()[0]) + ") and graph (" +
         std::to_string(g.num_nodes) + ")");
   if (g.num_nodes <= 0)
-    throw std::invalid_argument("aggregate_fused: num_nodes must be positive");
+    throw std::invalid_argument("aggregate: num_nodes must be positive");
 
   const std::int64_t n = g.num_nodes;
   const std::int64_t e = g.num_edges();
@@ -178,7 +178,7 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
   const float* xd = x.data().data();
   const std::int64_t* src = g.src.data();
 
-  detail::IndexCsr by_dst = detail::group_by_index(g.dst, n, "aggregate_fused");
+  detail::IndexCsr by_dst = detail::group_by_index(g.dst, n, "aggregate");
   // Per-edge rel-norms, kept for the backward pass of the messages that
   // take a square root.
   const bool keeps_norm =
@@ -320,7 +320,7 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
       std::vector<float> sbuf, dbuf;
       if (has_src) {
         const detail::IndexCsr by_src =
-            detail::group_by_index(src_copy, n, "aggregate_fused");
+            detail::group_by_index(src_copy, n, "aggregate");
         sbuf = gather_into(by_src, src_grad);
       }
       // The destination grouping is reused from the forward pass (captured
@@ -341,16 +341,6 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
       }
     };
   });
-}
-
-Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
-                 Reduce reduce) {
-  // One thread: preserve the historical composite path bit-for-bit
-  // (including its tape structure). Pool active: the fused kernel computes
-  // the same bits without the [E, message_dim] materialisation.
-  if (core::num_threads() == 1)
-    return aggregate_materialized(x, g, mt, reduce);
-  return aggregate_fused(x, g, mt, reduce);
 }
 
 Tensor global_max_pool(const Tensor& x) {

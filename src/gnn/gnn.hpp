@@ -42,28 +42,24 @@ std::int64_t message_dim(MessageType mt, std::int64_t in_dim);
 Tensor build_messages(const Tensor& x, const graph::EdgeList& g,
                       MessageType mt);
 
-/// Aggregate = build_messages + scatter_reduce onto destination nodes.
-/// Returns [num_nodes x message_dim]. Dispatches to the fused kernel when
-/// the thread pool is active, the materialising reference otherwise.
+/// Aggregate = build_messages + scatter_reduce onto destination nodes,
+/// fused: each edge's message is built on the fly and reduced straight
+/// into its destination node, so neither the forward nor the backward pass
+/// ever materialises an [num_edges x message_dim] tensor. Returns
+/// [num_nodes x message_dim]. Edges are grouped per node and visited in
+/// ascending edge order, and the backward accumulation mirrors the
+/// reference tape order, making the results (values and gradients)
+/// bit-for-bit identical to aggregate_materialized for every MessageType /
+/// Reduce combination and any thread count.
 Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
                  Reduce reduce);
 
 /// Reference Aggregate: materialise the full [num_edges x message_dim]
-/// message tensor, then scatter-reduce it (the historical composite-op
-/// implementation; every intermediate lives on the autograd tape).
+/// message tensor, then scatter-reduce it (the composite-op definition;
+/// every intermediate lives on the autograd tape). The oracle aggregate()
+/// is tested and benchmarked against.
 Tensor aggregate_materialized(const Tensor& x, const graph::EdgeList& g,
                               MessageType mt, Reduce reduce);
-
-/// Fused Aggregate fast path: builds each edge's message on the fly and
-/// reduces it straight into its destination node, so neither the forward
-/// nor the backward pass ever materialises an [num_edges x message_dim]
-/// tensor. Edges are grouped per node and visited in ascending edge order,
-/// and the backward accumulation mirrors the reference tape order, making
-/// the results (values and gradients) bit-for-bit identical to
-/// aggregate_materialized for every MessageType / Reduce combination and
-/// any thread count.
-Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
-                       MessageType mt, Reduce reduce);
 
 /// Global max pool over nodes: [N, C] -> [1, C]. The standard point-cloud
 /// readout (DGCNN uses max).

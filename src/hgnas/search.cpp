@@ -19,11 +19,6 @@ namespace {
 
 constexpr char kCheckScope[] = "HgnasSearch: ";
 
-/// Candidate evaluation fans out across the pool when it is active. The
-/// serial path (1 thread) reproduces the historical sequential pipeline —
-/// shared RNG stream and all — bit for bit.
-bool batch_eval_enabled() { return core::num_threads() > 1; }
-
 /// Holds the supernet in inference mode for one round of concurrent
 /// accuracy probes, restoring training mode even when a probe throws.
 class EvalModeGuard {
@@ -312,15 +307,6 @@ bool HgnasSearch::feasible(const LatencyEval& lat, double size_mb) const {
   return true;
 }
 
-double HgnasSearch::supernet_accuracy(const Arch& arch, Rng& rng) {
-  ++accuracy_probes_;
-  const std::int64_t probes =
-      std::min<std::int64_t>(cfg_.eval_val_samples,
-                             static_cast<std::int64_t>(data_.test().size()));
-  advance_clock(static_cast<double>(probes) * cfg_.sim_eval_s_per_sample);
-  return supernet_.evaluate(arch, data_.test(), probes, rng);
-}
-
 bool HgnasSearch::gate_candidate(const Arch& arch, Scored& s) {
   s.arch = arch;
   ++latency_queries_;
@@ -335,33 +321,6 @@ bool HgnasSearch::gate_candidate(const Arch& arch, Scored& s) {
     return false;
   }
   return true;
-}
-
-HgnasSearch::Scored HgnasSearch::score_candidate(const Arch& arch, Rng& rng) {
-  Scored s;
-  if (!gate_candidate(arch, s)) return s;
-  s.acc = supernet_accuracy(arch, rng);
-  s.fitness = objective(s.acc, s.latency_ms, false);
-  s.is_feasible = true;
-  return s;
-}
-
-HgnasSearch::Scored HgnasSearch::score_cached(const Arch& arch,
-                                              const std::string& key,
-                                              Rng& rng) {
-  if (cfg_.use_eval_cache) {
-    Scored hit;
-    if (cache_->lookup(run_scope_, key, &hit)) {
-      ++cache_hits_;
-      record_frontier(hit);
-      return hit;
-    }
-  }
-  ++cache_misses_;
-  Scored s = score_candidate(arch, rng);
-  if (cfg_.use_eval_cache) cache_->insert(run_scope_, key, s);
-  record_frontier(s);
-  return s;
 }
 
 core::Stepper HgnasSearch::co_score_batch(
@@ -553,11 +512,9 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
                                                    r);
   };
 
-  const bool batch_eval = batch_eval_enabled();
-  // Drawn up-front (batch path only) so cache hits cannot shift the main
-  // stream: every candidate's probe RNG derives from this one seed and its
-  // own genome.
-  const std::uint64_t acc_seed = batch_eval ? rng.next() : 0;
+  // Drawn up-front so cache hits cannot shift the main stream: every
+  // candidate's probe RNG derives from this one seed and its own genome.
+  const std::uint64_t acc_seed = rng.next();
 
   std::vector<Scored> population;
   std::unordered_set<std::uint64_t> seen;
@@ -570,22 +527,14 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
     const Arch canon = canonicalize(a);
     const auto h = canon.hash();
     if (!seen.insert(h).second) return false;
-    std::string key = arch_to_text(canon);
-    if (batch_eval) {
-      pending.push_back(PendingEval{a, std::move(key), h});
-    } else {
-      population.push_back(score_cached(a, key, rng));
-    }
+    pending.push_back(PendingEval{a, arch_to_text(canon), h});
     return true;
-  };
-  auto admitted = [&] {
-    return static_cast<std::int64_t>(population.size() + pending.size());
   };
 
   // Each generation's admissions are scored in rounds and appended in
-  // admit order (nothing is pending on the serial path, which scored
-  // inside admit).
-  while (admitted() < cfg_.population) admit(sample_candidate(rng));
+  // admit order.
+  while (static_cast<std::int64_t>(pending.size()) < cfg_.population)
+    admit(sample_candidate(rng));
   {
     core::Stepper scoring = co_score_batch(pending, acc_seed, &population);
     while (scoring.step()) co_await std::suspend_always{};
@@ -683,19 +632,9 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
     FunctionSet upper, lower;
     double fitness = 0.0;
   };
-  const bool batch_eval = batch_eval_enabled();
-  auto eval_pair = [&](const FunctionSet& up, const FunctionSet& lo) {
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < cfg_.function_paths_per_eval; ++i) {
-      const Arch probe =
-          random_arch_with_functions(cfg_.space, up, lo, rng);
-      acc += supernet_accuracy(probe, rng);
-    }
-    return acc / static_cast<double>(cfg_.function_paths_per_eval);
-  };
-  // Batch path: the probes of fn_pop[first..] — paths and their seeds drawn
-  // serially from the main stream — then advance in co_probe_rounds, and
-  // each member's fitness is the mean of its paths' accuracies.
+  // The probes of fn_pop[first..] — paths and their seeds drawn serially
+  // from the main stream — advance in co_probe_rounds, and each member's
+  // fitness is the mean of its paths' accuracies.
   const std::int64_t paths = cfg_.function_paths_per_eval;
   auto draw_probes = [&](const std::vector<ScoredFn>& group,
                          std::size_t first) {
@@ -731,12 +670,9 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
   };
 
   std::vector<ScoredFn> fn_pop;
-  for (std::int64_t i = 0; i < cfg_.population; ++i) {
-    ScoredFn s{random_functions(rng), random_functions(rng), 0.0};
-    if (!batch_eval) s.fitness = eval_pair(s.upper, s.lower);
-    fn_pop.push_back(std::move(s));
-  }
-  if (batch_eval) {
+  for (std::int64_t i = 0; i < cfg_.population; ++i)
+    fn_pop.push_back({random_functions(rng), random_functions(rng), 0.0});
+  {
     std::vector<AccuracyProbe> probes = draw_probes(fn_pop, 0);
     core::Stepper rounds = co_probe_rounds(probes);
     while (rounds.step()) co_await std::suspend_always{};
@@ -770,10 +706,9 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
         child.upper = mutate_functions(p1.upper, cfg_.mutation_prob, rng);
         child.lower = mutate_functions(p1.lower, cfg_.mutation_prob, rng);
       }
-      if (!batch_eval) child.fitness = eval_pair(child.upper, child.lower);
       fn_pop.push_back(std::move(child));
     }
-    if (batch_eval) {
+    {
       std::vector<AccuracyProbe> probes = draw_probes(fn_pop, first_child);
       core::Stepper rounds = co_probe_rounds(probes);
       while (rounds.step()) co_await std::suspend_always{};
@@ -862,12 +797,11 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
   open_cache();
   const std::int64_t budget =
       cfg_.population + cfg_.iterations * (cfg_.population / 2);
-  // One history point per EA-iteration-equivalent chunk of budget; the
-  // batch path also evaluates one chunk per fork-join.
+  // One history point per EA-iteration-equivalent chunk of budget, each
+  // chunk scored as one batch.
   const std::int64_t chunk =
       std::max<std::int64_t>(1, cfg_.population / 2);
-  const bool batch_eval = batch_eval_enabled();
-  const std::uint64_t acc_seed = batch_eval ? rng.next() : 0;
+  const std::uint64_t acc_seed = rng.next();
 
   bool have_best = false;
   bool best_feasible = false;
@@ -896,43 +830,24 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
   std::int64_t done = 0;
   while (done < budget) {
     const std::int64_t n = std::min<std::int64_t>(chunk, budget - done);
-    if (batch_eval) {
-      std::vector<PendingEval> batch;
-      batch.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const Arch arch = random_arch(cfg_.space, rng);
-        const Arch canon = canonicalize(arch);
-        batch.push_back(PendingEval{arch, arch_to_text(canon), canon.hash()});
-      }
-      std::vector<Scored> scored;
-      core::Stepper scoring = co_score_batch(batch, acc_seed, &scored);
-      while (scoring.step()) co_await std::suspend_always{};
-      for (const Scored& s : scored) consider(s);
-      done += n;
-      if (done % chunk == 0)
-        result.history.push_back({sim_time_s_, result.best_objective});
-      prog->sim_time_s = sim_time_s_;
-      prog->best_objective = result.best_objective;
-      prog->has_best = have_best;
-      co_await std::suspend_always{};
-    } else {
-      // Serial path: the historical sequential pipeline, one shared RNG
-      // stream. The memo cache is bypassed here because a hit would skip
-      // that stream's accuracy draws and change every later candidate.
-      for (std::int64_t i = 0; i < n; ++i) {
-        ++cache_misses_;
-        const Scored s = score_candidate(random_arch(cfg_.space, rng), rng);
-        record_frontier(s);
-        consider(s);
-        ++done;
-        if (done % chunk == 0)
-          result.history.push_back({sim_time_s_, result.best_objective});
-      }
-      prog->sim_time_s = sim_time_s_;
-      prog->best_objective = result.best_objective;
-      prog->has_best = have_best;
-      co_await std::suspend_always{};
+    std::vector<PendingEval> batch;
+    batch.reserve(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Arch arch = random_arch(cfg_.space, rng);
+      const Arch canon = canonicalize(arch);
+      batch.push_back(PendingEval{arch, arch_to_text(canon), canon.hash()});
     }
+    std::vector<Scored> scored;
+    core::Stepper scoring = co_score_batch(batch, acc_seed, &scored);
+    while (scoring.step()) co_await std::suspend_always{};
+    for (const Scored& s : scored) consider(s);
+    done += n;
+    if (done % chunk == 0)
+      result.history.push_back({sim_time_s_, result.best_objective});
+    prog->sim_time_s = sim_time_s_;
+    prog->best_objective = result.best_objective;
+    prog->has_best = have_best;
+    co_await std::suspend_always{};
   }
   result.history.push_back({sim_time_s_, result.best_objective});
   finalize_result(result);

@@ -183,9 +183,9 @@ struct SearchConfig {
   /// Memoise candidate scores on the serialized canonical genome for the
   /// duration of one search run, so a re-visited candidate is never
   /// re-evaluated (hits/misses are reported in SearchResult). Disable only
-  /// for A/B experiments; with a deterministic evaluator and the pool
-  /// active (num_threads > 1, where accuracy-probe RNG streams are derived
-  /// from the genome) disabling it reproduces the exact same search.
+  /// for A/B experiments; with a deterministic evaluator (accuracy-probe
+  /// RNG streams are derived from the genome) disabling it reproduces the
+  /// exact same search.
   bool use_eval_cache = true;
 
   /// Identity of the latency evaluator, folded into the memo-cache scope so
@@ -279,9 +279,8 @@ class HgnasSearch {
 
   /// The stepwise form of the three strategies: returns a coroutine whose
   /// step() advances one supernet mini-batch or one validation-sample round
-  /// of the candidates being scored (on the 1-thread serial path, which
-  /// scores without rounds, one whole generation or sampling chunk). Each
-  /// epoch / generation / chunk also ends with a suspension of its own. The
+  /// of the candidates being scored, at every pool width. Each epoch /
+  /// generation / chunk also ends with a suspension of its own. The
   /// monolithic run_* entry points drive this same coroutine to completion,
   /// so stepped and monolithic runs are bit-identical by construction for
   /// every strategy. `*out` holds the result once the stepper reports done;
@@ -312,21 +311,13 @@ class HgnasSearch {
     std::uint64_t hash = 0;
   };
 
-  /// Latency gate shared by the serial and batch scoring paths (paper
-  /// §III-C: only candidates that meet the hardware constraint are
-  /// evaluated for accuracy). Fills the latency/feasibility side of `s`
-  /// and returns true when the accuracy probe must run.
+  /// Latency gate of candidate scoring (paper §III-C: only candidates that
+  /// meet the hardware constraint are evaluated for accuracy). Fills the
+  /// latency/feasibility side of `s` and returns true when the accuracy
+  /// probe must run.
   bool gate_candidate(const Arch& arch, Scored& s);
 
-  /// Evaluate Eq. (3) for an arch: latency gate first (predictor is cheap,
-  /// accuracy probes are not).
-  Scored score_candidate(const Arch& arch, Rng& rng);
-
-  /// Serial-path scoring through the memo cache (shared rng — this is the
-  /// historical bit-for-bit sequential pipeline when hits do not occur).
-  Scored score_cached(const Arch& arch, const std::string& key, Rng& rng);
-
-  /// Batch-path scoring as a coroutine that appends one score per batch
+  /// Eq. (3) scoring as a coroutine that appends one score per batch
   /// entry to `*out`, in batch order. The latency gate, clock and counters
   /// run serially in batch order; feasible candidates' accuracy probes then
   /// advance in co_probe_rounds, each with an RNG derived from (acc_seed,
@@ -352,7 +343,6 @@ class HgnasSearch {
                                   std::function<Arch(Rng&)> sampler,
                                   Rng& rng, SearchProgress* prog);
 
-  double supernet_accuracy(const Arch& arch, Rng& rng);
   void advance_clock(double seconds) { sim_time_s_ += seconds; }
   void reset_run_state();
 

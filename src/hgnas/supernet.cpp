@@ -160,90 +160,48 @@ core::Stepper SuperNet::train_epoch_stepwise(
   auto order = pointcloud::shuffled_indices(train.size(), rng);
   double loss_sum = 0.0;
 
-  if (core::num_threads() > 1) {
-    // Batch path: the samples inside one gradient-accumulation batch are
-    // independent until their gradients meet in the optimiser step. Paths
-    // and per-sample RNG seeds come serially off the main stream, the taped
-    // forward passes fan out across the pool (forward only reads the shared
-    // weights), then the backward passes replay serially in sample order so
-    // gradient accumulation order — and hence the result — is the same for
-    // every pool width.
-    struct PendingSample {
-      std::size_t index = 0;      // into `train`
-      Arch path;
-      std::uint64_t seed = 0;     // private stream for Random-sample ops
-      Tensor loss;
-    };
-    std::size_t oi = 0;
-    while (oi < order.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          static_cast<std::size_t>(batch_size), order.size() - oi);
-      std::vector<PendingSample> batch(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch[i].index = order[oi + i];
-        batch[i].path = sampler(rng);
-        batch[i].seed = rng.next();
-      }
-      core::parallel_invoke(static_cast<std::int64_t>(n), [&](std::int64_t i) {
-        PendingSample& ps = batch[static_cast<std::size_t>(i)];
-        const auto& s = train[ps.index];
-        Rng sample_rng(ps.seed);
-        Tensor pts = pointcloud::Dataset::to_tensor(s);
-        Tensor logits = forward(ps.path, pts, sample_rng);
-        const std::int64_t label[1] = {s.label};
-        ps.loss = cross_entropy(logits, label);
-      });
-      for (PendingSample& ps : batch) {
-        ps.loss.backward();
-        loss_sum += ps.loss.item();
-      }
-      opt.step();
-      opt.zero_grad();
-      oi += n;
-      co_await std::suspend_always{};
+  // The samples inside one gradient-accumulation batch are independent
+  // until their gradients meet in the optimiser step. Paths and per-sample
+  // RNG seeds come serially off the main stream, the taped forward passes
+  // fan out across the pool (forward only reads the shared weights), then
+  // the backward passes replay serially in sample order so gradient
+  // accumulation order — and hence the result — is the same for every pool
+  // width.
+  struct PendingSample {
+    std::size_t index = 0;      // into `train`
+    Arch path;
+    std::uint64_t seed = 0;     // private stream for Random-sample ops
+    Tensor loss;
+  };
+  std::size_t oi = 0;
+  while (oi < order.size()) {
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(batch_size), order.size() - oi);
+    std::vector<PendingSample> batch(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch[i].index = order[oi + i];
+      batch[i].path = sampler(rng);
+      batch[i].seed = rng.next();
     }
-  } else {
-    std::int64_t in_batch = 0;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const auto& s = train[order[oi]];
-      const Arch path = sampler(rng);  // uniform single-path sampling
+    core::parallel_invoke(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+      PendingSample& ps = batch[static_cast<std::size_t>(i)];
+      const auto& s = train[ps.index];
+      Rng sample_rng(ps.seed);
       Tensor pts = pointcloud::Dataset::to_tensor(s);
-      Tensor logits = forward(path, pts, rng);
+      Tensor logits = forward(ps.path, pts, sample_rng);
       const std::int64_t label[1] = {s.label};
-      Tensor loss = cross_entropy(logits, label);
-      loss.backward();
-      loss_sum += loss.item();
-      ++in_batch;
-      if (in_batch == batch_size || oi + 1 == order.size()) {
-        opt.step();
-        opt.zero_grad();
-        in_batch = 0;
-        co_await std::suspend_always{};
-      }
+      ps.loss = cross_entropy(logits, label);
+    });
+    for (PendingSample& ps : batch) {
+      ps.loss.backward();
+      loss_sum += ps.loss.item();
     }
+    opt.step();
+    opt.zero_grad();
+    oi += n;
+    co_await std::suspend_always{};
   }
   *mean_loss = loss_sum / static_cast<double>(train.size());
-}
-
-double SuperNet::evaluate(const Arch& arch,
-                          const std::vector<pointcloud::Sample>& val,
-                          std::int64_t max_samples, Rng& rng) {
-  // Checked before the mode toggle: a throw below would otherwise leave
-  // the supernet stuck in inference mode for callers that catch it.
-  HG_CHECK(!val.empty(), "evaluate: empty split");
-  set_training(false);
-  const double acc = evaluate_concurrent(arch, val, max_samples, rng);
-  set_training(true);
-  return acc;
-}
-
-double SuperNet::evaluate_concurrent(const Arch& arch,
-                                     const std::vector<pointcloud::Sample>& val,
-                                     std::int64_t max_samples, Rng& rng) {
-  AccuracyProbe probe = begin_probe(arch, val, max_samples, rng);
-  while (!probe.done()) advance_probe(probe, val);
-  rng = probe.rng;  // the caller's stream continues past the probe's draws
-  return probe.accuracy();
 }
 
 AccuracyProbe SuperNet::begin_probe(Arch arch,

@@ -80,41 +80,28 @@ class SuperNet final : public nn::Module {
   /// holds the epoch's mean loss once the stepper is done. `train`, `opt`,
   /// `rng`, `mean_loss` and this supernet must outlive the stepper.
   ///
-  /// When the execution pool is active (num_threads > 1), the forward
-  /// passes of each gradient-accumulation batch run concurrently — paths
-  /// and per-sample RNG streams are drawn serially up front and the
-  /// backward passes replay serially in sample order, so the result is
-  /// identical for every pool width > 1. num_threads == 1 is the
-  /// historical sequential pipeline (shared RNG stream), bit for bit.
+  /// The forward passes of each gradient-accumulation batch fan out across
+  /// the pool — paths and per-sample RNG streams are drawn serially up
+  /// front and the backward passes replay serially in sample order, so the
+  /// result is identical at every pool width, 1 included.
   core::Stepper train_epoch_stepwise(
       const std::vector<pointcloud::Sample>& train,
       std::function<Arch(Rng&)> sampler, Adam& opt, std::int64_t batch_size,
       Rng& rng, double* mean_loss);
 
-  /// Validation accuracy of one path over (a prefix of) `val`.
-  double evaluate(const Arch& arch,
-                  const std::vector<pointcloud::Sample>& val,
-                  std::int64_t max_samples, Rng& rng);
-
-  /// evaluate() without the training-mode toggles: one probe driven to
-  /// completion (begin_probe + advance_probe), continuing `rng`'s stream.
-  /// Safe to call concurrently from pool workers (forward reads the shared
-  /// weights, never writes), provided the caller has set_training(false)
-  /// around the whole batch and each caller passes its own Rng.
-  double evaluate_concurrent(const Arch& arch,
-                             const std::vector<pointcloud::Sample>& val,
-                             std::int64_t max_samples, Rng& rng);
-
-  /// A probe of `arch` over the first min(|val|, max_samples) samples of
-  /// `val` (all of them when max_samples <= 0), drawing from `rng`.
-  /// Throws std::invalid_argument on an empty split.
+  /// A probe of `arch`'s validation accuracy over the first
+  /// min(|val|, max_samples) samples of `val` (all of them when
+  /// max_samples <= 0), drawing from `rng`. Throws std::invalid_argument
+  /// on an empty split.
   static AccuracyProbe begin_probe(Arch arch,
                                    const std::vector<pointcloud::Sample>& val,
                                    std::int64_t max_samples, Rng rng);
 
   /// Score the probe's next sample (forward pass only, under a NoGradGuard
-  /// scoped to this call). Same concurrency contract as
-  /// evaluate_concurrent; precondition: !probe.done().
+  /// scoped to this call); precondition: !probe.done(). Safe to call
+  /// concurrently on different probes from pool workers (forward reads the
+  /// shared weights, never writes), provided the caller holds
+  /// set_training(false) around the whole round.
   void advance_probe(AccuracyProbe& probe,
                      const std::vector<pointcloud::Sample>& val);
 

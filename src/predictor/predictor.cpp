@@ -419,63 +419,8 @@ std::vector<LabeledArch> collect_labeled_archs(const hw::Device& device,
                                                std::int64_t count,
                                                std::uint64_t seed) {
   HG_CHECK(count > 0, "collect_labeled_archs: count must be positive");
-  Rng rng(seed);
-  std::vector<LabeledArch> out;
-  out.reserve(static_cast<std::size_t>(count));
-  std::int64_t attempts = 0;
-  const std::int64_t max_attempts = count * 20;
-
-  if (core::num_threads() > 1) {
-    // Batch path: this is the dominant cost of predictor-backed engine
-    // startup (the paper's 30K-sample collection). Architectures and
-    // per-measurement RNG seeds come serially off the main stream, the
-    // lowering + simulated measurements fan out across the pool, and OOM
-    // filtering replays serially in draw order — so the labelled set is
-    // identical for every pool width > 1. One thread keeps the historical
-    // interleaved-stream path bit for bit.
-    while (static_cast<std::int64_t>(out.size()) < count &&
-           attempts < max_attempts) {
-      const std::int64_t n = std::min<std::int64_t>(
-          count - static_cast<std::int64_t>(out.size()),
-          max_attempts - attempts);
-      struct Drawn {
-        hgnas::Arch arch;
-        std::uint64_t seed = 0;
-        hw::Measurement meas;
-      };
-      std::vector<Drawn> batch(static_cast<std::size_t>(n));
-      for (auto& d : batch) {
-        d.arch = hgnas::random_arch(space, rng);
-        d.seed = rng.next();
-      }
-      attempts += n;
-      core::parallel_invoke(n, [&](std::int64_t i) {
-        Drawn& d = batch[static_cast<std::size_t>(i)];
-        Rng meas_rng(d.seed);
-        d.meas = device.measure(lower_to_trace(d.arch, w), meas_rng);
-      });
-      for (auto& d : batch) {
-        if (static_cast<std::int64_t>(out.size()) == count) break;
-        if (d.meas.oom || d.meas.latency_ms <= 0.0) continue;
-        out.push_back(LabeledArch{std::move(d.arch), d.meas.latency_ms});
-      }
-    }
-  } else {
-    while (static_cast<std::int64_t>(out.size()) < count &&
-           attempts++ < max_attempts) {
-      LabeledArch s;
-      s.arch = hgnas::random_arch(space, rng);
-      const hw::Trace trace = lower_to_trace(s.arch, w);
-      const hw::Measurement meas = device.measure(trace, rng);
-      if (meas.oom || meas.latency_ms <= 0.0) continue;  // no label for OOM
-      s.latency_ms = meas.latency_ms;
-      out.push_back(std::move(s));
-    }
-  }
-  HG_CHECK(static_cast<std::int64_t>(out.size()) == count,
-           "collect_labeled_archs: too many OOM architectures on " +
-               device.name());
-  return out;
+  const CollectSpec spec{&device, count, seed};
+  return std::move(collect_labeled_archs_multi({&spec, 1}, space, w)[0]);
 }
 
 std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
@@ -490,20 +435,13 @@ std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
   const std::size_t n_dev = specs.size();
   std::vector<std::vector<LabeledArch>> out(n_dev);
 
-  if (core::num_threads() <= 1) {
-    // Serial path: device after device, bit for bit the single-device
-    // collection (which itself takes the historical interleaved-stream
-    // path at one thread).
-    for (std::size_t d = 0; d < n_dev; ++d)
-      out[d] = collect_labeled_archs(*specs[d].device, space, w,
-                                     specs[d].count, specs[d].seed);
-    return out;
-  }
-
-  // Pooled path: per-device draws replay the exact batch recurrence of the
-  // single-device batch path (so each device's labelled set is identical to
-  // a lone collection), but every device's lowering + measurements of a
-  // round share one parallel_invoke — one queue for the whole fleet.
+  // This is the dominant cost of predictor-backed engine startup (the
+  // paper's 30K-sample collection). Each device owns an RNG: architectures
+  // and per-measurement seeds come serially off it, every device's
+  // lowering + simulated measurements of a round share one parallel_invoke
+  // (one queue for the whole fleet), and OOM filtering replays serially in
+  // draw order. A device's labelled set therefore depends on its own spec
+  // only — not on the pool width, nor on the other devices in the fleet.
   struct DeviceState {
     Rng rng;
     std::int64_t attempts = 0;

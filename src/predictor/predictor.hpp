@@ -158,7 +158,8 @@ class LatencyPredictor final : public nn::Module {
 
 /// Sample `count` random architectures and label them with simulated
 /// measurements on `device` (the paper's 30K-sample collection step).
-/// Architectures that OOM are skipped (no valid latency label).
+/// Architectures that OOM are skipped (no valid latency label). The
+/// one-device case of collect_labeled_archs_multi.
 std::vector<LabeledArch> collect_labeled_archs(
     const hw::Device& device, const hgnas::SpaceConfig& space,
     const hgnas::Workload& w, std::int64_t count, std::uint64_t seed);
@@ -175,8 +176,9 @@ struct CollectSpec {
 /// spec), but the expensive lowering + simulated measurements of every
 /// device fan out across the shared execution pool together, so fitting
 /// predictors for a fleet shares one queue instead of M sequential
-/// collection passes. Result i is identical — arch for arch, label for
-/// label — to collect_labeled_archs(*specs[i].device, ..., specs[i].seed).
+/// collection passes. Result i depends on specs[i] alone: arch for arch
+/// and label for label, it is that device's set collected on its own, at
+/// any pool width.
 std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
     std::span<const CollectSpec> specs, const hgnas::SpaceConfig& space,
     const hgnas::Workload& w);

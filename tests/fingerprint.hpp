@@ -1,0 +1,27 @@
+// fingerprint.hpp — the FNV-1a hash behind the suite's pinned values.
+#pragma once
+
+#include <bit>
+#include <cstdint>
+#include <string_view>
+
+namespace hg {
+
+/// FNV-1a over 64-bit words, low byte first. Text is mixed one character
+/// per word, so a pinned hash never depends on the host's char signedness.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void bits(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void text(std::string_view s) {
+    for (const char ch : s) word(static_cast<unsigned char>(ch));
+  }
+};
+
+}  // namespace hg

@@ -178,10 +178,6 @@ TEST(EvalContext, PersistedEvalCacheWarmsTheNextRun) {
   // with identical results, since a hit replays the stored score.
   EngineConfig cfg = EngineConfig::tiny();
   cfg.strategy = "random";
-  // The random strategy memoises through the cache on the batch path only
-  // (the serial path must preserve its historical shared RNG stream), so
-  // pin a pool width > 1 for deterministic warm hits on any host.
-  cfg.num_threads = 2;
   cfg.eval_cache_path = ::testing::TempDir() + "api_eval_cache_warm.txt";
   std::remove(cfg.eval_cache_path.c_str());
 

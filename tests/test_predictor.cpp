@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "fingerprint.hpp"
+#include "hgnas/serialize_arch.hpp"
 #include "predictor/predictor.hpp"
 
 namespace hg::predictor {
@@ -244,8 +247,8 @@ TEST(Predictor, PredictBatchEqualsSerialForwardsExactly) {
 
 TEST(CollectLabeled, MultiDeviceShardingMatchesPerDeviceCollection) {
   // Fleet collection through one pooled queue must hand every device the
-  // exact labelled set a lone collection would have produced — for the
-  // serial path and for any pool width.
+  // exact labelled set it gets collected alone, at any pool width: the
+  // devices' draws share a round but never each other's streams.
   hw::Device rtx = hw::make_device(hw::DeviceKind::Rtx3080);
   hw::Device i7 = hw::make_device(hw::DeviceKind::IntelI7_8700K);
   const CollectSpec specs[] = {{&rtx, 20, 5}, {&i7, 15, 9}};
@@ -266,6 +269,43 @@ TEST(CollectLabeled, MultiDeviceShardingMatchesPerDeviceCollection) {
         EXPECT_DOUBLE_EQ(multi[d][i].latency_ms, solo[i].latency_ms);
       }
     }
+  }
+}
+
+// The labelled set behind predictor-backed engines (jetson-tx2, the paper's
+// space and workload, the default seed) and a predictor fitted on it are
+// pinned: neither the pool width nor a rewrite of the collection may move
+// a label or a served prediction by one bit.
+TEST(Predictor, LabeledSetIsPinnedAtEveryWidth) {
+  const hgnas::Workload w;
+  const hgnas::SpaceConfig space;
+  hw::Device dev = hw::make_device(hw::DeviceKind::JetsonTx2);
+  for (const std::int64_t threads :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::ScopedNumThreads scoped(threads);
+    const std::vector<LabeledArch> set =
+        collect_labeled_archs(dev, space, w, 200, 2024);
+    Fnv1a labels;
+    for (const LabeledArch& s : set) {
+      labels.text(hgnas::arch_to_text(s.arch));
+      labels.bits(s.latency_ms);
+    }
+    EXPECT_EQ(labels.h, 0x3009e239e14cfd4bull);
+
+    PredictorConfig cfg = tiny_predictor_config();
+    cfg.epochs = 6;
+    Rng rng(17);
+    LatencyPredictor pred(cfg, w, rng);
+    pred.fit({set.begin(), set.begin() + 64}, rng);
+    std::vector<hgnas::Arch> archs;
+    for (int i = 0; i < 32; ++i) archs.push_back(hgnas::random_arch(space, rng));
+    const std::vector<double> ms = pred.predict_batch_ms(archs);
+    // A collapsed fit answers one value everywhere and would pin little.
+    ASSERT_GT(std::set<double>(ms.begin(), ms.end()).size(), 24u);
+    Fnv1a predictions;
+    for (const double v : ms) predictions.bits(v);
+    EXPECT_EQ(predictions.h, 0xb5f7cac1eccf5ce9ull);
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "api/engine.hpp"
 #include "core/parallel.hpp"
+#include "fingerprint.hpp"
 #include "hgnas/search.hpp"
 #include "hgnas/serialize_arch.hpp"
 #include "obs/trace.hpp"
@@ -400,26 +401,28 @@ TEST(SearchStepper, ProgressAdvancesThroughPhases) {
 // The serving stack preempts a search between steps, so a stage-1
 // generation must not be one step: its probes advance one validation
 // sample per round, with a suspension after every round. Structural, no
-// timing: count the steps that ran in stage 1. The pool path is pinned
-// (the serving stack runs it); the 1-thread serial path scores whole
-// generations.
+// timing: count the steps that ran in stage 1. Width 1 (a 1-CPU server)
+// preempts as often as a wider pool.
 TEST(SearchStepper, SuspendsPerValidationRoundInStage1) {
-  core::ScopedNumThreads pool(2);
-  SearchFixture f;
-  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
-  const SearchConfig cfg = f.make_cfg(
-      dev.latency_ms(hw::dgcnn_reference_trace(f.workload.num_points)));
-  ASSERT_LE(cfg.eval_val_samples,
-            static_cast<std::int64_t>(f.data.test().size()));
-  SearchStepper stepper(f.supernet, f.data, cfg,
-                        make_oracle_evaluator(dev, f.workload),
-                        SearchStrategy::kMultistage, f.rng);
-  std::int64_t stage1_steps = 0;
-  while (stepper.step())
-    if (stepper.progress().phase == SearchProgress::Phase::kStage1)
-      ++stage1_steps;
-  const std::int64_t generations = 1 + cfg.iterations;  // + initial pop
-  EXPECT_GE(stage1_steps, generations * cfg.eval_val_samples);
+  for (const std::int64_t threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    core::ScopedNumThreads pool(threads);
+    SearchFixture f;
+    hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+    const SearchConfig cfg = f.make_cfg(
+        dev.latency_ms(hw::dgcnn_reference_trace(f.workload.num_points)));
+    ASSERT_LE(cfg.eval_val_samples,
+              static_cast<std::int64_t>(f.data.test().size()));
+    SearchStepper stepper(f.supernet, f.data, cfg,
+                          make_oracle_evaluator(dev, f.workload),
+                          SearchStrategy::kMultistage, f.rng);
+    std::int64_t stage1_steps = 0;
+    while (stepper.step())
+      if (stepper.progress().phase == SearchProgress::Phase::kStage1)
+        ++stage1_steps;
+    const std::int64_t generations = 1 + cfg.iterations;  // + initial pop
+    EXPECT_GE(stage1_steps, generations * cfg.eval_val_samples);
+  }
 }
 
 // A preempted run resumes on whichever service worker claims it, so no
@@ -513,22 +516,19 @@ TEST(SearchStepper, TraceSpansNameThePhaseTheirWorkRanIn) {
 
 // ---- search fingerprints -------------------------------------------------
 
+/// Every pool width the fingerprints are asserted at: 1 runs the pool's
+/// inline path, 2 and 3 split work unevenly across workers.
+constexpr std::int64_t kWidths[] = {1, 2, 3};
+
 /// One line pinning a search result bit for bit: the winner's objective,
 /// the evaluation counts, and an FNV-1a hash over the winner's text form
 /// plus every frontier point's accuracy and latency bits.
 std::string search_fingerprint(const SearchResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const char ch : arch_to_text(r.best_arch))
-    mix(static_cast<unsigned char>(ch));
+  Fnv1a fnv;
+  fnv.text(arch_to_text(r.best_arch));
   for (const ParetoPoint& p : r.frontier) {
-    mix(std::bit_cast<std::uint64_t>(p.accuracy));
-    mix(std::bit_cast<std::uint64_t>(p.latency_ms));
+    fnv.bits(p.accuracy);
+    fnv.bits(p.latency_ms);
   }
   char buf[160];
   std::snprintf(buf, sizeof buf,
@@ -537,7 +537,7 @@ std::string search_fingerprint(const SearchResult& r) {
                     std::bit_cast<std::uint64_t>(r.best_objective)),
                 static_cast<long long>(r.latency_queries),
                 static_cast<long long>(r.accuracy_probes), r.frontier.size(),
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fnv.h));
   return buf;
 }
 
@@ -549,55 +549,139 @@ std::string engine_search_fingerprint(const api::EngineConfig& cfg) {
   return search_fingerprint(report.value().result);
 }
 
+/// A double's exact bits, as text.
+std::string hex_bits(double v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// Every field of a SearchReport, doubles as their bits: two reports are
+/// byte-identical exactly when these strings are equal.
+std::string report_bytes(const api::SearchReport& report) {
+  const SearchResult& r = report.result;
+  const auto fn_text = [](const FunctionSet& f) {
+    return std::to_string(static_cast<int>(f.connect)) + ',' +
+           std::to_string(static_cast<int>(f.aggr)) + ',' +
+           std::to_string(static_cast<int>(f.msg)) + ',' +
+           std::to_string(f.combine_dim_idx) + ',' +
+           std::to_string(static_cast<int>(f.sample));
+  };
+  std::string s = arch_to_text(r.best_arch);
+  s += "\nupper " + fn_text(r.upper) + " lower " + fn_text(r.lower);
+  s += "\nobj " + hex_bits(r.best_objective) + " acc " +
+       hex_bits(r.best_supernet_acc) + " lat " + hex_bits(r.best_latency_ms) +
+       " sim " + hex_bits(r.total_sim_time_s);
+  s += "\nlq " + std::to_string(r.latency_queries) + " ap " +
+       std::to_string(r.accuracy_probes) + " hits " +
+       std::to_string(r.eval_cache_hits) + " misses " +
+       std::to_string(r.eval_cache_misses) + " candidates " +
+       std::to_string(r.frontier_candidates);
+  for (const SearchEvent& e : r.history)
+    s += "\nhistory " + hex_bits(e.sim_time_s) + ' ' + hex_bits(e.best_objective);
+  for (const ParetoPoint& p : r.frontier)
+    s += "\nfrontier " + hex_bits(p.accuracy) + ' ' + hex_bits(p.latency_ms) +
+         '\n' + arch_to_text(p.arch);
+  s += '\n' + report.visualization + '\n' + report.frontier_table;
+  return s;
+}
+
 // Kernel rewrites (check formatting, tape capture, elementwise loops) must
-// leave every search result unchanged. These fingerprints were recorded
-// before those rewrites; a kernel change that moves any of them changed
-// the arithmetic, not just its cost.
+// leave every search result unchanged, and so must the pool width: every
+// width runs one numeric path. A kernel change that moves any of these
+// changed the arithmetic, not just its cost.
 TEST(SearchFingerprint, TinySearchesArePinnedForEveryStrategyAndWidth) {
   struct Case {
     const char* strategy;
-    std::int64_t threads;
     const char* fingerprint;
   };
   const Case cases[] = {
-      {"multistage", 1,
-       "obj=0x3fc3cd46659d12c7 lq=20 ap=40 frontier=1 fnv=0xad42eabd6a23e3d8"},
-      {"multistage", 2,
+      {"multistage",
        "obj=0x3fc186bd2b279f10 lq=20 ap=40 frontier=2 fnv=0x909354a98295be40"},
-      {"multistage", 3,
-       "obj=0x3fc186bd2b279f10 lq=20 ap=40 frontier=2 fnv=0x909354a98295be40"},
-      {"onestage", 1,
-       "obj=0x3fbc1d1daa834dbc lq=20 ap=20 frontier=3 fnv=0xb2ce374c080e4f34"},
-      {"onestage", 2,
+      {"onestage",
        "obj=0x3fc21749ce41b1ea lq=20 ap=20 frontier=2 fnv=0xca472ec985168b43"},
-      {"onestage", 3,
-       "obj=0x3fc21749ce41b1ea lq=20 ap=20 frontier=2 fnv=0xca472ec985168b43"},
-      {"random", 1,
-       "obj=0x3fc126f1d9a6a5ac lq=20 ap=20 frontier=3 fnv=0x2fac867d834f1934"},
-      {"random", 2,
-       "obj=0x3fd37a1636b208ab lq=20 ap=20 frontier=2 fnv=0xbe55b2f51203930a"},
-      {"random", 3,
+      {"random",
        "obj=0x3fd37a1636b208ab lq=20 ap=20 frontier=2 fnv=0xbe55b2f51203930a"},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.strategy) + " @ " + std::to_string(c.threads));
-    api::EngineConfig cfg = api::EngineConfig::tiny();
-    cfg.strategy = c.strategy;
-    cfg.num_threads = c.threads;
-    EXPECT_EQ(engine_search_fingerprint(cfg), c.fingerprint);
+    for (const std::int64_t threads : kWidths) {
+      SCOPED_TRACE(std::string(c.strategy) + " @ " + std::to_string(threads));
+      api::EngineConfig cfg = api::EngineConfig::tiny();
+      cfg.strategy = c.strategy;
+      cfg.num_threads = threads;
+      EXPECT_EQ(engine_search_fingerprint(cfg), c.fingerprint);
+    }
   }
   core::set_num_threads(0);
 }
 
 // The paper-scale search perfbench serves (jetson-tx2, 12 positions, the
-// oracle evaluator, a 2-wide pool).
+// oracle evaluator), at every pool width.
 TEST(SearchFingerprint, DefaultScaleJetsonSearchIsPinned) {
-  api::EngineConfig cfg;
-  cfg.device = "jetson-tx2";
-  cfg.num_threads = 2;
-  EXPECT_EQ(engine_search_fingerprint(cfg),
-            "obj=0x3fc5f810ad2ea50b lq=112 ap=448 frontier=2 "
-            "fnv=0x5bd1093b42d86633");
+  for (const std::int64_t threads : kWidths) {
+    SCOPED_TRACE(threads);
+    api::EngineConfig cfg;
+    cfg.device = "jetson-tx2";
+    cfg.num_threads = threads;
+    EXPECT_EQ(engine_search_fingerprint(cfg),
+              "obj=0x3fc5f810ad2ea50b lq=112 ap=448 frontier=2 "
+              "fnv=0x5bd1093b42d86633");
+  }
+  core::set_num_threads(0);
+}
+
+// The fingerprints above hash a summary; here every byte of the facade's
+// reports must agree across pool widths: each strategy's SearchReport, and
+// train_baseline's report for the paper's DGCNN and one zoo design (the
+// latter pinned as well, so a width-invariant drift shows too).
+TEST(SearchFingerprint, ReportsAreByteIdenticalAtEveryWidth) {
+  for (const char* strategy : {"multistage", "onestage", "random"}) {
+    std::string reference;
+    for (const std::int64_t threads : kWidths) {
+      SCOPED_TRACE(std::string(strategy) + " @ " + std::to_string(threads));
+      api::EngineConfig cfg = api::EngineConfig::tiny();
+      cfg.strategy = strategy;
+      cfg.num_threads = threads;
+      auto created = api::Engine::create(cfg);
+      ASSERT_TRUE(created.ok()) << created.status().to_string();
+      auto report = created.value().search();
+      ASSERT_TRUE(report.ok()) << report.status().to_string();
+      const std::string bytes = report_bytes(report.value());
+      if (reference.empty()) reference = bytes;
+      EXPECT_EQ(bytes, reference);
+    }
+  }
+
+  struct Baseline {
+    const char* name;
+    const char* report;
+  };
+  const Baseline baselines[] = {
+      {"dgcnn",
+       "overall=3fc999999999999a balanced=3fc999999999999a "
+       "loss=0000000000000000 mb=3fc144028e4fb97c"},
+      {"rtx-fast",
+       "overall=3fd3333333333333 balanced=3fd3333333333333 "
+       "loss=0000000000000000 mb=3fc1b328b6d86ec1"},
+  };
+  for (const Baseline& b : baselines) {
+    for (const std::int64_t threads : kWidths) {
+      SCOPED_TRACE(std::string(b.name) + " @ " + std::to_string(threads));
+      api::EngineConfig cfg = api::EngineConfig::tiny();
+      cfg.num_threads = threads;
+      auto created = api::Engine::create(cfg);
+      ASSERT_TRUE(created.ok()) << created.status().to_string();
+      auto report = created.value().train_baseline(b.name);
+      ASSERT_TRUE(report.ok()) << report.status().to_string();
+      const api::TrainReport& t = report.value();
+      EXPECT_EQ("overall=" + hex_bits(t.overall_acc) +
+                    " balanced=" + hex_bits(t.balanced_acc) +
+                    " loss=" + hex_bits(t.mean_loss) +
+                    " mb=" + hex_bits(t.param_mb),
+                b.report);
+    }
+  }
   core::set_num_threads(0);
 }
 

@@ -833,7 +833,6 @@ TEST(ServeSlice, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
   cfg.strategy = "multistage";
   cfg.samples_per_class = 10;  // 80 train / 20 validation clouds
   cfg.eval_val_samples = 20;
-  cfg.num_threads = 2;  // the pool path scores in rounds
 
   auto reference = api::Engine::create(cfg);
   ASSERT_TRUE(reference.ok()) << reference.status().to_string();

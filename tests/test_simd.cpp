@@ -5,7 +5,7 @@
 // reference for every helper, every length (remainder lanes included),
 // and for the edge semantics the kernels rely on (first-winner ties,
 // NaN challengers, unset argmax lanes). On top of the helpers, the
-// public ops that call them (matmul forward/backward, aggregate_fused,
+// public ops that call them (matmul forward/backward, aggregate,
 // the KNN builders) are checked against naive in-test references that
 // spell out the historical arithmetic order.
 #include <gtest/gtest.h>
@@ -294,7 +294,7 @@ TEST(SimdOps, FusedAggregateMatrixBitIdenticalToMaterialized) {
       Tensor y_ref = gnn::aggregate_materialized(x_ref, g, mt, reduce);
       y_ref.backward(seed);
       Tensor x_fused = Tensor::from_vector({nodes, c}, xv, true);
-      Tensor y_fused = gnn::aggregate_fused(x_fused, g, mt, reduce);
+      Tensor y_fused = gnn::aggregate(x_fused, g, mt, reduce);
       y_fused.backward(seed);
       ASSERT_EQ(y_fused.shape(), y_ref.shape());
       for (std::int64_t i = 0; i < y_ref.numel(); ++i)

@@ -116,8 +116,8 @@ TEST(SuperNet, TrainEpochReturnsFiniteLossAndLearns) {
 
 // train_epoch drives train_epoch_stepwise to completion. The stepwise form
 // suspends once per optimiser step and leaves the weights, the loss and
-// the RNG stream exactly where the monolithic call does — on the serial
-// path (1 thread) and on the pool path alike.
+// the RNG stream exactly where the monolithic call does, at every pool
+// width.
 TEST(SuperNet, StepwiseTrainEpochYieldsPerMiniBatchAndMatchesMonolithic) {
   for (const std::int64_t threads : {1, 2}) {
     SCOPED_TRACE(threads);
@@ -163,19 +163,22 @@ TEST(SuperNet, EvaluateReturnsAccuracyInRange) {
   Rng rng(5);
   SuperNet net(small_space(), small_config(), rng);
   pointcloud::Dataset data(3, 32, 13);
-  Arch a = random_arch(small_space(), rng);
-  const double acc = net.evaluate(a, data.test(), 10, rng);
-  EXPECT_GE(acc, 0.0);
-  EXPECT_LE(acc, 1.0);
+  AccuracyProbe probe = SuperNet::begin_probe(random_arch(small_space(), rng),
+                                              data.test(), 10, rng);
+  EXPECT_EQ(probe.count, std::min<std::size_t>(10, data.test().size()));
+  net.set_training(false);
+  while (!probe.done()) net.advance_probe(probe, data.test());
+  net.set_training(true);
+  EXPECT_GE(probe.accuracy(), 0.0);
+  EXPECT_LE(probe.accuracy(), 1.0);
 }
 
 TEST(SuperNet, EvaluateEmptySplitThrows) {
   Rng rng(6);
-  SuperNet net(small_space(), small_config(), rng);
   std::vector<pointcloud::Sample> empty;
   Arch a = random_arch(small_space(), rng);
   EXPECT_EQ(invalid_argument_text(
-                [&] { net.evaluate(a, empty, 10, rng); }),
+                [&] { SuperNet::begin_probe(a, empty, 10, rng); }),
             "SuperNet: evaluate: empty split");
 }
 
