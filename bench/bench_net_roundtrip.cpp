@@ -151,16 +151,17 @@ int main(int argc, char** argv) {
     for (std::int64_t round = 0; round < rounds; ++round) {
       std::vector<std::uint64_t> predict_ids, profile_ids;
       for (const api::Arch& a : archs) {
-        api::Result<std::uint64_t> p = client.send_predict_latency(a);
-        api::Result<std::uint64_t> q = client.send_profile(a);
+        api::Result<std::uint64_t> p =
+            client.send(net::verbs::kPredictLatency, a);
+        api::Result<std::uint64_t> q = client.send(net::verbs::kProfile, a);
         if (!p.ok() || !q.ok()) return 1;
         predict_ids.push_back(p.value());
         profile_ids.push_back(q.value());
       }
       for (std::uint64_t id : predict_ids)
-        if (!client.wait_predict_latency(id).ok()) return 1;
+        if (!client.wait(net::verbs::kPredictLatency, id).ok()) return 1;
       for (std::uint64_t id : profile_ids)
-        if (!client.wait_profile(id).ok()) return 1;
+        if (!client.wait(net::verbs::kProfile, id).ok()) return 1;
     }
     const double wall_ms = t.ms();
     const double total = static_cast<double>(2 * rounds * n);

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   t0 = std::chrono::steady_clock::now();
   std::vector<std::uint64_t> ids;
   for (const api::Arch& a : archs) {
-    api::Result<std::uint64_t> id = client.send_predict_latency(a);
+    api::Result<std::uint64_t> id = client.send(net::verbs::kPredictLatency, a);
     if (!id.ok()) {
       std::fprintf(stderr, "send: %s\n", id.status().to_string().c_str());
       return 1;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   std::printf("%5s %15s %15s\n", "arch", "predicted_ms", "batched_ms");
   for (std::size_t i = 0; i < ids.size(); ++i) {
     api::Result<api::LatencyReport> lone =
-        client.wait_predict_latency(ids[i]);
+        client.wait(net::verbs::kPredictLatency, ids[i]);
     if (!lone.ok()) {
       std::fprintf(stderr, "predict: %s\n",
                    lone.status().to_string().c_str());

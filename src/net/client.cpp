@@ -231,10 +231,10 @@ api::Result<std::string> Client::recv_reply(std::uint64_t id,
 
 // ---- retrying roundtrip ----------------------------------------------------
 
-template <typename T>
-api::Result<T> Client::roundtrip(FrameType type, const std::string& payload,
-                                 std::uint64_t deadline_us, bool idempotent,
-                                 ParseReply<T> parse) {
+template <typename Reply>
+Reply Client::roundtrip(FrameType type, const std::string& payload,
+                        std::uint64_t deadline_us, bool idempotent,
+                        DecodeReply<Reply> decode) {
   const std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
   if (sent_goodbye_)
@@ -272,6 +272,10 @@ api::Result<T> Client::roundtrip(FrameType type, const std::string& payload,
       const api::Result<std::uint64_t> id =
           send_frame(type, remaining, payload);
       if (!id.ok()) {
+        // An oversized payload (INVALID_ARGUMENT) fails every attempt the
+        // same way; only UNAVAILABLE is transport-class.
+        if (id.status().code() != api::StatusCode::kUnavailable)
+          return id.status();
         failure = id.status();
         attempt_failed = true;
       } else {
@@ -284,8 +288,9 @@ api::Result<T> Client::roundtrip(FrameType type, const std::string& payload,
           failure = reply.status();
           attempt_failed = true;
         } else {
-          api::Result<T> parsed = api::Status::Internal("unparsed reply");
-          if (!parse(reply.value(), &parsed, &hint_us)) {
+          Reader r(reply.value());
+          Reply parsed = api::Status::Internal("unparsed reply");
+          if (!decode(&r, &parsed, &hint_us)) {
             drop_connection();
             failure = api::Status::Unavailable("malformed reply payload");
             attempt_failed = true;
@@ -336,282 +341,58 @@ api::Result<T> Client::roundtrip(FrameType type, const std::string& payload,
   return failure;  // unreachable: the loop returns on its last attempt
 }
 
-// ---- send_* ----------------------------------------------------------------
-
-api::Result<std::uint64_t> Client::send_search(
-    std::optional<api::EngineConfig> cfg, std::uint64_t deadline_us) {
+template <typename V>
+typename V::Reply Client::call(const V& verb, const typename V::Args& args,
+                               std::uint64_t deadline_us) {
   Writer w;
-  encode_search_request(cfg, &w);
-  return send_frame(FrameType::kSearch, deadline_us, w.bytes());
-}
-
-api::Result<std::uint64_t> Client::send_predict_latency(
-    const api::Arch& arch, std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_request(arch, &w);
-  return send_frame(FrameType::kPredictLatency, deadline_us, w.bytes());
-}
-
-api::Result<std::uint64_t> Client::send_predict_batch(
-    const std::vector<api::Arch>& archs, std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_batch_request(archs, &w);
-  return send_frame(FrameType::kPredictBatchN, deadline_us, w.bytes());
-}
-
-api::Result<std::uint64_t> Client::send_profile(const api::Arch& arch,
-                                                std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_request(arch, &w);
-  return send_frame(FrameType::kProfile, deadline_us, w.bytes());
-}
-
-api::Result<std::uint64_t> Client::send_profile_baseline(
-    const std::string& name, const std::optional<api::Workload>& workload,
-    std::uint64_t deadline_us) {
-  Writer w;
-  encode_profile_baseline_request(name, workload, &w);
-  return send_frame(FrameType::kProfileBaseline, deadline_us, w.bytes());
-}
-
-api::Result<std::uint64_t> Client::send_train_baseline(
-    const std::string& name, std::uint64_t deadline_us) {
-  Writer w;
-  encode_train_baseline_request(name, &w);
-  return send_frame(FrameType::kTrainBaseline, deadline_us, w.bytes());
-}
-
-// ---- wait_* ----------------------------------------------------------------
-
-namespace {
-
-template <typename T, typename DecodeFn>
-api::Result<T> wait_typed(api::Result<std::string> payload, DecodeFn decode) {
-  if (!payload.ok()) return payload.status();
-  Reader r(payload.value());
-  api::Result<T> out = api::Status::Internal("uninitialised reply");
-  if (!decode_reply<T>(&r, decode, &out))
-    return api::Status::Unavailable("malformed reply payload");
-  return out;
-}
-
-}  // namespace
-
-api::Result<api::SearchReport> Client::wait_search(std::uint64_t id) {
-  return wait_typed<api::SearchReport>(
-      recv_reply(id, FrameType::kSearch),
-      [](Reader* r, api::SearchReport* out) {
-        return decode_search_report(r, out);
-      });
-}
-
-api::Result<api::LatencyReport> Client::wait_predict_latency(
-    std::uint64_t id) {
-  return wait_typed<api::LatencyReport>(
-      recv_reply(id, FrameType::kPredictLatency),
-      [](Reader* r, api::LatencyReport* out) {
-        return decode_latency_report(r, out);
-      });
-}
-
-api::Result<std::vector<api::LatencyReport>> Client::wait_predict_batch(
-    std::uint64_t id) {
-  api::Result<std::string> payload =
-      recv_reply(id, FrameType::kPredictBatchN);
-  if (!payload.ok()) return payload.status();
-  Reader r(payload.value());
-  std::vector<api::Result<api::LatencyReport>> elements;
-  if (!decode_predict_batch_reply(&r, &elements))
-    return api::Status::Unavailable("malformed reply payload");
-  std::vector<api::LatencyReport> out;
-  out.reserve(elements.size());
-  for (const api::Result<api::LatencyReport>& e : elements) {
-    if (!e.ok()) return e.status();  // first failure fails the batch verb
-    out.push_back(e.value());
-  }
-  return out;
-}
-
-api::Result<api::ProfileReport> Client::wait_profile(std::uint64_t id) {
-  return wait_typed<api::ProfileReport>(
-      recv_reply(id, FrameType::kProfile),
-      [](Reader* r, api::ProfileReport* out) {
-        return decode_profile_report(r, out);
-      });
-}
-
-api::Result<api::ProfileReport> Client::wait_profile_baseline(
-    std::uint64_t id) {
-  return wait_typed<api::ProfileReport>(
-      recv_reply(id, FrameType::kProfileBaseline),
-      [](Reader* r, api::ProfileReport* out) {
-        return decode_profile_report(r, out);
-      });
-}
-
-api::Result<api::TrainReport> Client::wait_train_baseline(std::uint64_t id) {
-  return wait_typed<api::TrainReport>(
-      recv_reply(id, FrameType::kTrainBaseline),
-      [](Reader* r, api::TrainReport* out) {
-        return decode_train_report(r, out);
-      });
+  verb.encode_args(args, &w);
+  return roundtrip(verb.type, w.bytes(), deadline_us, verb.idempotent,
+                   verb.decode_reply);
 }
 
 // ---- blocking verbs --------------------------------------------------------
 
-namespace {
-
-template <typename T, typename DecodeFn>
-bool parse_reply_payload(const std::string& payload, DecodeFn decode,
-                         api::Result<T>* out, std::uint64_t* hint) {
-  Reader r(payload);
-  return decode_reply<T>(&r, decode, out, hint);
-}
-
-}  // namespace
-
 api::Result<api::SearchReport> Client::search(
     std::optional<api::EngineConfig> cfg, std::uint64_t deadline_us) {
-  Writer w;
-  encode_search_request(cfg, &w);
-  return roundtrip<api::SearchReport>(
-      FrameType::kSearch, w.bytes(), deadline_us, /*idempotent=*/false,
-      [](const std::string& p, api::Result<api::SearchReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<api::SearchReport>(
-            p,
-            [](Reader* r, api::SearchReport* v) {
-              return decode_search_report(r, v);
-            },
-            out, hint);
-      });
+  return call(verbs::kSearch, cfg, deadline_us);
 }
 
 api::Result<api::LatencyReport> Client::predict_latency(
     const api::Arch& arch, std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_request(arch, &w);
-  return roundtrip<api::LatencyReport>(
-      FrameType::kPredictLatency, w.bytes(), deadline_us,
-      /*idempotent=*/true,
-      [](const std::string& p, api::Result<api::LatencyReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<api::LatencyReport>(
-            p,
-            [](Reader* r, api::LatencyReport* v) {
-              return decode_latency_report(r, v);
-            },
-            out, hint);
-      });
+  return call(verbs::kPredictLatency, arch, deadline_us);
 }
 
 api::Result<std::vector<api::LatencyReport>> Client::predict_batch(
     const std::vector<api::Arch>& archs, std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_batch_request(archs, &w);
-  return roundtrip<std::vector<api::LatencyReport>>(
-      FrameType::kPredictBatchN, w.bytes(), deadline_us,
-      /*idempotent=*/true,
-      [](const std::string& p,
-         api::Result<std::vector<api::LatencyReport>>* out,
-         std::uint64_t* hint) {
-        Reader r(p);
-        std::vector<api::Result<api::LatencyReport>> elements;
-        if (!decode_predict_batch_reply(&r, &elements, hint)) return false;
-        std::vector<api::LatencyReport> reports;
-        reports.reserve(elements.size());
-        for (const api::Result<api::LatencyReport>& e : elements) {
-          if (!e.ok()) {
-            *out = e.status();  // first failure fails the batch verb
-            return true;
-          }
-          reports.push_back(e.value());
-        }
-        *out = std::move(reports);
-        return true;
-      });
+  return call(verbs::kPredictBatch, archs, deadline_us);
 }
 
 api::Result<api::ProfileReport> Client::profile(const api::Arch& arch,
                                                 std::uint64_t deadline_us) {
-  Writer w;
-  encode_predict_request(arch, &w);
-  return roundtrip<api::ProfileReport>(
-      FrameType::kProfile, w.bytes(), deadline_us, /*idempotent=*/true,
-      [](const std::string& p, api::Result<api::ProfileReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<api::ProfileReport>(
-            p,
-            [](Reader* r, api::ProfileReport* v) {
-              return decode_profile_report(r, v);
-            },
-            out, hint);
-      });
+  return call(verbs::kProfile, arch, deadline_us);
 }
 
 api::Result<api::ProfileReport> Client::profile_baseline(
     const std::string& name, const std::optional<api::Workload>& workload,
     std::uint64_t deadline_us) {
-  Writer w;
-  encode_profile_baseline_request(name, workload, &w);
-  return roundtrip<api::ProfileReport>(
-      FrameType::kProfileBaseline, w.bytes(), deadline_us,
-      /*idempotent=*/true,
-      [](const std::string& p, api::Result<api::ProfileReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<api::ProfileReport>(
-            p,
-            [](Reader* r, api::ProfileReport* v) {
-              return decode_profile_report(r, v);
-            },
-            out, hint);
-      });
+  return call(verbs::kProfileBaseline, {name, workload}, deadline_us);
 }
 
 api::Result<api::TrainReport> Client::train_baseline(
     const std::string& name, std::uint64_t deadline_us) {
-  Writer w;
-  encode_train_baseline_request(name, &w);
-  return roundtrip<api::TrainReport>(
-      FrameType::kTrainBaseline, w.bytes(), deadline_us,
-      /*idempotent=*/false,
-      [](const std::string& p, api::Result<api::TrainReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<api::TrainReport>(
-            p,
-            [](Reader* r, api::TrainReport* v) {
-              return decode_train_report(r, v);
-            },
-            out, hint);
-      });
+  return call(verbs::kTrainBaseline, name, deadline_us);
 }
 
 api::Result<HealthReport> Client::ping(std::uint64_t deadline_us) {
-  return roundtrip<HealthReport>(
+  return roundtrip<api::Result<HealthReport>>(
       FrameType::kPing, "", deadline_us, /*idempotent=*/true,
-      [](const std::string& p, api::Result<HealthReport>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<HealthReport>(
-            p,
-            [](Reader* r, HealthReport* v) {
-              return decode_health_report(r, v);
-            },
-            out, hint);
-      });
+      &decode_report_reply<&decode_health_report>);
 }
 
 api::Result<obs::Snapshot> Client::stats(std::uint64_t deadline_us) {
-  return roundtrip<obs::Snapshot>(
+  return roundtrip<api::Result<obs::Snapshot>>(
       FrameType::kStats, "", deadline_us, /*idempotent=*/true,
-      [](const std::string& p, api::Result<obs::Snapshot>* out,
-         std::uint64_t* hint) {
-        return parse_reply_payload<obs::Snapshot>(
-            p,
-            [](Reader* r, obs::Snapshot* v) {
-              return decode_stats_snapshot(r, v);
-            },
-            out, hint);
-      });
+      &decode_report_reply<&decode_stats_snapshot>);
 }
 
 }  // namespace hg::net

@@ -9,13 +9,13 @@
 // UNAVAILABLE; everything else is the server's own Status relayed
 // verbatim.
 //
-// Pipelining: every verb is also available as a send_* / wait_* pair with
-// an explicit request id. send_* writes the frame and returns immediately;
-// wait_* blocks until THAT id's reply arrives, stashing any other reply
-// that lands first (the server answers in completion order, not
-// submission order). This is how a single connection keeps many requests
-// in flight — e.g. trickling predictions into the server's coalescing
-// window while a search runs.
+// Pipelining: send(verb, args) writes any service verb's frame
+// (net/verbs.hpp) and returns its request id at once; wait(verb, id)
+// blocks until THAT id's reply arrives, stashing any other reply that
+// lands first (the server answers in completion order, not submission
+// order). This is how a single connection keeps many requests in flight —
+// e.g. trickling predictions into the server's coalescing window while a
+// search runs. The blocking verbs are send + wait with retries.
 //
 // Deadlines: `deadline_us` (0 = none) rides the frame header as the
 // request's queue-time budget, measured from server receipt. An expired
@@ -26,18 +26,19 @@
 // one attempt, a verb that fails in TRANSPORT (send/recv errno, torn or
 // unframeable reply, receive timeout — all surfaced as UNAVAILABLE)
 // reconnects and retries with exponential backoff and decorrelated
-// jitter. Retry is idempotency-aware: pure verbs (predict_latency,
-// predict_batch, profile, profile_baseline, ping) retry transparently;
-// mutating verbs (search, train_baseline) surface the UNAVAILABLE
-// instead — a transport failure cannot prove the request never ran —
-// unless RetryPolicy::retry_mutating opts in. The exception is a reply
-// carrying a retry_after_us hint: the server attaches it only to
-// requests it REFUSED before running (queue-full sheds, drain
-// refusals), so hinted refusals are retried for every verb, with the
-// backoff floored at the server's hint. Retries never extend past the
-// verb's deadline_us, measured from verb entry; each attempt's frame
-// carries only the remaining budget. The pipelined send_*/wait_* API
-// never retries (ids are tied to one connection).
+// jitter. Retry is idempotency-aware: pure verbs (Verb::idempotent, and
+// ping and stats) retry transparently; mutating verbs (search,
+// train_baseline) surface the UNAVAILABLE instead — a transport failure
+// cannot prove the request never ran — unless
+// RetryPolicy::retry_mutating opts in. The exception is a reply carrying
+// a retry_after_us hint: the server attaches it only to requests it
+// REFUSED before running (queue-full sheds, drain refusals), so hinted
+// refusals are retried for every verb, with the backoff floored at the
+// server's hint. A deterministic send failure (a request payload over
+// kMaxPayloadBytes: INVALID_ARGUMENT) is never retried. Retries never
+// extend past the verb's deadline_us, measured from verb entry; each
+// attempt's frame carries only the remaining budget. The pipelined
+// send / wait API never retries (ids are tied to one connection).
 //
 // A Client is NOT thread-safe: drive one instance from one thread (open
 // several connections for concurrent callers).
@@ -55,6 +56,7 @@
 #include "api/status.hpp"
 #include "net/protocol.hpp"
 #include "net/transport.hpp"
+#include "net/verbs.hpp"
 #include "tensor/rng.hpp"
 
 namespace hg::net {
@@ -108,7 +110,7 @@ class Client {
   Client& operator=(const Client&) = delete;
   ~Client() = default;
 
-  // ---- blocking verbs (send + wait) ----
+  // ---- blocking verbs (send + wait, retried per ClientConfig::retry) ----
   api::Result<api::SearchReport> search(
       std::optional<api::EngineConfig> cfg = {}, std::uint64_t deadline_us = 0);
   api::Result<api::LatencyReport> predict_latency(
@@ -137,29 +139,28 @@ class Client {
   /// net.* frame counters — answered from the I/O thread like ping.
   api::Result<obs::Snapshot> stats(std::uint64_t deadline_us = 0);
 
-  // ---- pipelined form: fire now, collect by id later ----
-  api::Result<std::uint64_t> send_search(
-      std::optional<api::EngineConfig> cfg = {}, std::uint64_t deadline_us = 0);
-  api::Result<std::uint64_t> send_predict_latency(
-      const api::Arch& arch, std::uint64_t deadline_us = 0);
-  api::Result<std::uint64_t> send_predict_batch(
-      const std::vector<api::Arch>& archs, std::uint64_t deadline_us = 0);
-  api::Result<std::uint64_t> send_profile(const api::Arch& arch,
-                                          std::uint64_t deadline_us = 0);
-  api::Result<std::uint64_t> send_profile_baseline(
-      const std::string& name,
-      const std::optional<api::Workload>& workload = {},
-      std::uint64_t deadline_us = 0);
-  api::Result<std::uint64_t> send_train_baseline(
-      const std::string& name, std::uint64_t deadline_us = 0);
-
-  api::Result<api::SearchReport> wait_search(std::uint64_t id);
-  api::Result<api::LatencyReport> wait_predict_latency(std::uint64_t id);
-  api::Result<std::vector<api::LatencyReport>> wait_predict_batch(
-      std::uint64_t id);
-  api::Result<api::ProfileReport> wait_profile(std::uint64_t id);
-  api::Result<api::ProfileReport> wait_profile_baseline(std::uint64_t id);
-  api::Result<api::TrainReport> wait_train_baseline(std::uint64_t id);
+  // ---- pipelined form of any service verb (net/verbs.hpp) ----
+  /// Writes the verb's request frame and returns its id at once.
+  template <typename V>
+  api::Result<std::uint64_t> send(const V& verb,
+                                  const typename V::Args& args,
+                                  std::uint64_t deadline_us = 0) {
+    Writer w;
+    verb.encode_args(args, &w);
+    return send_frame(verb.type, deadline_us, w.bytes());
+  }
+  /// Blocks until the reply to `id` (sent as `verb`) arrives, stashing
+  /// any other reply that lands first.
+  template <typename V>
+  typename V::Reply wait(const V& verb, std::uint64_t id) {
+    const api::Result<std::string> payload = recv_reply(id, verb.type);
+    if (!payload.ok()) return payload.status();
+    Reader r(payload.value());
+    typename V::Reply out = api::Status::Internal("unparsed reply");
+    if (!verb.decode_reply(&r, &out, nullptr))
+      return api::Status::Unavailable("malformed reply payload");
+    return out;
+  }
 
   bool connected() const { return transport_ != nullptr; }
 
@@ -169,11 +170,11 @@ class Client {
   std::int64_t connections_dialed() const { return connections_dialed_; }
 
   /// Announce "no more requests" (a kGoodbye frame) and FIN the write
-  /// side. The read side stays open: outstanding wait_* calls still
+  /// side. The read side stays open: outstanding wait calls still
   /// collect their replies, after which the server closes the
   /// connection. Use this before abandoning a pipelining client whose
   /// in-flight requests should be *answered* — a plain close() makes the
-  /// server cancel them instead. Further send_* calls fail UNAVAILABLE.
+  /// server cancel them instead. Further send calls fail UNAVAILABLE.
   api::Status goodbye();
 
   /// Close the connection (any still-queued server-side work for it gets
@@ -183,12 +184,11 @@ class Client {
  private:
   Client() = default;
 
-  /// Parse one reply payload into a Result, reporting the server's
-  /// retry_after_us hint (0 = none). Returns false on malformed bytes —
-  /// a transport-class failure, distinct from a decoded error Status.
-  template <typename T>
-  using ParseReply = bool (*)(const std::string& payload, api::Result<T>* out,
-                              std::uint64_t* retry_after_us);
+  /// Parses one reply payload, reporting the server's retry_after_us hint
+  /// (0 = none). Returns false on malformed bytes — a transport-class
+  /// failure, distinct from a decoded error Status.
+  template <typename Reply>
+  using DecodeReply = bool (*)(Reader*, Reply*, std::uint64_t* retry_after_us);
 
   /// Dial cfg.host:cfg.port (EINTR-safe) and apply cfg.wrap_transport.
   static api::Result<std::unique_ptr<Transport>> dial(
@@ -201,10 +201,14 @@ class Client {
 
   /// The blocking-verb engine: send, await the reply, parse — retrying
   /// per cfg_.retry as documented at the top of this header.
-  template <typename T>
-  api::Result<T> roundtrip(FrameType type, const std::string& payload,
-                           std::uint64_t deadline_us, bool idempotent,
-                           ParseReply<T> parse);
+  template <typename Reply>
+  Reply roundtrip(FrameType type, const std::string& payload,
+                  std::uint64_t deadline_us, bool idempotent,
+                  DecodeReply<Reply> decode);
+  /// roundtrip for one service verb.
+  template <typename V>
+  typename V::Reply call(const V& verb, const typename V::Args& args,
+                         std::uint64_t deadline_us);
 
   api::Result<std::uint64_t> send_frame(FrameType type,
                                         std::uint64_t deadline_us,

@@ -75,24 +75,6 @@ std::string encode_version_farewell(const FrameHeader& peer) {
   return out;
 }
 
-bool is_request_type(std::uint16_t type) {
-  // Every enumerator is listed (and -Wswitch keeps it so): a value that
-  // names none of them falls out of the switch.
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::kSearch:
-    case FrameType::kPredictLatency:
-    case FrameType::kProfile:
-    case FrameType::kProfileBaseline:
-    case FrameType::kTrainBaseline:
-    case FrameType::kGoodbye:
-    case FrameType::kPing:
-    case FrameType::kPredictBatchN:
-    case FrameType::kStats:
-      return true;
-  }
-  return false;
-}
-
 std::string encode_frame(FrameType type, bool reply, std::uint64_t request_id,
                          std::uint64_t deadline_us,
                          const std::string& payload) {
@@ -613,25 +595,22 @@ bool decode_predict_batch_request(Reader* r, std::vector<api::Arch>* out) {
   return true;
 }
 
-void encode_profile_baseline_request(
-    const std::string& name, const std::optional<api::Workload>& workload,
-    Writer* w) {
-  w->str(name);
-  w->boolean(workload.has_value());
-  if (workload) encode_workload(*workload, w);
+void encode_profile_baseline_request(const BaselineQuery& query, Writer* w) {
+  w->str(query.name);
+  w->boolean(query.workload.has_value());
+  if (query.workload) encode_workload(*query.workload, w);
 }
 
-bool decode_profile_baseline_request(Reader* r, std::string* name,
-                                     std::optional<api::Workload>* workload) {
+bool decode_profile_baseline_request(Reader* r, BaselineQuery* out) {
   bool has = false;
-  if (!r->str(name) || !r->boolean(&has)) return false;
+  if (!r->str(&out->name) || !r->boolean(&has)) return false;
   if (!has) {
-    workload->reset();
+    out->workload.reset();
     return true;
   }
   api::Workload wl;
   if (!decode_workload(r, &wl)) return false;
-  *workload = wl;
+  out->workload = wl;
   return true;
 }
 
@@ -649,14 +628,8 @@ std::string encode_predict_batch_reply(
   Writer w;
   encode_status(api::Status::Ok(), &w);
   w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const api::Result<api::LatencyReport>& r : results) {
-    const api::Status status = r.ok() ? api::Status::Ok() : r.status();
-    encode_status(status, &w,
-                  status.code() == api::StatusCode::kResourceExhausted
-                      ? shed_retry_after_us
-                      : 0);
-    if (r.ok()) encode_latency_report(r.value(), &w);
-  }
+  for (const api::Result<api::LatencyReport>& r : results)
+    encode_result(r, encode_latency_report, &w, shed_retry_after_us);
   return w.take();
 }
 
@@ -680,20 +653,33 @@ bool decode_predict_batch_reply(
   if (!r->u32(&n)) return false;
   out->clear();
   for (std::uint32_t i = 0; i < n; ++i) {
-    api::Status status;
+    api::Result<api::LatencyReport> element = api::Status::Internal("");
     std::uint64_t hint = 0;
-    if (!decode_status(r, &status, &hint)) return false;
+    if (!decode_result(r, decode_latency_report, &element, &hint))
+      return false;
     if (retry_after_us != nullptr && hint > *retry_after_us)
       *retry_after_us = hint;
-    if (status.ok()) {
-      api::LatencyReport rep;
-      if (!decode_latency_report(r, &rep)) return false;
-      out->push_back(rep);
-    } else {
-      out->push_back(status);
-    }
+    out->push_back(std::move(element));
   }
   return r->exhausted();
+}
+
+bool decode_predict_batch_result(
+    Reader* r, api::Result<std::vector<api::LatencyReport>>* out,
+    std::uint64_t* retry_after_us) {
+  std::vector<api::Result<api::LatencyReport>> elements;
+  if (!decode_predict_batch_reply(r, &elements, retry_after_us)) return false;
+  std::vector<api::LatencyReport> reports;
+  reports.reserve(elements.size());
+  for (const api::Result<api::LatencyReport>& e : elements) {
+    if (!e.ok()) {
+      *out = e.status();
+      return true;
+    }
+    reports.push_back(e.value());
+  }
+  *out = std::move(reports);
+  return true;
 }
 
 std::string errno_string(int err) {

@@ -58,7 +58,6 @@
 #include "api/config.hpp"
 #include "api/engine.hpp"
 #include "obs/metrics.hpp"
-#include "serve/request.hpp"
 
 namespace hg::net {
 
@@ -71,6 +70,7 @@ inline constexpr std::size_t kHeaderSize = 28;
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MB
 
 /// Frame types. Requests are 1..N; the matching reply is type | kReplyBit.
+/// Each service verb's payloads are declared in net/verbs.hpp.
 enum class FrameType : std::uint16_t {
   kSearch = 1,
   kPredictLatency = 2,
@@ -92,11 +92,8 @@ enum class FrameType : std::uint16_t {
   /// protocol v2.
   kPing = 8,
   /// N latency predictions in one frame, submitted to the service as ONE
-  /// queue entry (serve::PredictBatchRequest). Payload:
-  /// encode_predict_batch_request; reply: encode_predict_batch_reply (one
-  /// Result per element, in order). A batch larger than kMaxWireBatch is
-  /// refused up front with per-element RESOURCE_EXHAUSTED (+ retry hint)
-  /// — it never reaches the service.
+  /// queue entry (verbs::kPredictBatch); the reply holds one Result per
+  /// element, in order.
   kPredictBatchN = 9,
   /// Empty-payload metrics scrape, answered from the server's I/O thread
   /// like kPing: the reply is OK + the full flattened metrics snapshot
@@ -108,12 +105,6 @@ enum class FrameType : std::uint16_t {
   kStats = 10,
 };
 inline constexpr std::uint16_t kReplyBit = 0x80;
-
-/// True when `type` (a header's type field) names a request a server
-/// serves: a FrameType enumerator without kReplyBit. Anything else — 0, a
-/// retired type, a reply, a type from a newer peer — is answered with
-/// INVALID_ARGUMENT "unknown frame type N".
-bool is_request_type(std::uint16_t type);
 
 /// Largest element count a server accepts in one kPredictBatchN frame.
 /// Bounds the block-diagonal forward a single frame can demand (the
@@ -288,13 +279,15 @@ void encode_predict_batch_request(const std::vector<api::Arch>& archs,
                                   Writer* w);
 bool decode_predict_batch_request(Reader* r, std::vector<api::Arch>* out);
 
-// kProfile shares the kPredictLatency payload (one arch).
+/// kProfileBaseline's payload: a reference network's name and, optionally,
+/// the workload to profile it at.
+struct BaselineQuery {
+  std::string name;
+  std::optional<api::Workload> workload;
+};
 
-void encode_profile_baseline_request(
-    const std::string& name, const std::optional<api::Workload>& workload,
-    Writer* w);
-bool decode_profile_baseline_request(Reader* r, std::string* name,
-                                     std::optional<api::Workload>* workload);
+void encode_profile_baseline_request(const BaselineQuery& query, Writer* w);
+bool decode_profile_baseline_request(Reader* r, BaselineQuery* out);
 
 void encode_train_baseline_request(const std::string& name, Writer* w);
 bool decode_train_baseline_request(Reader* r, std::string* out);
@@ -304,38 +297,63 @@ bool decode_train_baseline_request(Reader* r, std::string* out);
 // A reply is encode_status(...) then, iff OK, the report. The typed
 // helpers below build / parse the whole payload.
 
+/// One answer: its Status, then, iff OK, the report.
 /// `shed_retry_after_us`, when non-zero, is attached to RESOURCE_EXHAUSTED
 /// statuses only — the shed path (the request was refused before running);
 /// other error codes mean the request ran and must not advertise a hint.
 template <typename T, typename EncodeFn>
+void encode_result(const api::Result<T>& result, EncodeFn encode, Writer* w,
+                   std::uint64_t shed_retry_after_us) {
+  const api::Status status =
+      result.ok() ? api::Status::Ok() : result.status();
+  encode_status(status, w,
+                status.code() == api::StatusCode::kResourceExhausted
+                    ? shed_retry_after_us
+                    : 0);
+  if (result.ok()) encode(result.value(), w);
+}
+
+template <typename T, typename DecodeFn>
+bool decode_result(Reader* r, DecodeFn decode, api::Result<T>* out,
+                   std::uint64_t* retry_after_us) {
+  api::Status status;
+  if (!decode_status(r, &status, retry_after_us)) return false;
+  if (!status.ok()) {
+    *out = status;
+    return true;
+  }
+  T value{};
+  if (!decode(r, &value)) return false;
+  *out = std::move(value);
+  return true;
+}
+
+template <typename T, typename EncodeFn>
 std::string encode_reply(const api::Result<T>& result, EncodeFn encode,
                          std::uint64_t shed_retry_after_us = 0) {
   Writer w;
-  const api::Status status =
-      result.ok() ? api::Status::Ok() : result.status();
-  const std::uint64_t hint =
-      status.code() == api::StatusCode::kResourceExhausted
-          ? shed_retry_after_us
-          : 0;
-  encode_status(status, &w, hint);
-  if (result.ok()) encode(result.value(), &w);
+  encode_result(result, encode, &w, shed_retry_after_us);
   return w.take();
 }
 
 template <typename T, typename DecodeFn>
 bool decode_reply(Reader* r, DecodeFn decode, api::Result<T>* out,
                   std::uint64_t* retry_after_us = nullptr) {
-  api::Status status;
-  if (!decode_status(r, &status, retry_after_us)) return false;
-  if (!status.ok()) {
-    if (!r->exhausted()) return false;
-    *out = status;
-    return true;
-  }
-  T value{};
-  if (!decode(r, &value) || !r->exhausted()) return false;
-  *out = std::move(value);
-  return true;
+  return decode_result(r, decode, out, retry_after_us) && r->exhausted();
+}
+
+/// encode_reply / decode_reply bound to one report codec, in the shape
+/// the verb table (net/verbs.hpp) stores.
+template <auto Encode, typename T>
+std::string encode_report_reply(const api::Result<T>& result,
+                                std::uint64_t shed_retry_after_us) {
+  return encode_reply(result, Encode, shed_retry_after_us);
+}
+
+template <auto Decode, typename T>
+bool decode_report_reply(Reader* r, api::Result<T>* out,
+                         std::uint64_t* retry_after_us) {
+  return decode_reply(r, Decode, out, retry_after_us);
 }
 
 /// The batch reply carries one Result per element (the service answers
@@ -348,6 +366,13 @@ std::string encode_predict_batch_reply(
 bool decode_predict_batch_reply(
     Reader* r, std::vector<api::Result<api::LatencyReport>>* out,
     std::uint64_t* retry_after_us = nullptr);
+
+/// decode_predict_batch_reply folded into one Result the way
+/// Engine::predict_batch answers: the first failing element's Status
+/// fails the whole call.
+bool decode_predict_batch_result(
+    Reader* r, api::Result<std::vector<api::LatencyReport>>* out,
+    std::uint64_t* retry_after_us);
 
 /// Whole-frame convenience: header + payload in one buffer.
 std::string encode_frame(FrameType type, bool reply, std::uint64_t request_id,

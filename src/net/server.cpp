@@ -23,6 +23,7 @@
 #include "core/annotations.hpp"
 #include "net/protocol.hpp"
 #include "net/transport.hpp"
+#include "net/verbs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -101,20 +102,37 @@ class OutQueue {
   std::size_t bytes_ = 0;     // total unflushed bytes across bufs_
 };
 
+/// The queue-full sheds in a service answer: its RESOURCE_EXHAUSTED
+/// statuses.
+template <typename T>
+int count_sheds(const api::Result<T>& answer) {
+  return !answer.ok() &&
+         answer.status().code() == api::StatusCode::kResourceExhausted;
+}
+
+template <typename T>
+int count_sheds(const std::vector<api::Result<T>>& answers) {
+  int n = 0;
+  for (const api::Result<T>& a : answers) n += count_sheds(a);
+  return n;
+}
+
 }  // namespace
 
 struct Server::Impl {
-  /// One submitted request whose reply has not been written yet. The
-  /// future variant mirrors the request vocabulary.
+  /// One submitted request whose reply has not been written yet.
+  /// Alternative I of the future variant is the answer of verbs::kAll's
+  /// verb I.
+  using Futures = decltype(std::apply(
+      [](const auto&... verb) {
+        return std::variant<std::future<
+            typename std::decay_t<decltype(verb)>::Served>...>{};
+      },
+      verbs::kAll));
   struct Pending {
     std::uint64_t id = 0;
     FrameType type = FrameType::kSearch;
-    std::variant<std::future<api::Result<api::SearchReport>>,
-                 std::future<api::Result<api::LatencyReport>>,
-                 std::future<api::Result<api::ProfileReport>>,
-                 std::future<api::Result<api::TrainReport>>,
-                 std::future<std::vector<api::Result<api::LatencyReport>>>>
-        future;
+    Futures future;
     // Frame receipt, for the end-to-end "net.request" span (receipt ->
     // reply encoded).
     std::chrono::steady_clock::time_point received_at;
@@ -475,72 +493,85 @@ struct Server::Impl {
       return;
     }
     nc.frames_received->inc();
-    if (type == FrameType::kGoodbye) {
-      if (len != 0) {
-        reply_error(c, type, h.request_id,
-                    api::Status::InvalidArgument(
-                        "goodbye frame carries a payload"));
-        return;
-      }
-      c.goodbye = true;  // no reply: the close after the drain is the ack
+    if (verbs::with_verb(h.type, [&](auto index) {
+          submit(c, index, h, payload, len);
+        }))
+      return;
+    // Goodbye, ping and stats: answered here on the I/O thread, without a
+    // payload.
+    if (len != 0) {
+      reply_error(c, type, h.request_id,
+                  api::Status::InvalidArgument(
+                      std::string(type == FrameType::kGoodbye ? "goodbye"
+                                  : type == FrameType::kPing  ? "ping"
+                                                              : "stats") +
+                      " frame carries a payload"));
       return;
     }
-    if (type == FrameType::kPing) {
-      if (len != 0) {
-        reply_error(c, type, h.request_id,
-                    api::Status::InvalidArgument(
-                        "ping frame carries a payload"));
-        return;
-      }
-      // Answered right here on the I/O thread — a ping must come back
-      // even when every worker is wedged, which is exactly when callers
-      // need the report.
+    if (type == FrameType::kGoodbye) {
+      c.goodbye = true;  // no reply: the close after the drain is the ack
+    } else if (type == FrameType::kPing) {
+      // A ping must come back even when every worker is wedged, which is
+      // exactly when callers need the report.
       service->record_ping();
-      const serve::ServiceStats s = service->stats();
       HealthReport rep;
+      rep.queue_depth = service->queue_depth();
       rep.state = draining.load(std::memory_order_acquire)
                       ? HealthState::kDraining
                       : (cfg.service.max_queue_depth > 0 &&
-                                 s.queue_depth >= cfg.service.max_queue_depth
+                                 rep.queue_depth >= cfg.service.max_queue_depth
                              ? HealthState::kOverloaded
                              : HealthState::kAccepting);
-      rep.queue_depth = s.queue_depth;
       rep.workers = cfg.service.num_workers;
       rep.uptime_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - started)
               .count());
-      Writer w;
-      encode_status(api::Status::Ok(), &w);
-      encode_health_report(rep, &w);
-      send_reply(c, type, h.request_id, w.take());
-      return;
+      send_reply(c, type, h.request_id,
+                 encode_reply<HealthReport>(rep, encode_health_report));
+    } else {
+      // A metrics scrape must not queue behind the very backlog it is
+      // trying to diagnose, and it still answers while draining.
+      send_reply(c, type, h.request_id,
+                 encode_reply<obs::Snapshot>(service->metrics_snapshot(),
+                                             encode_stats_snapshot));
     }
-    if (type == FrameType::kStats) {
-      if (len != 0) {
-        reply_error(c, type, h.request_id,
-                    api::Status::InvalidArgument(
-                        "stats frame carries a payload"));
-        return;
-      }
-      // Like kPing, answered on the I/O thread: a metrics scrape must
-      // not queue behind the very backlog it is trying to diagnose, and
-      // it still answers while draining.
-      Writer w;
-      encode_status(api::Status::Ok(), &w);
-      encode_stats_snapshot(service->metrics_snapshot(), &w);
-      send_reply(c, type, h.request_id, w.take());
-      return;
-    }
+  }
+
+  /// Decodes the request of verbs::kAll's verb I and submits it, or
+  /// answers it here when the payload is malformed or the verb refuses it
+  /// up front.
+  template <std::size_t I>
+  void submit(Conn& c, std::integral_constant<std::size_t, I>,
+              const FrameHeader& h, const char* payload, std::size_t len) {
+    const auto& verb = std::get<I>(verbs::kAll);
+    using V = std::decay_t<decltype(verb)>;
     if (draining.load(std::memory_order_acquire)) {
       // Refused BEFORE submission: this request never ran, which the
       // retry_after_us hint certifies — safe to retry elsewhere (or
       // here, if the drain is a rolling restart) for every verb.
-      reply_refusal(c, type, h.request_id,
+      reply_refusal(c, verb.type, h.request_id,
                     api::Status::Unavailable("server is draining"));
       return;
     }
-
+    const std::chrono::steady_clock::time_point received_at =
+        std::chrono::steady_clock::now();
+    typename V::Args args{};
+    Reader r(payload, len);
+    if (!verb.decode_args(&r, &args) || !r.exhausted()) {
+      reply_error(c, verb.type, h.request_id,
+                  api::Status::InvalidArgument(std::string("malformed ") +
+                                               verb.name +
+                                               " request payload"));
+      return;
+    }
+    if (verb.refuse != nullptr) {
+      if (std::optional<typename V::Served> refusal = verb.refuse(args)) {
+        send_reply(c, verb.type, h.request_id,
+                   verb.encode_reply(*refusal, 0));
+        return;
+      }
+    }
     serve::RequestOptions opts;
     if (h.deadline_us > 0) {
       // Saturate the peer-controlled budget before it meets the clock: a
@@ -548,9 +579,8 @@ struct Server::Impl {
       // overflow the time_point arithmetic into UB / a deadline in the
       // past. One day of queue time is "no deadline" in practice.
       constexpr std::uint64_t kMaxDeadlineUs = 86'400'000'000ULL;
-      opts.deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(
-                          std::min(h.deadline_us, kMaxDeadlineUs));
+      opts.deadline = received_at + std::chrono::microseconds(std::min(
+                                        h.deadline_us, kMaxDeadlineUs));
     }
     opts.cancel = c.cancel;
     opts.notify = [this] { wake(); };
@@ -558,111 +588,12 @@ struct Server::Impl {
     // spans for this request carry the id the client chose, so a remote
     // call is attributable end to end.
     opts.trace_id = h.request_id;
-
-    Reader r(payload, len);
-    Pending p;
-    p.id = h.request_id;
-    p.type = type;
-    p.received_at = std::chrono::steady_clock::now();
-    switch (type) {
-      case FrameType::kSearch: {
-        std::optional<api::EngineConfig> cfg_override;
-        if (!decode_search_request(&r, &cfg_override) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed search request payload"));
-          return;
-        }
-        p.future = service->submit(
-            serve::SearchRequest{std::move(cfg_override), std::move(opts)});
-        break;
-      }
-      case FrameType::kPredictLatency: {
-        api::Arch arch;
-        if (!decode_predict_request(&r, &arch) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed predict request payload"));
-          return;
-        }
-        p.future = service->submit(
-            serve::PredictLatencyRequest{std::move(arch), std::move(opts)});
-        break;
-      }
-      case FrameType::kPredictBatchN: {
-        std::vector<api::Arch> archs;
-        if (!decode_predict_batch_request(&r, &archs) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed predict-batch request payload"));
-          return;
-        }
-        if (archs.size() > kMaxWireBatch) {
-          // Refused before submission, per element (the reply shape
-          // matches the request so the client's decode stays simple).
-          // Deliberately NO retry_after hint: unlike a queue shed this
-          // refusal is deterministic — the same frame can never succeed;
-          // the caller must split the batch, not wait.
-          const api::Status refusal = api::Status::ResourceExhausted(
-              "batch of " + std::to_string(archs.size()) +
-              " exceeds the per-frame limit of " +
-              std::to_string(kMaxWireBatch));
-          std::vector<api::Result<api::LatencyReport>> results(
-              archs.size(), api::Result<api::LatencyReport>(refusal));
-          send_reply(c, type, h.request_id,
-                     encode_predict_batch_reply(results));
-          return;
-        }
-        // ONE submission for the whole frame: one queue entry, answered
-        // in one packed forward, never split across forwards.
-        p.future = service->submit(
-            serve::PredictBatchRequest{std::move(archs), std::move(opts)});
-        break;
-      }
-      case FrameType::kProfile: {
-        api::Arch arch;
-        if (!decode_predict_request(&r, &arch) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed profile request payload"));
-          return;
-        }
-        p.future = service->submit(
-            serve::ProfileRequest{std::move(arch), std::move(opts)});
-        break;
-      }
-      case FrameType::kProfileBaseline: {
-        std::string name;
-        std::optional<api::Workload> workload;
-        if (!decode_profile_baseline_request(&r, &name, &workload) ||
-            !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed profile-baseline request payload"));
-          return;
-        }
-        p.future = service->submit(serve::ProfileBaselineRequest{
-            std::move(name), workload, std::move(opts)});
-        break;
-      }
-      case FrameType::kTrainBaseline: {
-        std::string name;
-        if (!decode_train_baseline_request(&r, &name) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed train-baseline request payload"));
-          return;
-        }
-        p.future = service->submit(serve::TrainBaselineRequest{
-            std::move(name), std::move(opts)});
-        break;
-      }
-      case FrameType::kGoodbye:
-      case FrameType::kPing:
-      case FrameType::kStats:
-        return;  // handled above the switch; never reaches here
-    }
-    c.pending.push_back(std::move(p));
+    c.pending.push_back(
+        Pending{h.request_id, verb.type,
+                Futures(std::in_place_index<I>,
+                        service->submit(verb.to_request(std::move(args),
+                                                        std::move(opts)))),
+                received_at});
   }
 
   /// Encode every completed pending request's reply, preserving
@@ -681,12 +612,7 @@ struct Server::Impl {
         Pending p = std::move(c.pending[scan]);
         c.pending.erase(c.pending.begin() +
                         static_cast<std::ptrdiff_t>(scan));
-        std::string reply = encode_ready_reply(p);
-        // End-to-end wire span: frame receipt -> reply encoded, under
-        // the request id the client chose.
-        obs::record_span("net.request", "net", p.id, p.received_at,
-                         std::chrono::steady_clock::now());
-        send_reply(c, p.type, p.id, std::move(reply));
+        send_answer(c, p);
         wrote = true;
       }
       if (wrote && !flush(c)) {
@@ -713,84 +639,25 @@ struct Server::Impl {
     for (int fd : dead) close_conn(fd);
   }
 
-  /// Builds the reply for a resolved Pending. A RESOURCE_EXHAUSTED
-  /// result is the service's queue-full shed — refused before running —
-  /// so it gets the retry_after_us hint (encode_reply attaches it to
-  /// that code only).
-  std::string encode_ready_reply(Pending& p) {
+  /// Encodes a resolved Pending's answer and queues its reply. A
+  /// RESOURCE_EXHAUSTED answer is the service's queue-full shed — refused
+  /// before running — so it carries the retry_after_us hint (encode_reply
+  /// attaches it to that code only).
+  void send_answer(Conn& c, Pending& p) {
     const std::uint64_t hint = cfg.shed_retry_after_us;
-    const auto note_shed = [this, hint](const api::Status& status) {
-      if (hint > 0 &&
-          status.code() == api::StatusCode::kResourceExhausted)
-        service->record_shed_hint();
-    };
-    switch (p.type) {
-      case FrameType::kSearch: {
-        const api::Result<api::SearchReport> r =
-            std::get<std::future<api::Result<api::SearchReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::SearchReport>(
-            r,
-            [](const api::SearchReport& rep, Writer* w) {
-              encode_search_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kPredictLatency: {
-        const api::Result<api::LatencyReport> r =
-            std::get<std::future<api::Result<api::LatencyReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::LatencyReport>(
-            r,
-            [](const api::LatencyReport& rep, Writer* w) {
-              encode_latency_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kPredictBatchN: {
-        std::vector<api::Result<api::LatencyReport>> results =
-            std::get<std::future<std::vector<api::Result<api::LatencyReport>>>>(
-                p.future)
-                .get();
-        for (const auto& e : results)
-          if (!e.ok()) note_shed(e.status());
-        return encode_predict_batch_reply(results, hint);
-      }
-      case FrameType::kProfile:
-      case FrameType::kProfileBaseline: {
-        const api::Result<api::ProfileReport> r =
-            std::get<std::future<api::Result<api::ProfileReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::ProfileReport>(
-            r,
-            [](const api::ProfileReport& rep, Writer* w) {
-              encode_profile_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kTrainBaseline: {
-        const api::Result<api::TrainReport> r =
-            std::get<std::future<api::Result<api::TrainReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::TrainReport>(
-            r,
-            [](const api::TrainReport& rep, Writer* w) {
-              encode_train_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kGoodbye:
-      case FrameType::kPing:
-      case FrameType::kStats:
-        break;  // never a Pending; fall to the error below
-    }
-    Writer w;
-    encode_status(api::Status::Internal("unreachable reply type"), &w);
-    return w.take();
+    verbs::with_verb(static_cast<std::uint16_t>(p.type), [&](auto index) {
+      const auto& verb = std::get<index>(verbs::kAll);
+      const auto answer = std::get<index>(p.future).get();
+      if (hint > 0)
+        for (int i = count_sheds(answer); i > 0; --i)
+          service->record_shed_hint();
+      std::string reply = verb.encode_reply(answer, hint);
+      // End-to-end wire span: frame receipt -> reply encoded, under the
+      // request id the client chose.
+      obs::record_span("net.request", "net", p.id, p.received_at,
+                       std::chrono::steady_clock::now());
+      send_reply(c, verb.type, p.id, std::move(reply));
+    });
   }
 
   /// False when the connection broke mid-write. One gathered sendv per

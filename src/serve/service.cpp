@@ -445,17 +445,20 @@ ServiceStats Service::stats() const {
       exclusive_service_time_us_.percentile_us(0.50);
   snapshot.exclusive_service_time_p99_us =
       exclusive_service_time_us_.percentile_us(0.99);
-  core::MutexLock lock(queue_mutex_);
-  snapshot.queue_depth = queued();
+  snapshot.queue_depth = queue_depth();
   return snapshot;
+}
+
+std::int64_t Service::queue_depth() const {
+  core::MutexLock lock(queue_mutex_);
+  return queued();
 }
 
 obs::Snapshot Service::metrics_snapshot() const {
   obs::Snapshot snap = registry_->snapshot();
   // queue_depth is the one live (non-monotone, non-instrument) value: it
   // is derived from the queue sizes, so inject it here.
-  core::MutexLock lock(queue_mutex_);
-  snap["serve.queue_depth"] = queued();
+  snap["serve.queue_depth"] = queue_depth();
   return snap;
 }
 

@@ -245,6 +245,9 @@ class Service {
   void record_shed_hint();
 
   ServiceStats stats() const;
+  /// Requests admitted and not yet started (ServiceStats::queue_depth),
+  /// without building the rest of a stats() snapshot.
+  std::int64_t queue_depth() const;
 
   /// This service's instrument registry. The net front end registers its
   /// "net.*" counters here so one snapshot tells the whole story; each

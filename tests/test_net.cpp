@@ -22,13 +22,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "fingerprint.hpp"
 #include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
@@ -273,11 +276,10 @@ TEST(NetProtocolFuzz, TruncatedPayloadsNeverDecode) {
   });
 
   Writer baseline;
-  encode_profile_baseline_request("dgcnn", api::Workload{}, &baseline);
+  encode_profile_baseline_request({"dgcnn", api::Workload{}}, &baseline);
   expect_all_truncations_fail(baseline.bytes(), [](Reader* r) {
-    std::string name;
-    std::optional<api::Workload> wl;
-    return decode_profile_baseline_request(r, &name, &wl);
+    BaselineQuery out;
+    return decode_profile_baseline_request(r, &out);
   });
 
   api::ProfileReport prof;
@@ -486,6 +488,127 @@ TEST(NetServer, RemoteAnswersBitIdenticalToInProcess) {
   }
 }
 
+/// Transport decorator keeping a copy of every byte a client moves, so a
+/// test can inspect the exact frames it sent and received.
+class RecordingTransport final : public Transport {
+ public:
+  RecordingTransport(std::unique_ptr<Transport> inner, std::string* sent,
+                     std::string* received)
+      : inner_(std::move(inner)), sent_(sent), received_(received) {}
+
+  ssize_t send(const char* data, std::size_t len) override {
+    const ssize_t n = inner_->send(data, len);
+    if (n > 0) sent_->append(data, static_cast<std::size_t>(n));
+    return n;
+  }
+  ssize_t recv(char* buf, std::size_t len) override {
+    const ssize_t n = inner_->recv(buf, len);
+    if (n > 0) received_->append(buf, static_cast<std::size_t>(n));
+    return n;
+  }
+  void shutdown_write() override { inner_->shutdown_write(); }
+  int fd() const override { return inner_->fd(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::string* sent_;
+  std::string* received_;
+};
+
+/// FNV-1a of each whole frame in `stream`, keyed by its header's type field.
+std::map<std::uint16_t, std::uint64_t> frame_hashes(const std::string& stream) {
+  std::map<std::uint16_t, std::uint64_t> out;
+  std::size_t pos = 0;
+  while (stream.size() - pos >= kHeaderSize) {
+    FrameHeader h;
+    EXPECT_TRUE(decode_header(stream.data() + pos, stream.size() - pos, &h));
+    const std::size_t len = kHeaderSize + h.payload_len;
+    EXPECT_LE(len, stream.size() - pos) << "torn frame";
+    if (len > stream.size() - pos) break;
+    Fnv1a f;
+    f.text(std::string_view(stream).substr(pos, len));
+    EXPECT_EQ(out.count(h.type), 0u) << "type " << h.type << " sent twice";
+    out[h.type] = f.h;
+    pos += len;
+  }
+  EXPECT_EQ(pos, stream.size());
+  return out;
+}
+
+TEST(NetProtocol, WireBytesArePinned) {
+  // Every blocking verb once, with fixed inputs, over one connection: the
+  // request frames and the deterministic reply frames must be byte-for-
+  // byte what this protocol version has always sent. Ping and stats
+  // replies carry uptime and timings, so only their requests are pinned.
+  api::EngineConfig cfg = api::EngineConfig::tiny();
+  cfg.evaluator = "oracle";
+  const std::vector<api::Arch> archs = sample_archs(cfg, 2);
+  auto server = Server::create(cfg);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+
+  std::string sent, received;
+  ClientConfig ccfg;
+  ccfg.port = server.value()->port();
+  ccfg.wrap_transport = [&](std::unique_ptr<Transport> inner) {
+    return std::make_unique<RecordingTransport>(std::move(inner), &sent,
+                                                &received);
+  };
+  auto client = Client::connect(ccfg);
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  Client& remote = client.value();
+
+  api::EngineConfig search_cfg = cfg;
+  search_cfg.strategy = "random";
+  search_cfg.iterations = 2;
+  ASSERT_TRUE(remote.search(search_cfg).ok());
+  ASSERT_TRUE(remote.predict_latency(archs[0]).ok());
+  ASSERT_TRUE(remote.predict_batch(archs).ok());
+  ASSERT_TRUE(remote.profile(archs[1]).ok());
+  ASSERT_TRUE(remote.profile_baseline("dgcnn", api::Workload{}).ok());
+  ASSERT_TRUE(remote.train_baseline("tailor").ok());
+  ASSERT_TRUE(remote.ping().ok());
+  ASSERT_TRUE(remote.stats().ok());
+
+  const std::map<std::uint16_t, std::uint64_t> requests = frame_hashes(sent);
+  const std::map<std::uint16_t, std::uint64_t> replies =
+      frame_hashes(received);
+  struct Pin {
+    FrameType type;
+    std::uint64_t request;
+    std::uint64_t reply;  // 0: not deterministic, not pinned
+  };
+  const Pin pins[] = {
+      {FrameType::kSearch, 0x0713c8ff09a4f43full, 0xcae2504180c78bbcull},
+      {FrameType::kPredictLatency, 0x8e014fd32dd4bb97ull,
+       0xb27a995a0c9d7f48ull},
+      {FrameType::kPredictBatchN, 0xdcbc778a4f781416ull,
+       0x4235b6c283413c4full},
+      {FrameType::kProfile, 0xec389e1f177a4210ull, 0x062a2ae1d633adf0ull},
+      {FrameType::kProfileBaseline, 0x2e481b5591734d62ull,
+       0x761e5b96040ee835ull},
+      {FrameType::kTrainBaseline, 0x58cf1d2d229546f6ull,
+       0x6ba33d366bc5f54aull},
+      {FrameType::kPing, 0x6e4d8cf69cad8cd8ull, 0},
+      {FrameType::kStats, 0xcf5974651474d4d5ull, 0},
+  };
+  ASSERT_EQ(requests.size(), std::size(pins));
+  ASSERT_EQ(replies.size(), std::size(pins));
+  for (const Pin& pin : pins) {
+    const auto type = static_cast<std::uint16_t>(pin.type);
+    const auto reply_type = static_cast<std::uint16_t>(type | kReplyBit);
+    ASSERT_EQ(requests.count(type), 1u) << "no request of type " << type;
+    ASSERT_EQ(replies.count(reply_type), 1u) << "no reply of type " << type;
+    EXPECT_EQ(requests.at(type), pin.request)
+        << "request type " << type << " hashes to 0x" << std::hex
+        << requests.at(type);
+    if (pin.reply != 0) {
+      EXPECT_EQ(replies.at(reply_type), pin.reply)
+          << "reply type " << type << " hashes to 0x" << std::hex
+          << replies.at(reply_type);
+    }
+  }
+}
+
 TEST(NetServer, RemoteStatsMatchLocalCounters) {
   const api::EngineConfig cfg = tiny_cfg();
   const std::vector<api::Arch> archs = sample_archs(cfg, 4);
@@ -550,9 +673,9 @@ TEST(NetServer, WireRequestIdBecomesServerTraceId) {
   ASSERT_TRUE(client.ok()) << client.status().to_string();
 
   api::Result<std::uint64_t> id =
-      client.value().send_predict_latency(archs[0]);
+      client.value().send(verbs::kPredictLatency, archs[0]);
   ASSERT_TRUE(id.ok()) << id.status().to_string();
-  ASSERT_TRUE(client.value().wait_predict_latency(id.value()).ok());
+  ASSERT_TRUE(client.value().wait(verbs::kPredictLatency, id.value()).ok());
 
   // Spans are recorded after the worker fulfills the promise (the span
   // covers the full execution, so recording necessarily trails the
@@ -593,22 +716,24 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   Client& remote = client.value();
 
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto search_id = remote.send_search();
+  auto search_id = remote.send(verbs::kSearch, {});
   ASSERT_TRUE(search_id.ok());
   // 1 µs of queue budget: expired long before the search lets it run.
-  auto doomed_id = remote.send_profile(archs[0], /*deadline_us=*/1);
+  auto doomed_id = remote.send(verbs::kProfile, archs[0], /*deadline_us=*/1);
   ASSERT_TRUE(doomed_id.ok());
   // Generous budget: survives the queue wait.
-  auto fine_id = remote.send_profile(archs[0], /*deadline_us=*/60'000'000);
+  auto fine_id =
+      remote.send(verbs::kProfile, archs[0], /*deadline_us=*/60'000'000);
   ASSERT_TRUE(fine_id.ok());
 
   api::Result<api::ProfileReport> doomed =
-      remote.wait_profile(doomed_id.value());
+      remote.wait(verbs::kProfile, doomed_id.value());
   ASSERT_FALSE(doomed.ok());
   EXPECT_EQ(doomed.status().code(), api::StatusCode::kDeadlineExceeded);
-  api::Result<api::ProfileReport> fine = remote.wait_profile(fine_id.value());
+  api::Result<api::ProfileReport> fine =
+      remote.wait(verbs::kProfile, fine_id.value());
   EXPECT_TRUE(fine.ok()) << fine.status().to_string();
-  EXPECT_TRUE(remote.wait_search(search_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
 
   EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
 }
@@ -631,7 +756,7 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
   // Per-request override: a search far too long for its 300 ms budget.
   api::EngineConfig huge = cfg;
   huge.iterations = 500;
-  auto search_id = remote.send_search(huge, /*deadline_us=*/300'000);
+  auto search_id = remote.send(verbs::kSearch, huge, /*deadline_us=*/300'000);
   ASSERT_TRUE(search_id.ok());
   // Confirm the search was actually dispatched (not expired while queued)
   // before the deadline can fire.
@@ -642,16 +767,17 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
   }
   ASSERT_TRUE(started) << "search never started slicing";
 
-  api::Result<api::SearchReport> r = remote.wait_search(search_id.value());
+  api::Result<api::SearchReport> r =
+      remote.wait(verbs::kSearch, search_id.value());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
 
   // The worker is free again and the server keeps serving.
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto fine_id = remote.send_profile(archs[0]);
+  auto fine_id = remote.send(verbs::kProfile, archs[0]);
   ASSERT_TRUE(fine_id.ok());
-  EXPECT_TRUE(remote.wait_profile(fine_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kProfile, fine_id.value()).ok());
 }
 
 TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
@@ -666,7 +792,7 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   Client& remote = client.value();
 
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto search_id = remote.send_search();
+  auto search_id = remote.send(verbs::kSearch, {});
   ASSERT_TRUE(search_id.ok());
   wait_for_requests(*server.value(), 1);
   wait_for_drain_into_worker(*server.value());  // search occupies the worker
@@ -676,13 +802,13 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   constexpr int kFlood = 8;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < kFlood; ++i) {
-    auto id = remote.send_profile(archs[0]);
+    auto id = remote.send(verbs::kProfile, archs[0]);
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
   int ok = 0, rejected = 0;
   for (std::uint64_t id : ids) {
-    api::Result<api::ProfileReport> r = remote.wait_profile(id);
+    api::Result<api::ProfileReport> r = remote.wait(verbs::kProfile, id);
     if (r.ok()) {
       ++ok;
     } else {
@@ -693,7 +819,7 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   }
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(rejected, kFlood - 2);
-  EXPECT_TRUE(remote.wait_search(search_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
   EXPECT_EQ(server.value()->service()->stats().rejected_requests,
             kFlood - 2);
 }
@@ -709,9 +835,10 @@ TEST(NetServer, DisconnectCancelsThatConnectionsQueuedRequests) {
   {
     auto doomed = Client::connect("127.0.0.1", server.value()->port());
     ASSERT_TRUE(doomed.ok());
-    ASSERT_TRUE(doomed.value().send_search().ok());  // occupies the worker
+    // The search occupies the worker.
+    ASSERT_TRUE(doomed.value().send(verbs::kSearch, {}).ok());
     for (int i = 0; i < 4; ++i)
-      ASSERT_TRUE(doomed.value().send_profile(archs[0]).ok());
+      ASSERT_TRUE(doomed.value().send(verbs::kProfile, archs[0]).ok());
     wait_for_requests(*server.value(), 5);  // all admitted server-side
     // Destructor closes the socket: the server must flag this
     // connection's queued profiles as cancelled.
@@ -755,14 +882,14 @@ TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
 
   std::vector<std::uint64_t> ids;
   for (const api::Arch& a : archs) {
-    auto id = remote.send_predict_latency(a);
+    auto id = remote.send(verbs::kPredictLatency, a);
     ASSERT_TRUE(id.ok());
     std::this_thread::sleep_for(3ms);  // trickle, well inside the window
   }
   for (std::size_t i = 0; i < archs.size(); ++i) {
     // Ids are sequential from the connection's first request (1-based).
     api::Result<api::LatencyReport> served =
-        remote.wait_predict_latency(static_cast<std::uint64_t>(i + 1));
+        remote.wait(verbs::kPredictLatency, static_cast<std::uint64_t>(i + 1));
     ASSERT_TRUE(served.ok()) << served.status().to_string();
     api::Result<api::LatencyReport> direct =
         engine.value().predict_latency(archs[i]);
@@ -1186,18 +1313,20 @@ TEST(NetClient, GoodbyeDrainsPipelinedRequests) {
   Client& remote = client.value();
   const std::vector<api::Arch> archs = sample_archs(cfg, 2);
 
-  auto id1 = remote.send_profile(archs[0]);
-  auto id2 = remote.send_profile(archs[1]);
+  auto id1 = remote.send(verbs::kProfile, archs[0]);
+  auto id2 = remote.send(verbs::kProfile, archs[1]);
   ASSERT_TRUE(id1.ok() && id2.ok());
   ASSERT_TRUE(remote.goodbye().ok());
   ASSERT_TRUE(remote.goodbye().ok());  // idempotent
 
   // A stray send after the goodbye fails cleanly WITHOUT tearing down
   // the read side — the pending replies below must still arrive.
-  EXPECT_FALSE(remote.send_profile(archs[0]).ok());
+  EXPECT_FALSE(remote.send(verbs::kProfile, archs[0]).ok());
 
-  api::Result<api::ProfileReport> r1 = remote.wait_profile(id1.value());
-  api::Result<api::ProfileReport> r2 = remote.wait_profile(id2.value());
+  api::Result<api::ProfileReport> r1 =
+      remote.wait(verbs::kProfile, id1.value());
+  api::Result<api::ProfileReport> r2 =
+      remote.wait(verbs::kProfile, id2.value());
   EXPECT_TRUE(r1.ok()) << r1.status().to_string();
   EXPECT_TRUE(r2.ok()) << r2.status().to_string();
   EXPECT_EQ(server.value()->service()->stats().cancelled_requests, 0);
@@ -1515,11 +1644,11 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
 
   auto pipelined = Client::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(pipelined.ok());
-  auto search_id = pipelined.value().send_search();
+  auto search_id = pipelined.value().send(verbs::kSearch, {});
   ASSERT_TRUE(search_id.ok());
   wait_for_requests(*server.value(), 1);
   wait_for_drain_into_worker(*server.value());  // search occupies the worker
-  auto queued_id = pipelined.value().send_profile(archs[0]);
+  auto queued_id = pipelined.value().send(verbs::kProfile, archs[0]);
   ASSERT_TRUE(queued_id.ok());
   wait_for_requests(*server.value(), 2);  // the queue is now full
 
@@ -1571,8 +1700,8 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
   EXPECT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(retrying.value().connections_dialed(), 1);
 
-  EXPECT_TRUE(pipelined.value().wait_profile(queued_id.value()).ok());
-  EXPECT_TRUE(pipelined.value().wait_search(search_id.value()).ok());
+  EXPECT_TRUE(pipelined.value().wait(verbs::kProfile, queued_id.value()).ok());
+  EXPECT_TRUE(pipelined.value().wait(verbs::kSearch, search_id.value()).ok());
 }
 
 TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {
@@ -1587,11 +1716,11 @@ TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {
   auto client = Client::connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
   Client& remote = client.value();
-  auto search_id = remote.send_search();
+  auto search_id = remote.send(verbs::kSearch, {});
   ASSERT_TRUE(search_id.ok());
   std::vector<std::uint64_t> profile_ids;
   for (int i = 0; i < 3; ++i) {
-    auto id = remote.send_profile(archs[0]);
+    auto id = remote.send(verbs::kProfile, archs[0]);
     ASSERT_TRUE(id.ok());
     profile_ids.push_back(id.value());
   }
@@ -1601,18 +1730,19 @@ TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {
 
   // A post-drain frame on the live connection is refused before
   // submission (UNAVAILABLE, with a retry hint on the wire).
-  auto late_id = remote.send_profile(archs[0]);
+  auto late_id = remote.send(verbs::kProfile, archs[0]);
   ASSERT_TRUE(late_id.ok());
-  api::Result<api::ProfileReport> late = remote.wait_profile(late_id.value());
+  api::Result<api::ProfileReport> late =
+      remote.wait(verbs::kProfile, late_id.value());
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), api::StatusCode::kUnavailable);
 
   // Everything admitted before the drain is still answered.
   for (std::uint64_t id : profile_ids) {
-    api::Result<api::ProfileReport> r = remote.wait_profile(id);
+    api::Result<api::ProfileReport> r = remote.wait(verbs::kProfile, id);
     EXPECT_TRUE(r.ok()) << r.status().to_string();
   }
-  EXPECT_TRUE(remote.wait_search(search_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
 
   // After the last reply the server half-closes; the next roundtrip sees
   // a clean UNAVAILABLE (refusal or EOF, depending on the race) instead
@@ -1912,6 +2042,36 @@ TEST(NetClient, MutatingVerbsDoNotRetryTransportFailures) {
     EXPECT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_EQ(client.value().connections_dialed(), 2);
   }
+}
+
+TEST(NetClient, OversizedRequestIsNotRetried) {
+  // A request payload over the wire limit fails the same way on every
+  // attempt: the client must answer INVALID_ARGUMENT at once, not drop a
+  // healthy connection and back off to try again.
+  const api::EngineConfig cfg = tiny_cfg();
+  auto server = Server::create(cfg);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  int wraps = 0;
+  ClientConfig ccfg;
+  ccfg.port = server.value()->port();
+  ccfg.retry.max_attempts = 3;
+  ccfg.wrap_transport = [&wraps](std::unique_ptr<Transport> inner) {
+    ++wraps;
+    return inner;
+  };
+  auto client = Client::connect(ccfg);
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+
+  api::Result<api::ProfileReport> r =
+      client.value().profile_baseline(std::string(kMaxPayloadBytes, 'x'));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), api::StatusCode::kInvalidArgument)
+      << r.status().to_string();
+  EXPECT_EQ(client.value().connections_dialed(), 1);
+  EXPECT_EQ(wraps, 1) << "the client dropped its connection to retry";
+  // The connection it kept still serves.
+  EXPECT_TRUE(client.value().ping().ok());
+  EXPECT_EQ(server.value()->net_stats().connections_opened, 1);
 }
 
 TEST(NetClient, RetryRespectsRequestDeadline) {
