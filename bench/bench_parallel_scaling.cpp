@@ -1,7 +1,8 @@
 // bench_parallel_scaling — serial vs pooled wall-clock for the three layers
 // the parallel backbone rewired: tensor kernels (matmul), GNN operators
 // (EdgeConv forward, fused vs materializing Aggregate), graph construction
-// (KNN), and the end-to-end Engine::search() on the quickstart workload.
+// (KNN), plus the latency-predictor fit (data-parallel training steps) and
+// the end-to-end Engine::search() on the quickstart workload.
 //
 // Every comparison runs the identical computation at num_threads=1 (every
 // pooled loop inline on the caller, recorded as `*/serial`) and at the
@@ -22,6 +23,8 @@
 #include "bench_util.hpp"
 #include "gnn/gnn.hpp"
 #include "graph/graph.hpp"
+#include "hw/device.hpp"
+#include "predictor/predictor.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -149,6 +152,33 @@ int main(int argc, char** argv) {
     const Timed mat = time_at(1, reps, materialized);
     const Timed fused_t = time_at(hw, reps, fused);
     report_pair(json, "aggregate_fused_vs_mat", problem, mat, fused_t);
+  }
+
+  // ---- training: the latency-predictor fit --------------------------------
+  {
+    // The served fit's scale (jetson-tx2, 200 labels, 20 epochs); --quick
+    // fits 64 labels for 4 epochs. Each run fits a fresh predictor from
+    // the same seed.
+    const hgnas::Workload w;
+    const hgnas::SpaceConfig space;
+    const hw::Device dev = hw::make_device(hw::DeviceKind::JetsonTx2);
+    const std::vector<predictor::LabeledArch> labels =
+        predictor::collect_labeled_archs(dev, space, w, quick ? 64 : 200, 7);
+    predictor::PredictorConfig pcfg;
+    pcfg.epochs = quick ? 4 : 20;
+    auto run = [&] {
+      Rng fit_rng(11);
+      predictor::LatencyPredictor pred(pcfg, w, fit_rng);
+      (void)pred.fit(labels, fit_rng);
+    };
+    const Timed serial = time_at(1, reps, run);
+    // Leaving width 1 restarts the pool's threads; their first fit pays
+    // for warming each thread's allocator, so one untimed fit goes first.
+    run();
+    report_pair(json, "predictor_fit",
+                std::to_string(labels.size()) + " labels " +
+                    std::to_string(pcfg.epochs) + " epochs",
+                serial, time_at(hw, reps, run));
   }
 
   // ---- end-to-end: Engine::search on the quickstart workload --------------

@@ -278,6 +278,9 @@ core::Stepper train_baseline_stepwise(ModelT& model,
   model.set_training(true);
   const auto& train = data.train();
   const std::int64_t batch = 8;
+  // Serial, not nn::DataParallelStep: BatchNorm1d updates its running
+  // statistics during each training forward, so the samples of a batch are
+  // not independent.
   for (std::int64_t e = 0; e < epochs; ++e) {
     auto order = pointcloud::shuffled_indices(train.size(), rng);
     std::int64_t in_batch = 0;

@@ -333,11 +333,11 @@ Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
       const bool src_first =
           mt == MessageType::TargetRel || mt == MessageType::Full;
       if (src_first) {
-        if (has_src) p.accumulate_grad(sbuf);
-        if (has_dst) p.accumulate_grad(dbuf);
+        if (has_src) p.accumulate_grad(std::move(sbuf));
+        if (has_dst) p.accumulate_grad(std::move(dbuf));
       } else {
-        if (has_dst) p.accumulate_grad(dbuf);
-        if (has_src) p.accumulate_grad(sbuf);
+        if (has_dst) p.accumulate_grad(std::move(dbuf));
+        if (has_src) p.accumulate_grad(std::move(sbuf));
       }
     };
   });

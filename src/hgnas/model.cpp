@@ -143,6 +143,8 @@ core::Stepper train_model_stepwise(GnnModel& model,
   std::int64_t step = 0;
 
   model.set_training(true);
+  // Serial, not nn::DataParallelStep: each training forward draws from the
+  // shared `rng` (Random-sample graphs) in sample order.
   for (std::int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     auto order = pointcloud::shuffled_indices(train.size(), rng);
     double epoch_loss = 0.0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/check.hpp"
-#include "core/parallel.hpp"
 
 namespace hg::hgnas {
 
@@ -160,42 +159,37 @@ core::Stepper SuperNet::train_epoch_stepwise(
   auto order = pointcloud::shuffled_indices(train.size(), rng);
   double loss_sum = 0.0;
 
-  // The samples inside one gradient-accumulation batch are independent
-  // until their gradients meet in the optimiser step. Paths and per-sample
-  // RNG seeds come serially off the main stream, the taped forward passes
-  // fan out across the pool (forward only reads the shared weights), then
-  // the backward passes replay serially in sample order so gradient
-  // accumulation order — and hence the result — is the same for every pool
-  // width.
-  struct PendingSample {
+  // Paths and per-sample RNG seeds come serially off the main stream; each
+  // mini-batch's forward and backward passes then run across the pool, and
+  // the step applies their gradients in sample order (nn::DataParallelStep),
+  // so the result is the same at every pool width.
+  struct DrawnSample {
     std::size_t index = 0;      // into `train`
     Arch path;
     std::uint64_t seed = 0;     // private stream for Random-sample ops
-    Tensor loss;
   };
+  nn::DataParallelStep step;
   std::size_t oi = 0;
   while (oi < order.size()) {
     const std::size_t n = std::min<std::size_t>(
         static_cast<std::size_t>(batch_size), order.size() - oi);
-    std::vector<PendingSample> batch(n);
+    std::vector<DrawnSample> batch(n);
     for (std::size_t i = 0; i < n; ++i) {
       batch[i].index = order[oi + i];
       batch[i].path = sampler(rng);
       batch[i].seed = rng.next();
     }
-    core::parallel_invoke(static_cast<std::int64_t>(n), [&](std::int64_t i) {
-      PendingSample& ps = batch[static_cast<std::size_t>(i)];
-      const auto& s = train[ps.index];
-      Rng sample_rng(ps.seed);
-      Tensor pts = pointcloud::Dataset::to_tensor(s);
-      Tensor logits = forward(ps.path, pts, sample_rng);
-      const std::int64_t label[1] = {s.label};
-      ps.loss = cross_entropy(logits, label);
-    });
-    for (PendingSample& ps : batch) {
-      ps.loss.backward();
-      loss_sum += ps.loss.item();
-    }
+    const std::vector<float> losses =
+        step.run(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+          const DrawnSample& ds = batch[static_cast<std::size_t>(i)];
+          const auto& s = train[ds.index];
+          Rng sample_rng(ds.seed);
+          Tensor logits = forward(ds.path, pointcloud::Dataset::to_tensor(s),
+                                  sample_rng);
+          const std::int64_t label[1] = {s.label};
+          return cross_entropy(logits, label);
+        });
+    for (const float loss : losses) loss_sum += loss;
     opt.step();
     opt.zero_grad();
     oi += n;

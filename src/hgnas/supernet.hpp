@@ -80,10 +80,10 @@ class SuperNet final : public nn::Module {
   /// holds the epoch's mean loss once the stepper is done. `train`, `opt`,
   /// `rng`, `mean_loss` and this supernet must outlive the stepper.
   ///
-  /// The forward passes of each gradient-accumulation batch fan out across
-  /// the pool — paths and per-sample RNG streams are drawn serially up
-  /// front and the backward passes replay serially in sample order, so the
-  /// result is identical at every pool width, 1 included.
+  /// The forward and backward passes of each mini-batch fan out across
+  /// the pool (nn::DataParallelStep): paths and per-sample RNG streams are
+  /// drawn serially up front and the gradients are applied in sample
+  /// order, so the result is identical at every pool width, 1 included.
   core::Stepper train_epoch_stepwise(
       const std::vector<pointcloud::Sample>& train,
       std::function<Arch(Rng&)> sampler, Adam& opt, std::int64_t batch_size,

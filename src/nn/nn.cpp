@@ -1,7 +1,10 @@
 #include "nn/nn.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "core/parallel.hpp"
 
 namespace hg::nn {
 
@@ -173,6 +176,29 @@ double balanced_accuracy(std::span<const std::int64_t> pred,
            static_cast<double>(total[static_cast<std::size_t>(c)]);
   }
   return present > 0 ? acc / static_cast<double>(present) : 0.0;
+}
+
+std::vector<float> DataParallelStep::run(
+    std::int64_t n, const std::function<Tensor(std::int64_t)>& sample_loss) {
+  if (detail::installed_grad_sink() != nullptr)
+    throw std::logic_error("DataParallelStep::run called from inside a sample");
+  const auto count = static_cast<std::size_t>(std::max<std::int64_t>(n, 0));
+  if (sinks_.size() < count) sinks_.resize(count);
+  std::vector<float> losses(count);
+  try {
+    core::parallel_invoke(n, [&](std::int64_t i) {
+      const auto u = static_cast<std::size_t>(i);
+      detail::GradSinkGuard divert(sinks_[u]);
+      Tensor loss = sample_loss(i);
+      loss.backward();
+      losses[u] = loss.item();
+    });
+  } catch (...) {
+    for (detail::GradSink& sink : sinks_) sink.clear();
+    throw;
+  }
+  for (std::size_t i = 0; i < count; ++i) sinks_[i].replay();
+  return losses;
 }
 
 }  // namespace hg::nn

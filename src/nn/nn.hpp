@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,40 @@ class Mlp final : public Module {
 
 /// LeakyRelu uses leaky_relu's default slope.
 Tensor apply_activation(const Tensor& x, Activation act);
+
+// ---- training ----------------------------------------------------------------
+
+/// The gradients of one optimiser step over n independent samples,
+/// computed across the pool and applied exactly as a serial loop applies
+/// them.
+///
+/// run(n, sample_loss) calls sample_loss(i), the sample's forward pass
+/// returning its scalar loss, and backward() on that loss for each i in
+/// [0, n). The samples run on the pool, each under its own
+/// detail::GradSink. Then the sinks are replayed in sample order, so every
+/// parameter receives the same accumulate_grad calls, with the same
+/// floats in the same order, as from `for i: sample_loss(i).backward()`.
+/// That holds at every pool width, 1 included, and also when a sample
+/// uses a parameter more than once. Returns the n loss values in sample
+/// order.
+///
+/// Samples run concurrently, so sample_loss may read shared weights but
+/// must write no shared state. A forward that updates running statistics
+/// (BatchNorm1d in training mode) or draws from a shared Rng does not
+/// qualify.
+///
+/// If a sample throws, no contribution is applied and the exception
+/// propagates. The logs and their buffers belong to this object, so one
+/// object reused across a run's steps stops allocating them after its
+/// first step. Calling run() from inside a sample throws std::logic_error.
+class DataParallelStep {
+ public:
+  std::vector<float> run(std::int64_t n,
+                         const std::function<Tensor(std::int64_t)>& sample_loss);
+
+ private:
+  std::vector<detail::GradSink> sinks_;  // one per sample, reused
+};
 
 // ---- metrics -----------------------------------------------------------------
 

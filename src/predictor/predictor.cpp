@@ -177,6 +177,7 @@ LatencyPredictor::LatencyPredictor(const PredictorConfig& cfg,
                                    const hgnas::Workload& w, Rng& rng)
     : cfg_(cfg), workload_(w) {
   HG_CHECK(!cfg_.gcn_dims.empty(), "need at least one GCN layer");
+  HG_CHECK(cfg_.batch_size > 0, "batch_size must be positive");
   HG_CHECK(cfg_.mlp_dims.size() >= 2 && cfg_.mlp_dims.back() == 1,
            "MLP must end in a single scalar output");
   std::int64_t d = kFeatureDim;
@@ -357,28 +358,27 @@ double LatencyPredictor::fit(const std::vector<LabeledArch>& train,
     graphs.push_back(arch_to_graph(s.arch, workload_, cfg_.device_slot));
 
   Adam opt(parameters(), cfg_.lr);
+  nn::DataParallelStep step;  // one mini-batch's samples across the pool
+  const auto batch = static_cast<std::size_t>(cfg_.batch_size);
   double last_epoch_mape = 0.0;
   for (std::int64_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
     opt.set_lr(cosine_lr(cfg_.lr, cfg_.lr * 0.02f, epoch, cfg_.epochs));
     auto order = pointcloud::shuffled_indices(train.size(), rng);
     double mape_sum = 0.0;
-    std::int64_t in_batch = 0;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const std::size_t i = order[oi];
-      const float y =
-          static_cast<float>(train[i].latency_ms / scale_ms_);
-      Tensor pred = forward(graphs[i]);  // [1,1]
-      // MAPE contribution: |pred - y| / y.
-      Tensor err = div(abs_op(sub(pred, y)), y);
-      Tensor loss = mean_all(err);
-      loss.backward();
-      mape_sum += loss.item();
-      ++in_batch;
-      if (in_batch == cfg_.batch_size || oi + 1 == order.size()) {
-        opt.step();
-        opt.zero_grad();
-        in_batch = 0;
-      }
+    for (std::size_t first = 0; first < order.size(); first += batch) {
+      const std::size_t n = std::min(batch, order.size() - first);
+      const std::vector<float> losses = step.run(
+          static_cast<std::int64_t>(n), [&](std::int64_t s) {
+            const std::size_t i = order[first + static_cast<std::size_t>(s)];
+            const float y =
+                static_cast<float>(train[i].latency_ms / scale_ms_);
+            Tensor pred = forward(graphs[i]);  // [1,1]
+            // MAPE contribution: |pred - y| / y.
+            return mean_all(div(abs_op(sub(pred, y)), y));
+          });
+      for (const float loss : losses) mape_sum += loss;
+      opt.step();
+      opt.zero_grad();
     }
     last_epoch_mape = mape_sum / static_cast<double>(train.size());
   }

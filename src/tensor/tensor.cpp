@@ -19,6 +19,7 @@ namespace {
 constexpr char kCheckScope[] = "tensor: ";
 
 thread_local bool g_grad_enabled = true;
+thread_local detail::GradSink* g_grad_sink = nullptr;
 
 // Parallel grain sizes. Every parallel kernel in this file keeps the
 // per-output-element arithmetic order identical to its serial loop, so the
@@ -110,16 +111,16 @@ void raw_matmul_a_bt(const float* a, const float* b, float* c, std::int64_t m,
   // loop into the same axpy-over-output-columns shape as raw_matmul: c[i,j]
   // still accumulates its k terms in ascending-p order starting from 0, so
   // every output element is bit-identical to the old dot (no zero-skip here,
-  // because the old kernel had none).
-  std::vector<float> bt(static_cast<std::size_t>(k * n));
-  core::parallel_for(
-      0, n, row_grain(k), [&, bt_data = bt.data()](std::int64_t lo,
-                                                   std::int64_t hi) {
-        for (std::int64_t j = lo; j < hi; ++j)
-          for (std::int64_t p = 0; p < k; ++p)
-            bt_data[p * n + j] = b[j * k + p];
-      });
-  const float* btd = bt.data();
+  // because the old kernel had none). The scratch is the calling thread's,
+  // kept between calls: every backward matmul would otherwise allocate it.
+  thread_local std::vector<float> bt;
+  if (bt.size() < static_cast<std::size_t>(k * n))
+    bt.resize(static_cast<std::size_t>(k * n));
+  float* const btd = bt.data();
+  core::parallel_for(0, n, row_grain(k), [=](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t j = lo; j < hi; ++j)
+      for (std::int64_t p = 0; p < k; ++p) btd[p * n + j] = b[j * k + p];
+  });
   core::parallel_for(
       0, m, row_grain(k * n), [=](std::int64_t lo, std::int64_t hi) {
         std::fill(c + lo * n, c + hi * n, 0.f);
@@ -210,6 +211,61 @@ void binary_kernel(const float* a, const float* b, float* out,
   }
 }
 
+/// d(a op b)/db times g for element i, whose rhs element is j.
+template <BinOp Op>
+float rhs_grad_term(const float* g, const float* a, const float* b,
+                    std::int64_t i, std::int64_t j) {
+  if constexpr (Op == BinOp::Add) return g[i];
+  else if constexpr (Op == BinOp::Sub) return -g[i];
+  else if constexpr (Op == BinOp::Mul) return g[i] * a[i];
+  else return -g[i] * a[i] / (b[j] * b[j]);
+}
+
+/// gb = the rhs gradient of out = a (op) b, with binary_kernel's loop per
+/// broadcast case. gb arrives zeroed, and each gb[j] sums its terms from
+/// 0 in ascending element order, as one flat `gb[j] += term(i)` loop over
+/// i would. a / b are read only by the ops whose derivative needs them.
+template <BinOp Op>
+void rhs_grad_kernel(const float* g, const float* a, const float* b,
+                     float* gb, std::int64_t n, std::int64_t rows,
+                     std::int64_t cols, Broadcast bc) {
+  switch (bc) {
+    case Broadcast::Exact:
+      core::parallel_for(0, n, kElemGrain, [=](std::int64_t lo,
+                                               std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i)
+          gb[i] += rhs_grad_term<Op>(g, a, b, i, i);
+      });
+      return;
+    case Broadcast::ScalarRhs: {
+      float acc = 0.f;
+      for (std::int64_t i = 0; i < n; ++i)
+        acc += rhs_grad_term<Op>(g, a, b, i, 0);
+      gb[0] = acc;
+      return;
+    }
+    case Broadcast::RowRhs:
+      // Rows ascend in the outer loop, so each gb[j] still sums in
+      // ascending i; the inner loop runs along the row.
+      for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t j = 0; j < cols; ++j)
+          gb[j] += rhs_grad_term<Op>(g, a, b, r * cols + j, j);
+      return;
+    case Broadcast::ColRhs:
+      // Row r sums its own columns only: rows split across the pool.
+      core::parallel_for(0, rows, elem_row_grain(cols), [=](std::int64_t lo,
+                                                            std::int64_t hi) {
+        for (std::int64_t r = lo; r < hi; ++r) {
+          float acc = 0.f;
+          for (std::int64_t j = 0; j < cols; ++j)
+            acc += rhs_grad_term<Op>(g, a, b, r * cols + j, r);
+          gb[r] = acc;
+        }
+      });
+      return;
+  }
+}
+
 template <BinOp Op>
 Tensor binary_op(const Tensor& a, const Tensor& b) {
   const Broadcast bc = classify_broadcast(a.shape(), b.shape());
@@ -222,70 +278,38 @@ Tensor binary_op(const Tensor& a, const Tensor& b) {
   binary_kernel<Op>(ad.data(), bd.data(), out.data(), n, rows, cols, bc);
 
   return make_op(a.shape(), std::move(out), {a, b}, [&] {
-    // Add and Sub scale the gradient by constants; only Mul and Div read
-    // the operands back.
-    constexpr bool kReadsOperands = Op == BinOp::Mul || Op == BinOp::Div;
+    // The backward copies only the operands it will read: the lhs
+    // gradient of Mul and Div reads b, the rhs gradient of Mul reads a,
+    // and that of Div reads both. Add and Sub read neither.
+    const bool grad_a = a.requires_grad();
+    const bool grad_b = b.requires_grad();
+    constexpr bool kMulDiv = Op == BinOp::Mul || Op == BinOp::Div;
     std::vector<float> a_copy, b_copy;
-    if constexpr (kReadsOperands) {
-      a_copy.assign(ad.begin(), ad.end());
+    if (kMulDiv && grad_b) a_copy.assign(ad.begin(), ad.end());
+    if ((kMulDiv && grad_a) || (Op == BinOp::Div && grad_b))
       b_copy.assign(bd.begin(), bd.end());
-    }
-    return [bc, n, cols, b_numel = bd.size(), a_copy = std::move(a_copy),
+    return [bc, n, rows, cols, grad_a, grad_b, b_numel = bd.size(),
+            a_copy = std::move(a_copy),
             b_copy = std::move(b_copy)](Impl& self) {
-      auto rhs_index = [bc, cols](std::int64_t i) -> std::int64_t {
-        switch (bc) {
-          case Broadcast::Exact: return i;
-          case Broadcast::ScalarRhs: return 0;
-          case Broadcast::RowRhs: return i % cols;
-          case Broadcast::ColRhs: return i / cols;
-        }
-        return 0;
-      };
-      const auto& g = self.grad;
       Impl& pa = *self.parents[0];
       Impl& pb = *self.parents[1];
-      if (pa.requires_grad) {
-        std::vector<float> ga(static_cast<std::size_t>(n));
-        core::parallel_for(0, n, kElemGrain, [&](std::int64_t lo,
-                                                 std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const float gi = g[static_cast<std::size_t>(i)];
-            if constexpr (Op == BinOp::Mul)
-              ga[i] = gi * b_copy[rhs_index(i)];
-            else if constexpr (Op == BinOp::Div)
-              ga[i] = gi / b_copy[rhs_index(i)];
-            else
-              ga[i] = gi;
-          }
-        });
-        pa.accumulate_grad(ga);
-      }
-      if (pb.requires_grad) {
-        std::vector<float> gb(b_numel, 0.f);
-        auto accumulate_range = [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const float gi = g[static_cast<std::size_t>(i)];
-            const std::int64_t j = rhs_index(i);
-            float contrib = gi;
-            if constexpr (Op == BinOp::Sub) {
-              contrib = -gi;
-            } else if constexpr (Op == BinOp::Mul) {
-              contrib = gi * a_copy[static_cast<std::size_t>(i)];
-            } else if constexpr (Op == BinOp::Div) {
-              const float bv = b_copy[static_cast<std::size_t>(j)];
-              contrib = -gi * a_copy[static_cast<std::size_t>(i)] / (bv * bv);
-            }
-            gb[static_cast<std::size_t>(j)] += contrib;
-          }
-        };
-        if (bc == Broadcast::Exact) {
-          // rhs_index(i) == i: disjoint writes, safe to fork.
-          core::parallel_for(0, n, kElemGrain, accumulate_range);
+      if (grad_a && pa.requires_grad) {
+        if constexpr (kMulDiv) {
+          // d(a*b)/da = b and d(a/b)/da = 1/b: ga = g (op) b is the
+          // forward kernel itself.
+          std::vector<float> ga(static_cast<std::size_t>(n));
+          binary_kernel<Op>(self.grad.data(), b_copy.data(), ga.data(), n,
+                            rows, cols, bc);
+          pa.accumulate_grad(std::move(ga));
         } else {
-          // Broadcast cases reduce many i into one j; keep the serial order.
-          accumulate_range(0, n);
+          pa.accumulate_grad(self.grad);  // d(a +- b)/da = 1
         }
-        pb.accumulate_grad(gb);
+      }
+      if (grad_b && pb.requires_grad) {
+        std::vector<float> gb(b_numel, 0.f);
+        rhs_grad_kernel<Op>(self.grad.data(), a_copy.data(), b_copy.data(),
+                            gb.data(), n, rows, cols, bc);
+        pb.accumulate_grad(std::move(gb));
       }
     };
   });
@@ -321,7 +345,7 @@ Tensor unary_op(const Tensor& a, F f, Dfdx dfdx_from_xy) {
               g[u] = self.grad[u] * dfdx_from_xy(x_copy[u], y_copy[u]);
             }
           });
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -360,9 +384,50 @@ void TensorImpl::accumulate_grad(std::span<const float> g) {
   HG_CHECK(g.size() == data.size(),
            "gradient size mismatch: " + std::to_string(g.size()) + " vs " +
                std::to_string(data.size()));
+  if (g_grad_sink != nullptr && !backward_fn) {
+    g_grad_sink->append(shared_from_this()).assign(g.begin(), g.end());
+    return;
+  }
   ensure_grad();
   for (std::size_t i = 0; i < g.size(); ++i) grad[i] += g[i];
 }
+
+void TensorImpl::accumulate_grad(std::vector<float>&& g) {
+  if (g_grad_sink == nullptr || backward_fn) {
+    accumulate_grad(std::span<const float>(g));
+    return;
+  }
+  HG_CHECK(g.size() == data.size(),
+           "gradient size mismatch: " + std::to_string(g.size()) + " vs " +
+               std::to_string(data.size()));
+  g_grad_sink->append(shared_from_this()) = std::move(g);
+}
+
+std::vector<float>& GradSink::append(std::shared_ptr<TensorImpl> leaf) {
+  if (size_ == entries_.size()) entries_.emplace_back();
+  Entry& e = entries_[size_++];
+  e.leaf = std::move(leaf);
+  return e.grad;
+}
+
+void GradSink::replay() {
+  HG_CHECK(g_grad_sink == nullptr, "GradSink::replay with a sink installed");
+  for (std::size_t i = 0; i < size_; ++i)
+    entries_[i].leaf->accumulate_grad(entries_[i].grad);
+  clear();
+}
+
+void GradSink::clear() {
+  for (std::size_t i = 0; i < size_; ++i) entries_[i].leaf.reset();
+  size_ = 0;
+}
+
+GradSinkGuard::GradSinkGuard(GradSink& sink) : prev_(g_grad_sink) {
+  g_grad_sink = &sink;
+}
+GradSinkGuard::~GradSinkGuard() { g_grad_sink = prev_; }
+
+GradSink* installed_grad_sink() { return g_grad_sink; }
 
 NoGradGuard::NoGradGuard() : prev_(g_grad_enabled) { g_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { g_grad_enabled = prev_; }
@@ -617,12 +682,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       if (pa.requires_grad) {
         std::vector<float> ga(static_cast<std::size_t>(m * k));
         raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
-        pa.accumulate_grad(ga);
+        pa.accumulate_grad(std::move(ga));
       }
       if (pb.requires_grad) {
         std::vector<float> gb(static_cast<std::size_t>(k * n));
         raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
-        pb.accumulate_grad(gb);
+        pb.accumulate_grad(std::move(gb));
       }
     };
   });
@@ -668,7 +733,7 @@ Tensor transpose(const Tensor& a) {
       // The gradient of a transpose is the transpose of the gradient
       // ([c, r] -> [r, c]).
       raw_transpose(self.grad.data(), g.data(), c, r);
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -684,7 +749,7 @@ Tensor sum_all(const Tensor& a) {
       Impl& p = *self.parents[0];
       if (!p.requires_grad) return;
       std::vector<float> g(static_cast<std::size_t>(n), self.grad[0]);
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -711,7 +776,7 @@ Tensor sum_axis(const Tensor& a, int axis) {
         for (std::int64_t i = 0; i < r; ++i)
           for (std::int64_t j = 0; j < c; ++j)
             g[i * c + j] = self.grad[static_cast<std::size_t>(j)];
-        p.accumulate_grad(g);
+        p.accumulate_grad(std::move(g));
       };
     });
   }
@@ -726,7 +791,7 @@ Tensor sum_axis(const Tensor& a, int axis) {
       for (std::int64_t i = 0; i < r; ++i)
         for (std::int64_t j = 0; j < c; ++j)
           g[i * c + j] = self.grad[static_cast<std::size_t>(i)];
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -768,7 +833,7 @@ Tensor extreme_axis0(const Tensor& a, bool is_max) {
       for (std::int64_t j = 0; j < c; ++j)
         g[arg[static_cast<std::size_t>(j)] * c + j] =
             self.grad[static_cast<std::size_t>(j)];
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -853,12 +918,12 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
               std::copy(self.grad.begin() + i * cols + off,
                         self.grad.begin() + i * cols + off + sz,
                         g.begin() + i * sz);
-            p.accumulate_grad(g);
+            p.accumulate_grad(std::move(g));
           } else {
             std::vector<float> g(static_cast<std::size_t>(sz * cols));
             std::copy(self.grad.begin() + off * cols,
                       self.grad.begin() + (off + sz) * cols, g.begin());
-            p.accumulate_grad(g);
+            p.accumulate_grad(std::move(g));
           }
         }
         off += sz;
@@ -894,7 +959,7 @@ Tensor gather_rows(const Tensor& a, std::span<const std::int64_t> indices) {
         for (std::int64_t j = 0; j < c; ++j)
           g[dst * c + j] += self.grad[static_cast<std::size_t>(i * c + j)];
       }
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -912,7 +977,7 @@ Tensor slice_rows(const Tensor& a, std::int64_t begin, std::int64_t end) {
       if (!p.requires_grad) return;
       std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
       std::copy(self.grad.begin(), self.grad.end(), g.begin() + begin * c);
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -1009,7 +1074,7 @@ Tensor scatter_reduce(const Tensor& messages,
                       self.grad[static_cast<std::size_t>(dst * c + j)] * scale;
               }
             });
-        p.accumulate_grad(g);
+        p.accumulate_grad(std::move(g));
       };
     });
   }
@@ -1055,7 +1120,7 @@ Tensor scatter_reduce(const Tensor& messages,
                 if (src >= 0) g[src * c + j] += self.grad[vj];
               }
           });
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -1093,7 +1158,7 @@ Tensor softmax(const Tensor& a) {
           g[i * c + j] = y_copy[static_cast<std::size_t>(i * c + j)] *
                          (self.grad[static_cast<std::size_t>(i * c + j)] - dot);
       }
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -1128,7 +1193,7 @@ Tensor log_softmax(const Tensor& a) {
           g[i * c + j] = self.grad[static_cast<std::size_t>(i * c + j)] -
                          soft[static_cast<std::size_t>(i * c + j)] * row_sum;
       }
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -1174,7 +1239,7 @@ Tensor cross_entropy(const Tensor& logits,
           g[i * c + j] = v * seed;
         }
       }
-      p.accumulate_grad(g);
+      p.accumulate_grad(std::move(g));
     };
   });
 }
@@ -1198,7 +1263,7 @@ Tensor dropout(const Tensor& a, float p, bool training, Rng& rng) {
       std::vector<float> g(mask.size());
       for (std::size_t i = 0; i < mask.size(); ++i)
         g[i] = self.grad[i] * mask[i];
-      par.accumulate_grad(g);
+      par.accumulate_grad(std::move(g));
     };
   });
 }

@@ -19,6 +19,18 @@
 //  * Gradients are accumulated (+=), so a tensor used twice receives the
 //    sum of both contributions, and `zero_grad` must be called between
 //    optimisation steps.
+//  * A thread can divert its leaf gradients into a `detail::GradSink`.
+//    While a sink is installed on a thread (`GradSinkGuard`), every
+//    accumulate_grad into a leaf (a node with no backward_fn: a parameter,
+//    or an input that requires grad) is logged in the sink instead of being
+//    added; a closure that owns its gradient vector hands the vector over
+//    rather than copying it. Replaying the sink later calls accumulate_grad
+//    once per logged contribution, in the order logged. So several
+//    backward passes can run at once, each on its own thread under its own
+//    sink, and replaying their sinks in sample order gives every leaf the
+//    floats a serial loop of those passes gives it
+//    (nn::DataParallelStep). Non-leaf grads are private to one pass's tape
+//    and are never diverted.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +56,10 @@ class Tensor;
 
 namespace detail {
 
+class GradSink;
+
 /// Shared state behind a Tensor handle. Users never touch this directly.
-struct TensorImpl {
+struct TensorImpl : std::enable_shared_from_this<TensorImpl> {
   Shape shape;
   std::vector<float> data;
   bool requires_grad = false;
@@ -56,9 +70,56 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void(TensorImpl&)> backward_fn;
 
+  /// grad += g, or, for a leaf on a thread with a GradSink installed, log
+  /// g in that sink (see the header note).
   void accumulate_grad(std::span<const float> g);
+  /// The same for a gradient the caller owns: a sink takes the vector
+  /// instead of copying it.
+  void accumulate_grad(std::vector<float>&& g);
   void ensure_grad();
 };
+
+/// A log of leaf-gradient contributions, in the order they were made (see
+/// the header note). Its entries and their buffers outlive replay() and
+/// clear(), so a sink reused across optimiser steps stops allocating once
+/// it has seen one step; a handed-over vector replaces its entry's buffer.
+/// Each entry holds its leaf alive until it is replayed or cleared.
+class GradSink {
+ public:
+  /// accumulate_grad every logged contribution into its leaf, in logged
+  /// order, then empty the log. Call it with no sink installed.
+  void replay();
+  /// Empty the log without applying anything.
+  void clear();
+
+ private:
+  friend struct TensorImpl;
+  struct Entry {
+    std::shared_ptr<TensorImpl> leaf;
+    std::vector<float> grad;
+  };
+  /// The next entry, bound to `leaf`; its buffer is the caller's to fill.
+  std::vector<float>& append(std::shared_ptr<TensorImpl> leaf);
+
+  std::vector<Entry> entries_;  // [0, size_) logged, the rest spare
+  std::size_t size_ = 0;
+};
+
+/// RAII: divert this thread's leaf gradients into `sink` for the guard's
+/// lifetime, then restore whatever was installed before.
+class GradSinkGuard {
+ public:
+  explicit GradSinkGuard(GradSink& sink);
+  ~GradSinkGuard();
+  GradSinkGuard(const GradSinkGuard&) = delete;
+  GradSinkGuard& operator=(const GradSinkGuard&) = delete;
+
+ private:
+  GradSink* prev_;
+};
+
+/// The sink installed on this thread, or nullptr.
+GradSink* installed_grad_sink();
 
 /// Stable grouping of positions by index value (counting sort): bucket v
 /// owns items[row_ptr[v] .. row_ptr[v+1]), in ascending position order.

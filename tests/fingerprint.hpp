@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace hg {
@@ -19,6 +20,10 @@ struct Fnv1a {
     }
   }
   void bits(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  /// Each float's 32-bit pattern, one word per element.
+  void floats(std::span<const float> v) {
+    for (const float x : v) word(std::bit_cast<std::uint32_t>(x));
+  }
   void text(std::string_view s) {
     for (const char ch : s) word(static_cast<unsigned char>(ch));
   }

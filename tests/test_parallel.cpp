@@ -18,6 +18,7 @@
 #include "graph/graph.hpp"
 #include "hgnas/search.hpp"
 #include "hgnas/serialize_arch.hpp"
+#include "nn/nn.hpp"
 #include "predictor/predictor.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -235,6 +236,92 @@ TEST(ElementwiseKernels, BinaryOpsMatchScalarReferenceInEveryBroadcast) {
           ASSERT_TRUE(same_bits(y.data()[i],
                                 op.ref(av[static_cast<std::size_t>(i)], s)))
               << op.name << " float rhs, element " << i;
+      }
+    }
+  }
+}
+
+// The backward of every binary op in every broadcast case matches the
+// historical per-element loops bit for bit: the lhs gradient is
+// 0 + g[i] * d(a op b)/da, and each rhs gradient element sums its terms
+// from 0 in ascending element order. Both operands, only a, and only b
+// requiring grad are covered, at pool widths 1, 2 and 3.
+TEST(ElementwiseKernels, BinaryBackwardMatchesScalarReferenceInEveryBroadcast) {
+  enum class Kind { Add, Sub, Mul, Div };
+  struct Op {
+    const char* name;
+    Tensor (*tensor_op)(const Tensor&, const Tensor&);
+    Kind kind;
+  };
+  const Op ops[] = {{"add", add, Kind::Add},
+                    {"sub", sub, Kind::Sub},
+                    {"mul", mul, Kind::Mul},
+                    {"div", div, Kind::Div}};
+  for (const auto& [rows, cols] : kElemShapes) {
+    Rng rng(static_cast<std::uint64_t>(rows * 31 + cols));
+    const std::size_t n = static_cast<std::size_t>(rows * cols);
+    const auto av = random_values(n, rng);
+    const auto seed = random_values(n, rng);
+    struct Rhs {
+      const char* name;
+      Shape shape;
+      std::vector<float> values;
+      std::function<std::size_t(std::size_t)> index;  // element -> rhs
+    };
+    const auto ucols = static_cast<std::size_t>(cols);
+    const Rhs cases[] = {
+        {"exact", {rows, cols}, random_values(n, rng),
+         [](std::size_t i) { return i; }},
+        {"scalar", {}, random_values(1, rng), [](std::size_t) { return 0; }},
+        {"row", {cols}, random_values(ucols, rng),
+         [ucols](std::size_t i) { return i % ucols; }},
+        {"col", {rows, 1}, random_values(static_cast<std::size_t>(rows), rng),
+         [ucols](std::size_t i) { return i / ucols; }},
+    };
+    for (const std::int64_t threads : {1, 2, 3}) {
+      ScopedNumThreads scoped(threads);
+      for (const Op& op : ops) {
+        for (const Rhs& rhs : cases) {
+          for (const int grads : {3, 1, 2}) {  // bit 0: a, bit 1: b
+            SCOPED_TRACE(std::string(op.name) + " " + rhs.name + " [" +
+                         std::to_string(rows) + ", " + std::to_string(cols) +
+                         "] threads=" + std::to_string(threads) +
+                         " grads=" + std::to_string(grads));
+            Tensor a = Tensor::from_vector({rows, cols}, av, (grads & 1) != 0);
+            Tensor b = Tensor::from_vector(rhs.shape, rhs.values,
+                                           (grads & 2) != 0);
+            op.tensor_op(a, b).backward(seed);
+            const std::vector<float>& bv = rhs.values;
+            std::vector<float> gb(bv.size(), 0.f);
+            for (std::size_t i = 0; i < n; ++i) {
+              const std::size_t j = rhs.index(i);
+              const float g = seed[i];
+              float ga = g, term = g;
+              switch (op.kind) {
+                case Kind::Add: break;
+                case Kind::Sub: term = -g; break;
+                case Kind::Mul:
+                  ga = g * bv[j];
+                  term = g * av[i];
+                  break;
+                case Kind::Div:
+                  ga = g / bv[j];
+                  term = -g * av[i] / (bv[j] * bv[j]);
+                  break;
+              }
+              gb[j] += term;
+              if (grads & 1) {
+                ASSERT_TRUE(same_bits(a.grad()[i], 0.f + ga)) << "a " << i;
+              }
+            }
+            EXPECT_EQ(a.has_grad(), (grads & 1) != 0);
+            EXPECT_EQ(b.has_grad(), (grads & 2) != 0);
+            if (grads & 2) {
+              for (std::size_t j = 0; j < gb.size(); ++j)
+                ASSERT_TRUE(same_bits(b.grad()[j], 0.f + gb[j])) << "b " << j;
+            }
+          }
+        }
       }
     }
   }
@@ -755,6 +842,149 @@ TEST(ParallelTraining, TrainEpochDeterministicAcrossThreadCounts) {
     for (std::size_t p = 0; p < params1.size(); ++p)
       for (std::size_t i = 0; i < params1[p].size(); ++i)
         ASSERT_EQ(params[p][i], params1[p][i]) << "param " << p << " " << i;
+  }
+}
+
+/// The parameters of a small model whose samples exercise the replay
+/// order: `w` is used twice in every sample (x·W·W), `v` only by even
+/// samples, and `bias` broadcast over every row.
+struct ReplayModel {
+  Tensor w, v, bias;
+  std::vector<Tensor> inputs;  // one [3, 4] input per sample
+
+  explicit ReplayModel(std::int64_t samples) {
+    Rng rng(5);
+    w = Tensor::randn({4, 4}, rng, 0.f, 0.5f, true);
+    v = Tensor::randn({4, 4}, rng, 0.f, 0.5f, true);
+    bias = Tensor::randn({4}, rng, 0.f, 0.5f, true);
+    for (std::int64_t i = 0; i < samples; ++i)
+      inputs.push_back(Tensor::randn({3, 4}, rng));
+  }
+
+  Tensor loss(std::int64_t i) const {
+    const Tensor& x = inputs[static_cast<std::size_t>(i)];
+    Tensor h = matmul(matmul(x, w), w);
+    if (i % 2 == 0) h = add(h, matmul(x, v));
+    return mean_all(square(tanh_op(add(h, bias))));
+  }
+
+  std::vector<std::vector<float>> grads() const {
+    std::vector<std::vector<float>> out;
+    for (const Tensor* p : {&w, &v, &bias})
+      out.emplace_back(p->grad().begin(), p->grad().end());
+    return out;
+  }
+};
+
+// nn::DataParallelStep applies each parameter the same accumulate_grad
+// calls, with the same floats in the same order, as the plain per-sample
+// backward() loop, at every pool width: for a parameter used twice in one
+// sample, one some samples never touch, and a broadcast bias, over two
+// steps that accumulate without zero_grad between them.
+TEST(ParallelTraining, DataParallelStepMatchesSerialLoopBitForBit) {
+  constexpr std::int64_t kSamples = 7;
+  ReplayModel serial(kSamples);
+  std::vector<float> serial_losses;
+  for (int step = 0; step < 2; ++step)
+    for (std::int64_t i = 0; i < kSamples; ++i) {
+      Tensor loss = serial.loss(i);
+      loss.backward();
+      serial_losses.push_back(loss.item());
+    }
+  const auto expected = serial.grads();
+
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    ScopedNumThreads scoped(threads);
+    ReplayModel model(kSamples);
+    nn::DataParallelStep step;
+    std::vector<float> losses;
+    for (int s = 0; s < 2; ++s) {
+      const std::vector<float> l = step.run(
+          kSamples, [&](std::int64_t i) { return model.loss(i); });
+      losses.insert(losses.end(), l.begin(), l.end());
+    }
+    ASSERT_EQ(losses.size(), serial_losses.size());
+    for (std::size_t i = 0; i < losses.size(); ++i)
+      EXPECT_TRUE(same_bits(losses[i], serial_losses[i])) << "loss " << i;
+    const auto got = model.grads();
+    for (std::size_t p = 0; p < expected.size(); ++p) {
+      ASSERT_EQ(got[p].size(), expected[p].size()) << "param " << p;
+      for (std::size_t i = 0; i < expected[p].size(); ++i)
+        ASSERT_TRUE(same_bits(got[p][i], expected[p][i]))
+            << "param " << p << " element " << i;
+    }
+  }
+}
+
+// A sample that throws fails the whole step: the exception reaches the
+// caller, no parameter receives any contribution, and no pool thread keeps
+// a sink installed, so later backward passes, serial or on the pool,
+// accumulate as usual and the same step object still replays correctly.
+// Calling run() from inside a sample is refused the same way.
+TEST(ParallelTraining, DataParallelStepFailureAppliesNothingAndUninstallsSinks) {
+  constexpr std::int64_t kSamples = 9;
+  ReplayModel reference(kSamples);
+  for (std::int64_t i = 0; i < kSamples; ++i) reference.loss(i).backward();
+  const auto expected = reference.grads();
+
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    ScopedNumThreads scoped(threads);
+    ReplayModel model(kSamples);
+    nn::DataParallelStep step;
+    EXPECT_THROW(step.run(kSamples,
+                          [&](std::int64_t i) {
+                            if (i == 5) throw std::runtime_error("sample 5");
+                            return model.loss(i);
+                          }),
+                 std::runtime_error);
+    EXPECT_THROW(step.run(kSamples,
+                          [&](std::int64_t i) {
+                            nn::DataParallelStep inner;
+                            inner.run(1, [&](std::int64_t) {
+                              return model.loss(i);
+                            });
+                            return model.loss(i);
+                          }),
+                 std::logic_error);
+    EXPECT_FALSE(model.w.has_grad());
+    EXPECT_FALSE(model.v.has_grad());
+    EXPECT_FALSE(model.bias.has_grad());
+
+    // Backward passes on pool threads after the failure: each adds into
+    // its own leaf.
+    std::atomic<int> diverted{0};
+    std::vector<Tensor> leaves;
+    for (int t = 0; t < 64; ++t)
+      leaves.push_back(Tensor::full({2}, 1.f, /*requires_grad=*/true));
+    core::parallel_invoke(64, [&](std::int64_t t) {
+      if (detail::installed_grad_sink() != nullptr) ++diverted;
+      sum_all(mul(leaves[static_cast<std::size_t>(t)], 3.f)).backward();
+    });
+    EXPECT_EQ(diverted.load(), 0);
+    for (const Tensor& leaf : leaves) {
+      ASSERT_TRUE(leaf.has_grad());
+      EXPECT_EQ(leaf.grad()[0], 3.f);
+      EXPECT_EQ(leaf.grad()[1], 3.f);
+    }
+
+    // A serial backward() on the caller accumulates as usual...
+    EXPECT_EQ(detail::installed_grad_sink(), nullptr);
+    model.loss(0).backward();
+    EXPECT_TRUE(model.w.has_grad());
+    model.w.zero_grad();
+    model.v.zero_grad();
+    model.bias.zero_grad();
+    // ...and the failed step left nothing behind to replay.
+    step.run(kSamples, [&](std::int64_t i) { return model.loss(i); });
+    const auto got = model.grads();
+    for (std::size_t p = 0; p < expected.size(); ++p) {
+      ASSERT_EQ(got[p].size(), expected[p].size()) << "param " << p;
+      for (std::size_t i = 0; i < expected[p].size(); ++i)
+        ASSERT_TRUE(same_bits(got[p][i], expected[p][i]))
+            << "param " << p << " element " << i;
+    }
   }
 }
 

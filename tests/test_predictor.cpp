@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "api/eval_context.hpp"
 #include "core/parallel.hpp"
 #include "fingerprint.hpp"
 #include "hgnas/serialize_arch.hpp"
@@ -307,6 +308,44 @@ TEST(Predictor, LabeledSetIsPinnedAtEveryWidth) {
     for (const double v : ms) predictions.bits(v);
     EXPECT_EQ(predictions.h, 0xb5f7cac1eccf5ce9ull);
   }
+}
+
+// The fit behind every predictor-backed server — perfbench's search_mixed
+// set-up: jetson-tx2, 200 labels, 20 epochs, the default seed — is pinned
+// at every pool width: the bits of every weight and of the train MAPE, and
+// the served answers on 64 fixed architectures.
+TEST(Predictor, ServedFitIsPinned) {
+  for (const std::int64_t threads :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    api::EngineConfig cfg;
+    cfg.device = "jetson-tx2";
+    cfg.evaluator = "predictor";
+    cfg.predictor_samples = 200;
+    cfg.predictor_epochs = 20;
+    cfg.num_threads = threads;
+    auto ctx = api::EvalContext::create(cfg);
+    ASSERT_TRUE(ctx.ok()) << ctx.status().to_string();
+    auto bundle = ctx.value()->evaluator("predictor");
+    ASSERT_TRUE(bundle.ok()) << bundle.status().to_string();
+    const LatencyPredictor& pred = *bundle.value().predictor;
+    Fnv1a fit;
+    for (const Tensor& p : pred.parameters()) fit.floats(p.data());
+    fit.bits(bundle.value().predictor_train_mape);
+    EXPECT_EQ(fit.h, 0x8c97d2006bc0974aull);
+
+    hgnas::SpaceConfig space;
+    space.num_positions = cfg.num_positions;
+    Rng rng(64);
+    std::vector<hgnas::Arch> archs;
+    for (int i = 0; i < 64; ++i) archs.push_back(hgnas::random_arch(space, rng));
+    const std::vector<double> ms = pred.predict_batch_ms(archs);
+    ASSERT_GT(std::set<double>(ms.begin(), ms.end()).size(), 48u);
+    Fnv1a predictions;
+    for (const double v : ms) predictions.bits(v);
+    EXPECT_EQ(predictions.h, 0x9ea1a2d2f080bd55ull);
+  }
+  core::set_num_threads(0);
 }
 
 TEST(Predictor, PredictionNeverNegative) {

@@ -7,7 +7,11 @@
 #include <cmath>
 #include <cstdint>
 
+#include <vector>
+
+#include "api/engine.hpp"
 #include "core/parallel.hpp"
+#include "fingerprint.hpp"
 #include "hgnas/supernet.hpp"
 #include "invalid_argument_text.hpp"
 
@@ -157,6 +161,40 @@ TEST(SuperNet, StepwiseTrainEpochYieldsPerMiniBatchAndMatchesMonolithic) {
     }
     EXPECT_EQ(stepped.weight_version(), mono.weight_version());
   }
+}
+
+// The supernet weights a tiny multistage search trains are pinned at every
+// pool width: the FNV of every weight once warm-up ends (the step that
+// enters stage 1) and once pre-training ends (the step that enters stage
+// 2). Neither stage's probes write a weight, so each hash is exactly the
+// trained state. A change to the training step that moves one float fails
+// here, not only in the search's summary.
+TEST(SuperNet, TrainingIsPinned) {
+  using Phase = SearchProgress::Phase;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    api::EngineConfig cfg = api::EngineConfig::tiny();
+    cfg.num_threads = threads;
+    auto engine = api::Engine::create(cfg);
+    ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+    auto run = engine.value().begin_search();
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    const SuperNet& net = engine.value().context()->supernet();
+    std::vector<std::uint64_t> trained;  // one hash per training phase
+    Phase last = run.value()->progress().phase;
+    while (run.value()->step()) {
+      const Phase now = run.value()->progress().phase;
+      if (now != last && (last == Phase::kWarmup || last == Phase::kPretrain)) {
+        Fnv1a weights;
+        for (const Tensor& p : net.parameters()) weights.floats(p.data());
+        trained.push_back(weights.h);
+      }
+      last = now;
+    }
+    EXPECT_EQ(trained, (std::vector<std::uint64_t>{0x1a8c4aa1b48e9a3bull,
+                                                  0x20cc1b51cc08862full}));
+  }
+  core::set_num_threads(0);
 }
 
 TEST(SuperNet, EvaluateReturnsAccuracyInRange) {
