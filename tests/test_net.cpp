@@ -609,6 +609,84 @@ TEST(NetProtocol, WireBytesArePinned) {
   }
 }
 
+TEST(NetServer, StatsKeySetIsPinned) {
+  // The kStats key set after one call of each verb and one ping is the
+  // wire's stats schema: perfbench and every remote scraper read these
+  // names, so adding, renaming or dropping one must show up here.
+  api::EngineConfig cfg = api::EngineConfig::tiny();
+  cfg.evaluator = "oracle";
+  const std::vector<api::Arch> archs = sample_archs(cfg, 2);
+  auto server = Server::create(cfg);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  auto client = Client::connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  Client& remote = client.value();
+
+  api::EngineConfig search_cfg = cfg;
+  search_cfg.strategy = "random";
+  search_cfg.iterations = 2;
+  ASSERT_TRUE(remote.search(search_cfg).ok());
+  ASSERT_TRUE(remote.predict_latency(archs[0]).ok());
+  ASSERT_TRUE(remote.predict_batch(archs).ok());
+  ASSERT_TRUE(remote.profile(archs[1]).ok());
+  ASSERT_TRUE(remote.profile_baseline("dgcnn", api::Workload{}).ok());
+  ASSERT_TRUE(remote.train_baseline("tailor").ok());
+  ASSERT_TRUE(remote.ping().ok());
+  api::Result<obs::Snapshot> scraped = remote.stats();
+  ASSERT_TRUE(scraped.ok()) << scraped.status().to_string();
+
+  std::vector<std::string> keys;
+  for (const auto& [name, value] : scraped.value()) keys.push_back(name);
+  const std::vector<std::string> expected = {
+      "net.connections_closed",
+      "net.connections_dropped",
+      "net.connections_opened",
+      "net.connections_refused",
+      "net.frames_received",
+      "net.frames_rejected",
+      "net.oversized_replies",
+      "net.replies_sent",
+      "net.version_mismatches",
+      "serve.cancelled_requests",
+      "serve.deadline_expired",
+      "serve.drain_started",
+      "serve.exclusive_preemptions",
+      "serve.exclusive_queue_wait_us.count",
+      "serve.exclusive_queue_wait_us.p50_us",
+      "serve.exclusive_queue_wait_us.p99_us",
+      "serve.exclusive_requests",
+      "serve.exclusive_resumes",
+      "serve.exclusive_service_time_us.count",
+      "serve.exclusive_service_time_us.p50_us",
+      "serve.exclusive_service_time_us.p99_us",
+      "serve.exclusive_slices",
+      "serve.max_predict_batch",
+      "serve.pings",
+      "serve.predict_batches",
+      "serve.predict_requests",
+      "serve.pure_queue_wait_us.count",
+      "serve.pure_queue_wait_us.p50_us",
+      "serve.pure_queue_wait_us.p99_us",
+      "serve.pure_service_time_us.count",
+      "serve.pure_service_time_us.p50_us",
+      "serve.pure_service_time_us.p99_us",
+      "serve.queue_depth",
+      "serve.queue_wait_us.count",
+      "serve.queue_wait_us.p50_us",
+      "serve.queue_wait_us.p99_us",
+      "serve.rejected_requests",
+      "serve.requests",
+      "serve.service_time_us.count",
+      "serve.service_time_us.p50_us",
+      "serve.service_time_us.p99_us",
+      "serve.sheds_with_hint",
+      "serve.step_us.count",
+      "serve.step_us.p50_us",
+      "serve.step_us.p99_us",
+  };
+  EXPECT_EQ(keys, expected);
+}
+
 TEST(NetServer, RemoteStatsMatchLocalCounters) {
   const api::EngineConfig cfg = tiny_cfg();
   const std::vector<api::Arch> archs = sample_archs(cfg, 4);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -521,6 +522,124 @@ TEST(ServeStats, LatencyHistogramsReportWaitAndServiceTime) {
   EXPECT_GE(stats.service_time_p99_us, 0);
   // A p99 of a 32-request run that did real work should be nonzero.
   EXPECT_GT(stats.service_time_p99_us, 0);
+  service->shutdown();
+}
+
+TEST(ServeStats, QuiescedCountersConserveRequests) {
+  // Every admitted request is counted once in serve.requests and once in
+  // exactly one outcome: answered (ok or a per-request error), refused by
+  // the full queue, expired or cancelled. The mix below drives every
+  // outcome at once — a long search that expires mid-run while a bounded
+  // queue fills behind it with lone predictions (some pre-cancelled, some
+  // already expired) and a batch whose every arch counts.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.iterations = 500;  // runs until its deadline
+  for (const std::int64_t workers : {std::int64_t{1}, std::int64_t{3}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServiceConfig scfg;
+    scfg.num_workers = workers;
+    scfg.max_queue_depth = 8;
+    api::Result<std::shared_ptr<Service>> created =
+        Service::create(cfg, scfg);
+    ASSERT_TRUE(created.ok()) << created.status().to_string();
+    Service& service = *created.value();
+    auto probe = api::Engine::create(cfg, service.context());
+    ASSERT_TRUE(probe.ok());
+    std::vector<api::Arch> archs;
+    for (int i = 0; i < 5; ++i) archs.push_back(probe.value().sample_arch());
+
+    SearchRequest search_req;
+    search_req.opts.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    auto search = service.submit(std::move(search_req));
+    std::vector<std::future<api::Result<api::LatencyReport>>> lone;
+    for (std::size_t i = 0; i < 20; ++i) {
+      PredictLatencyRequest req{archs[i % archs.size()]};
+      if (i % 7 == 3)
+        req.opts.cancel = std::make_shared<std::atomic<bool>>(true);
+      if (i % 7 == 5)
+        req.opts.deadline =
+            std::chrono::steady_clock::now() - std::chrono::seconds(1);
+      lone.push_back(service.submit(std::move(req)));
+    }
+    auto batch = service.submit(PredictBatchRequest{archs});
+
+    std::map<api::StatusCode, std::int64_t> outcomes;
+    const auto tally = [&](const api::Status& s) { ++outcomes[s.code()]; };
+    tally(search.get().status());
+    for (auto& f : lone) tally(f.get().status());
+    for (const auto& r : batch.get()) tally(r.status());
+
+    const obs::Snapshot stats = service.metrics_snapshot();
+    const std::int64_t ok = outcomes[api::StatusCode::kOk];
+    const std::int64_t rejected = outcomes[api::StatusCode::kResourceExhausted];
+    const std::int64_t expired = outcomes[api::StatusCode::kDeadlineExceeded];
+    const std::int64_t cancelled = outcomes[api::StatusCode::kCancelled];
+    std::int64_t total = 0;
+    for (const auto& [code, n] : outcomes) total += n;
+    const std::int64_t other = total - ok - rejected - expired - cancelled;
+    EXPECT_EQ(total, 1 + 20 + 5);
+    EXPECT_EQ(stats.at("serve.rejected_requests"), rejected);
+    EXPECT_EQ(stats.at("serve.deadline_expired"), expired);
+    EXPECT_EQ(stats.at("serve.cancelled_requests"), cancelled);
+    EXPECT_EQ(stats.at("serve.requests"),
+              ok + other + rejected + expired + cancelled);
+    // The mix reached the outcomes it was built for.
+    EXPECT_GE(expired, 1);
+    EXPECT_GE(rejected, 1);
+    EXPECT_EQ(stats.at("serve.queue_depth"), 0);
+    service.shutdown();
+  }
+}
+
+TEST(ServeStats, SnapshotKeySetIsPinned) {
+  // The flattened key set of a bare service is the serve layer's stats
+  // schema: kStats scrapes, perfbench and render_snapshot all read these
+  // names, so adding, renaming or dropping one must show up here.
+  auto service = make_service(tiny_cfg(), 1);
+  ASSERT_NE(service, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [name, value] : service->metrics_snapshot())
+    keys.push_back(name);
+  const std::vector<std::string> expected = {
+      "serve.cancelled_requests",
+      "serve.deadline_expired",
+      "serve.drain_started",
+      "serve.exclusive_preemptions",
+      "serve.exclusive_queue_wait_us.count",
+      "serve.exclusive_queue_wait_us.p50_us",
+      "serve.exclusive_queue_wait_us.p99_us",
+      "serve.exclusive_requests",
+      "serve.exclusive_resumes",
+      "serve.exclusive_service_time_us.count",
+      "serve.exclusive_service_time_us.p50_us",
+      "serve.exclusive_service_time_us.p99_us",
+      "serve.exclusive_slices",
+      "serve.max_predict_batch",
+      "serve.pings",
+      "serve.predict_batches",
+      "serve.predict_requests",
+      "serve.pure_queue_wait_us.count",
+      "serve.pure_queue_wait_us.p50_us",
+      "serve.pure_queue_wait_us.p99_us",
+      "serve.pure_service_time_us.count",
+      "serve.pure_service_time_us.p50_us",
+      "serve.pure_service_time_us.p99_us",
+      "serve.queue_depth",
+      "serve.queue_wait_us.count",
+      "serve.queue_wait_us.p50_us",
+      "serve.queue_wait_us.p99_us",
+      "serve.rejected_requests",
+      "serve.requests",
+      "serve.service_time_us.count",
+      "serve.service_time_us.p50_us",
+      "serve.service_time_us.p99_us",
+      "serve.sheds_with_hint",
+      "serve.step_us.count",
+      "serve.step_us.p50_us",
+      "serve.step_us.p99_us",
+  };
+  EXPECT_EQ(keys, expected);
   service->shutdown();
 }
 
