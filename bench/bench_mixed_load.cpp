@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double search_wall_ms = search_timer.ms();
-    const serve::ServiceStats stats = service.value()->stats();
+    const obs::Snapshot stats = service.value()->metrics_snapshot();
     service.value()->shutdown();
 
     const double p50 = percentile(samples_ms, 0.50);
@@ -135,9 +135,10 @@ int main(int argc, char** argv) {
         "slice=%-2lld ms  %-24s p50 %9.2f ms  p99 %9.2f ms  "
         "(search %8.0f ms, %lld slices, %lld preemptions, %lld resumes)\n",
         static_cast<long long>(slice), problem.c_str(), p50, p99,
-        search_wall_ms, static_cast<long long>(stats.exclusive_slices),
-        static_cast<long long>(stats.exclusive_preemptions),
-        static_cast<long long>(stats.exclusive_resumes));
+        search_wall_ms,
+        static_cast<long long>(stats.at("serve.exclusive_slices")),
+        static_cast<long long>(stats.at("serve.exclusive_preemptions")),
+        static_cast<long long>(stats.at("serve.exclusive_resumes")));
     json.add("mixed/predict_p50_" + tag, p50, problem);
     json.add("mixed/predict_p99_" + tag, p99, problem,
              static_cast<double>(samples_ms.size()), "probes");

@@ -22,6 +22,7 @@
 // and writes the spans as Chrome trace_event JSON (load in
 // chrome://tracing or Perfetto) when the service shuts down.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,17 +118,16 @@ int main(int argc, char** argv) {
   auto drain_deadline = std::chrono::steady_clock::time_point::max();
   for (;;) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    const net::NetStats net = server.value()->net_stats();
-    if (once && net.connections_opened > 0 &&
-        net.connections_closed >= net.connections_opened)
-      break;
+    const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+    const std::int64_t opened = stats.at("net.connections_opened");
+    const std::int64_t closed = stats.at("net.connections_closed");
+    if (once && opened > 0 && closed >= opened) break;
     const auto now = std::chrono::steady_clock::now();
     if (drain_after_ms >= 0 && !server.value()->draining() &&
         now - started >= std::chrono::milliseconds(drain_after_ms)) {
       std::printf("draining: no new work; finishing %lld queued "
                   "request(s)...\n",
-                  static_cast<long long>(
-                      server.value()->service()->stats().queue_depth));
+                  static_cast<long long>(stats.at("serve.queue_depth")));
       std::fflush(stdout);
       server.value()->drain();
       // Grace period for queued replies to flush and peers to hang up.
@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
     }
     if (server.value()->draining() &&
         (now >= drain_deadline ||
-         (server.value()->service()->stats().queue_depth == 0 &&
-          net.connections_closed >= net.connections_opened)))
+         (server.value()->service()->queue_depth() == 0 &&
+          closed >= opened)))
       break;
   }
 
@@ -147,14 +147,11 @@ int main(int argc, char** argv) {
   // serve_demo; histograms report .p50_us/.p99_us/.count.
   std::printf("\n-- session report (slice %lld ms) --\n",
               static_cast<long long>(slice_ms));
-  std::fputs(obs::render_snapshot(
-                 server.value()->service()->metrics_snapshot())
-                 .c_str(),
-             stdout);
-  std::printf("drain %s\n",
-              server.value()->service()->stats().drain_started > 0
-                  ? "completed"
-                  : "never started");
+  const obs::Snapshot report = server.value()->service()->metrics_snapshot();
+  std::fputs(obs::render_snapshot(report).c_str(), stdout);
+  std::printf("drain %s\n", report.at("serve.drain_started") > 0
+                                ? "completed"
+                                : "never started");
   if (!trace_out.empty()) {
     // stop() shut the service down, which exported the collected spans.
     std::printf("trace written to %s (Chrome trace_event JSON)\n",

@@ -175,7 +175,10 @@ struct Server::Impl {
     bool answered_in_drain = false;
   };
 
-  serve::Service* service = nullptr;
+  Impl(serve::Service& svc, const ServerConfig& server_cfg)
+      : service(&svc), cfg(server_cfg) {}
+
+  serve::Service* service;
   ServerConfig cfg;
   int listen_fd = -1;
   int wake_read = -1;
@@ -190,33 +193,27 @@ struct Server::Impl {
   core::Mutex stop_mutex;  // serializes concurrent Server::stop() callers
 
   // The "net.*" counters live in the owned service's registry (so one
-  // kStats snapshot tells the whole story); handles are resolved once in
-  // init_counters and bumped lock-free from the poll thread, read from
-  // any thread via Server::net_stats().
+  // kStats snapshot tells the whole story); each registers itself here and
+  // is bumped lock-free from the poll thread. All are monotone.
   struct NetCounters {
-    obs::Counter* connections_opened = nullptr;
-    obs::Counter* connections_closed = nullptr;
-    obs::Counter* connections_refused = nullptr;
-    obs::Counter* frames_received = nullptr;
-    obs::Counter* frames_rejected = nullptr;
-    obs::Counter* connections_dropped = nullptr;
-    obs::Counter* replies_sent = nullptr;
-    obs::Counter* oversized_replies = nullptr;
-    obs::Counter* version_mismatches = nullptr;
+    obs::Registry& r;
+    obs::Counter& connections_opened = r.counter("net.connections_opened");
+    obs::Counter& connections_closed = r.counter("net.connections_closed");
+    // Accepts over max_connections.
+    obs::Counter& connections_refused = r.counter("net.connections_refused");
+    obs::Counter& frames_received = r.counter("net.frames_received");
+    // Malformed payloads (INVALID_ARGUMENT replies).
+    obs::Counter& frames_rejected = r.counter("net.frames_rejected");
+    // Unframeable input (bad magic / oversized length).
+    obs::Counter& connections_dropped = r.counter("net.connections_dropped");
+    obs::Counter& replies_sent = r.counter("net.replies_sent");
+    // Reply bodies over kMaxPayloadBytes, answered RESOURCE_EXHAUSTED: from
+    // healthy traffic, so kept apart from frames_rejected.
+    obs::Counter& oversized_replies = r.counter("net.oversized_replies");
+    // Peers on another protocol version (one farewell, then dropped).
+    obs::Counter& version_mismatches = r.counter("net.version_mismatches");
   };
-  NetCounters nc;
-
-  void init_counters(obs::Registry& r) {
-    nc.connections_opened = &r.counter("net.connections_opened");
-    nc.connections_closed = &r.counter("net.connections_closed");
-    nc.connections_refused = &r.counter("net.connections_refused");
-    nc.frames_received = &r.counter("net.frames_received");
-    nc.frames_rejected = &r.counter("net.frames_rejected");
-    nc.connections_dropped = &r.counter("net.connections_dropped");
-    nc.replies_sent = &r.counter("net.replies_sent");
-    nc.oversized_replies = &r.counter("net.oversized_replies");
-    nc.version_mismatches = &r.counter("net.version_mismatches");
-  }
+  NetCounters nc{service->registry()};
 
   // The connection table (fds, buffered frames, reply buffers, pending
   // futures) is owned by the poll thread alone after start: run() is the
@@ -339,7 +336,7 @@ struct Server::Impl {
       if (fd < 0) return;  // EAGAIN or transient error: try next round
       if (static_cast<std::int64_t>(conns.size()) >= cfg.max_connections) {
         ::close(fd);
-        nc.connections_refused->inc();
+        nc.connections_refused.inc();
         continue;
       }
       set_nonblocking(fd);
@@ -351,7 +348,7 @@ struct Server::Impl {
         c.transport = cfg.wrap_transport(std::move(c.transport));
       c.cancel = std::make_shared<std::atomic<bool>>(false);
       conns.emplace(fd, std::move(c));
-      nc.connections_opened->inc();
+      nc.connections_opened.inc();
     }
   }
 
@@ -420,7 +417,7 @@ struct Server::Impl {
         // with one FAILED_PRECONDITION farewell framed in ITS version
         // (best-effort flush below), then drop — the rest of its stream
         // cannot be parsed.
-        nc.version_mismatches->inc();
+        nc.version_mismatches.inc();
         c.out.append(encode_version_farewell(h));
         (void)flush(c);
         return false;
@@ -428,7 +425,7 @@ struct Server::Impl {
       if (hd != HeaderDecode::kOk) {
         // Bad magic / oversized length: byte-stream framing is lost,
         // nothing downstream can be trusted. Drop the connection.
-        nc.connections_dropped->inc();
+        nc.connections_dropped.inc();
         return false;
       }
       if (c.in.size() - consumed < kHeaderSize + h.payload_len) break;
@@ -448,7 +445,7 @@ struct Server::Impl {
     Writer w;
     encode_status(status, &w);
     send_reply(c, type, id, w.take());
-    nc.frames_rejected->inc();
+    nc.frames_rejected.inc();
   }
 
   /// A refused-before-running reply (drain-time UNAVAILABLE): carries the
@@ -476,10 +473,10 @@ struct Server::Impl {
               " bytes) exceeds the wire limit"),
           &w);
       payload = w.take();
-      nc.oversized_replies->inc();
+      nc.oversized_replies.inc();
     }
     c.out.append(encode_frame(type, /*reply=*/true, id, 0, payload));
-    nc.replies_sent->inc();
+    nc.replies_sent.inc();
     if (draining.load(std::memory_order_acquire)) c.answered_in_drain = true;
   }
 
@@ -492,7 +489,7 @@ struct Server::Impl {
                       "unknown frame type " + std::to_string(h.type)));
       return;
     }
-    nc.frames_received->inc();
+    nc.frames_received.inc();
     if (verbs::with_verb(h.type, [&](auto index) {
           submit(c, index, h, payload, len);
         }))
@@ -692,7 +689,7 @@ struct Server::Impl {
     // resolutions are harmless. The transport closes the fd.
     it->second.cancel->store(true, std::memory_order_relaxed);
     conns.erase(it);
-    nc.connections_closed->inc();
+    nc.connections_closed.inc();
   }
 
   void shutdown_io() {
@@ -737,10 +734,7 @@ api::Result<std::shared_ptr<Server>> Server::create(
 
   std::shared_ptr<Server> server(new Server());
   server->service_ = std::move(service).value();
-  server->impl_ = std::make_unique<Impl>();
-  server->impl_->service = server->service_.get();
-  server->impl_->init_counters(server->service_->registry());
-  server->impl_->cfg = server_cfg;
+  server->impl_ = std::make_unique<Impl>(*server->service_, server_cfg);
   api::Status listening = server->impl_->listen_on(
       server_cfg.host, server_cfg.port, &server->port_);
   if (!listening.ok()) return listening;
@@ -776,23 +770,6 @@ void Server::drain() {
 bool Server::draining() const {
   return impl_ != nullptr &&
          impl_->draining.load(std::memory_order_acquire);
-}
-
-NetStats Server::net_stats() const {
-  // A thin view over the registry instruments (the same ones kStats
-  // serves), so this struct and the remote snapshot can never drift.
-  if (impl_ == nullptr) return {};
-  NetStats s;
-  s.connections_opened = impl_->nc.connections_opened->value();
-  s.connections_closed = impl_->nc.connections_closed->value();
-  s.connections_refused = impl_->nc.connections_refused->value();
-  s.frames_received = impl_->nc.frames_received->value();
-  s.frames_rejected = impl_->nc.frames_rejected->value();
-  s.connections_dropped = impl_->nc.connections_dropped->value();
-  s.replies_sent = impl_->nc.replies_sent->value();
-  s.oversized_replies = impl_->nc.oversized_replies->value();
-  s.version_mismatches = impl_->nc.version_mismatches->value();
-  return s;
 }
 
 }  // namespace hg::net

@@ -64,25 +64,6 @@ struct ServerConfig {
   TransportWrap wrap_transport;
 };
 
-/// Net-level counters (monotone; snapshot via Server::net_stats()).
-/// Service-level counters live in Server::service()->stats().
-struct NetStats {
-  std::int64_t connections_opened = 0;
-  std::int64_t connections_closed = 0;
-  std::int64_t connections_refused = 0;   // over max_connections
-  std::int64_t frames_received = 0;       // well-framed requests
-  std::int64_t frames_rejected = 0;       // INVALID_ARGUMENT replies
-  std::int64_t connections_dropped = 0;   // unframeable input
-  std::int64_t replies_sent = 0;
-  // Reply bodies over kMaxPayloadBytes, answered RESOURCE_EXHAUSTED
-  // instead of framed (kept separate from frames_rejected: these come
-  // from healthy traffic, not malformed input).
-  std::int64_t oversized_replies = 0;
-  // Peers speaking another protocol version, answered with one
-  // best-effort FAILED_PRECONDITION farewell and dropped.
-  std::int64_t version_mismatches = 0;
-};
-
 class Server {
  public:
   /// Build the service from `cfg` (fitting the predictor when configured)
@@ -120,7 +101,8 @@ class Server {
   void drain();
   bool draining() const;
 
-  NetStats net_stats() const;
+  /// The owned service. Its metrics_snapshot() also carries this
+  /// server's "net.*" counters: it is exactly what kStats answers.
   const std::shared_ptr<serve::Service>& service() const { return service_; }
 
  private:

@@ -13,10 +13,8 @@
 //   * One stable snapshot shape. Registry::snapshot() flattens every
 //     instrument into a name -> int64 map (histograms expand to
 //     `<name>.p50_us` / `.p99_us` / `.count`), which is what the wire's
-//     kStats frame carries and what render_snapshot() pretty-prints —
-//     serve::ServiceStats and net::NetStats are thin views over the same
-//     instruments, so the remote snapshot and the local structs can never
-//     drift.
+//     kStats frame carries, what render_snapshot() pretty-prints and what
+//     in-process readers look names up in — one view, local and remote.
 //
 // Naming scheme: `<layer>.<counter>` with lowercase snake_case leaves —
 // "serve.requests", "net.frames_received", "engine.searches",

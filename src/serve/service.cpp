@@ -263,7 +263,7 @@ void Service::enqueue(QueuedTask task) {
     }
     if (refused.ok()) {
       std::deque<QueuedTask>& queue = route(task);
-      if (&queue == &exclusive_queue_) counters_.exclusive_requests.inc();
+      if (&queue == &exclusive_queue_) counters_.exclusive_requests.inc(count);
       coalescing = &queue == &predict_queue_;
       queue.push_back(std::move(task));
       wake_window = predict_window_waiter_;
@@ -407,48 +407,6 @@ std::future<api::Result<api::TrainReport>> Service::submit(
       });
 }
 
-ServiceStats Service::stats() const {
-  // A thin view over the registered instruments: every field is read from
-  // the same counter/histogram the hot paths bump, so this struct, the
-  // full metrics_snapshot(), and the wire's kStats answer can never
-  // disagree.
-  ServiceStats snapshot;
-  snapshot.requests = counters_.requests.value();
-  snapshot.exclusive_requests = counters_.exclusive_requests.value();
-  snapshot.predict_requests = counters_.predict_requests.value();
-  snapshot.predict_batches = counters_.predict_batches.value();
-  snapshot.max_predict_batch = counters_.max_predict_batch.value();
-  snapshot.rejected_requests = counters_.rejected_requests.value();
-  snapshot.deadline_expired = counters_.deadline_expired.value();
-  snapshot.cancelled_requests = counters_.cancelled_requests.value();
-  snapshot.pings = counters_.pings.value();
-  snapshot.sheds_with_hint = counters_.sheds_with_hint.value();
-  snapshot.drain_started = counters_.drain_started.value();
-  snapshot.exclusive_slices = counters_.exclusive_slices.value();
-  snapshot.exclusive_preemptions = counters_.exclusive_preemptions.value();
-  snapshot.exclusive_resumes = counters_.exclusive_resumes.value();
-  snapshot.queue_wait_p50_us = queue_wait_us_.percentile_us(0.50);
-  snapshot.queue_wait_p99_us = queue_wait_us_.percentile_us(0.99);
-  snapshot.service_time_p50_us = service_time_us_.percentile_us(0.50);
-  snapshot.service_time_p99_us = service_time_us_.percentile_us(0.99);
-  snapshot.pure_queue_wait_p50_us = pure_queue_wait_us_.percentile_us(0.50);
-  snapshot.pure_queue_wait_p99_us = pure_queue_wait_us_.percentile_us(0.99);
-  snapshot.pure_service_time_p50_us =
-      pure_service_time_us_.percentile_us(0.50);
-  snapshot.pure_service_time_p99_us =
-      pure_service_time_us_.percentile_us(0.99);
-  snapshot.exclusive_queue_wait_p50_us =
-      exclusive_queue_wait_us_.percentile_us(0.50);
-  snapshot.exclusive_queue_wait_p99_us =
-      exclusive_queue_wait_us_.percentile_us(0.99);
-  snapshot.exclusive_service_time_p50_us =
-      exclusive_service_time_us_.percentile_us(0.50);
-  snapshot.exclusive_service_time_p99_us =
-      exclusive_service_time_us_.percentile_us(0.99);
-  snapshot.queue_depth = queue_depth();
-  return snapshot;
-}
-
 std::int64_t Service::queue_depth() const {
   core::MutexLock lock(queue_mutex_);
   return queued();
@@ -465,7 +423,7 @@ obs::Snapshot Service::metrics_snapshot() const {
 bool Service::pop_runnable(
     std::deque<QueuedTask>& queue,
     std::vector<std::pair<QueuedTask, api::Status>>* failed,
-    QueuedTask* out, LatencyHistogram& kind_wait) {
+    QueuedTask* out, obs::Histogram& kind_wait) {
   while (!queue.empty()) {
     QueuedTask task = std::move(queue.front());
     queue.pop_front();

@@ -122,58 +122,6 @@ struct ServiceConfig {
   std::int64_t exclusive_slice_ms = 0;
 };
 
-/// Cumulative counters (monotone except queue_depth; snapshot via
-/// Service::stats()). This struct is a THIN VIEW over the service's
-/// obs::Registry instruments — stats() reads the registered counters and
-/// histograms, so this local struct and the wire's kStats snapshot
-/// (Service::metrics_snapshot) can never drift.
-struct ServiceStats {
-  std::int64_t requests = 0;            // everything submitted
-  std::int64_t exclusive_requests = 0;  // ran on the exclusive FIFO path
-  std::int64_t predict_requests = 0;    // predicted archs submitted
-  std::int64_t predict_batches = 0;     // prediction groups answered
-  std::int64_t max_predict_batch = 0;   // largest group seen, in archs
-  std::int64_t queue_depth = 0;         // live: admitted, not yet started
-  std::int64_t rejected_requests = 0;   // refused: bounded queue was full
-  std::int64_t deadline_expired = 0;    // expired while queued or mid-run
-  std::int64_t cancelled_requests = 0;  // cancelled while queued or mid-run
-  std::int64_t pings = 0;               // health probes answered (net)
-  std::int64_t sheds_with_hint = 0;     // refusals sent with retry_after_us
-  std::int64_t drain_started = 0;       // drain() transitions (0 or 1)
-  // Latency distribution snapshots (microseconds; each value is the upper
-  // bound of the log-linear bucket holding the quantile, so it is exact to
-  // within ~25% — see obs::Histogram). queue_wait covers admission ->
-  // dispatch for every queued request; service_time covers the execution
-  // of one unit of work (one task, or one prediction group).
-  std::int64_t queue_wait_p50_us = 0;
-  std::int64_t queue_wait_p99_us = 0;
-  std::int64_t service_time_p50_us = 0;
-  std::int64_t service_time_p99_us = 0;
-  // Slice-scheduler counters (preemptions and resumes stay 0 while
-  // exclusive_slice_ms == 0):
-  std::int64_t exclusive_slices = 0;       // run dispatches (first+resumed)
-  std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
-  std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
-  // The same distributions split by request kind: pure covers predict /
-  // profile / profile_baseline (and prediction groups), exclusive
-  // covers search / train_baseline / measured-evaluator traffic. A
-  // preempted exclusive records one wait and one service-time sample per
-  // dispatch (each slice waited and ran separately).
-  std::int64_t pure_queue_wait_p50_us = 0;
-  std::int64_t pure_queue_wait_p99_us = 0;
-  std::int64_t pure_service_time_p50_us = 0;
-  std::int64_t pure_service_time_p99_us = 0;
-  std::int64_t exclusive_queue_wait_p50_us = 0;
-  std::int64_t exclusive_queue_wait_p99_us = 0;
-  std::int64_t exclusive_service_time_p50_us = 0;
-  std::int64_t exclusive_service_time_p99_us = 0;
-};
-
-/// The serve-layer latency histogram is the obs one: lock-free log-linear
-/// microsecond buckets (4 sub-buckets per octave; quantiles exact to
-/// within ~25% — see obs::Histogram for the layout).
-using LatencyHistogram = obs::Histogram;
-
 /// One preemptible unit of exclusive work, advanced a step at a time (a
 /// search's mini-batch or validation-sample round, a training epoch)
 /// between slice-expiry checks.
@@ -244,9 +192,8 @@ class Service {
   void record_ping();
   void record_shed_hint();
 
-  ServiceStats stats() const;
-  /// Requests admitted and not yet started (ServiceStats::queue_depth),
-  /// without building the rest of a stats() snapshot.
+  /// Queue entries admitted and not yet started (the live
+  /// "serve.queue_depth"), without building a whole metrics_snapshot().
   std::int64_t queue_depth() const;
 
   /// This service's instrument registry. The net front end registers its
@@ -257,8 +204,9 @@ class Service {
 
   /// The full flattened metrics snapshot — every registered instrument
   /// (serve.*, plus whatever the owner registered) and the live
-  /// "serve.queue_depth". This is what the wire's kStats frame answers
-  /// and what obs::render_snapshot pretty-prints.
+  /// "serve.queue_depth" — the one stats view: kStats answers it,
+  /// obs::render_snapshot prints it, in-process readers look names up in
+  /// it. Service::Counters documents each serve.* name.
   obs::Snapshot metrics_snapshot() const;
 
   const std::shared_ptr<api::EvalContext>& context() const { return ctx_; }
@@ -360,7 +308,7 @@ class Service {
   /// per-kind (pure vs exclusive) histogram for the queue being popped.
   bool pop_runnable(std::deque<QueuedTask>& queue,
                     std::vector<std::pair<QueuedTask, api::Status>>* failed,
-                    QueuedTask* out, LatencyHistogram& kind_wait)
+                    QueuedTask* out, obs::Histogram& kind_wait)
       HG_REQUIRES(queue_mutex_);
 
   /// Runs popped work outside the lock: one one-piece entry through its
@@ -404,24 +352,36 @@ class Service {
   /// (registry references are stable for its lifetime — obs::Registry).
   /// Every bump is one relaxed atomic: submissions, completions and the
   /// net layer's ping/shed recording never touch the queue lock.
-  /// queue_depth is the one ServiceStats field without an instrument — it
-  /// is derived from the queue sizes under queue_mutex_ at snapshot time.
   /// Declaration order matters: registry_ first, handles after.
   std::shared_ptr<obs::Registry> registry_ =
       std::make_shared<obs::Registry>();
+  /// Request counters move by an entry's request count (its arch count
+  /// for a prediction, else 1). All are monotone.
   struct Counters {
     obs::Registry& r;
+    // Submissions past the stop/drain check: a queue-full refusal counts
+    // here and in rejected_requests, a stopping/draining one nowhere.
     obs::Counter& requests = r.counter("serve.requests");
+    // Admitted to the exclusive FIFO (search / train_baseline / measured).
     obs::Counter& exclusive_requests = r.counter("serve.exclusive_requests");
+    // Predicted archs submitted, lone and batched.
     obs::Counter& predict_requests = r.counter("serve.predict_requests");
+    // Prediction groups answered; the largest one, in archs.
     obs::Counter& predict_batches = r.counter("serve.predict_batches");
     obs::Gauge& max_predict_batch = r.gauge("serve.max_predict_batch");
+    // Refused because the bounded queue was full.
     obs::Counter& rejected_requests = r.counter("serve.rejected_requests");
+    // Expired / cancelled while queued or between steps of a run.
     obs::Counter& deadline_expired = r.counter("serve.deadline_expired");
     obs::Counter& cancelled_requests = r.counter("serve.cancelled_requests");
+    // Net front end: health probes answered, refusals sent with a
+    // retry_after_us hint.
     obs::Counter& pings = r.counter("serve.pings");
     obs::Counter& sheds_with_hint = r.counter("serve.sheds_with_hint");
-    obs::Counter& drain_started = r.counter("serve.drain_started");
+    obs::Counter& drain_started = r.counter("serve.drain_started");  // 0/1
+    // Stepwise-run dispatches (first and resumed), re-parks at slice
+    // expiry, and dispatches of a preempted run. The last two stay 0
+    // while exclusive_slice_ms == 0.
     obs::Counter& exclusive_slices = r.counter("serve.exclusive_slices");
     obs::Counter& exclusive_preemptions =
         r.counter("serve.exclusive_preemptions");
@@ -430,7 +390,7 @@ class Service {
 
   core::Mutex shutdown_mutex_;  // serializes shutdown() callers only
   // The queue lock: it guards exactly the queues and the dispatch flags
-  // below. Stats live in lock-free Counters/LatencyHistogram members, so
+  // below. Stats live in lock-free Counters/obs::Histogram members, so
   // a stat bump never contends with dispatch.
   mutable core::Mutex queue_mutex_;
   // Targeted wakeups (all wait via UniqueMutexLock over queue_mutex_):
@@ -461,25 +421,27 @@ class Service {
   bool stopping_ HG_GUARDED_BY(queue_mutex_) = false;
   bool draining_ HG_GUARDED_BY(queue_mutex_) = false;
   Counters counters_{*registry_};  // lock-free bumps
-  // Histogram handles (same registry; all lock-free record_us):
-  // admission -> dispatch, one unit of work, and the same two
-  // distributions split by request kind (pure vs exclusive) — every
-  // sample in the first pair also lands in exactly one of the others.
-  LatencyHistogram& queue_wait_us_ =
+  // Histogram handles (same registry; lock-free record_us; quantiles
+  // within ~25%, see obs::Histogram): admission -> dispatch, one unit of
+  // work (a task or a prediction group), and the same two split by kind
+  // (pure: predict / profile / profile_baseline; exclusive: the rest).
+  // Every sample in the first pair also lands in exactly one of the
+  // others; a preempted run records one pair of samples per dispatch.
+  obs::Histogram& queue_wait_us_ =
       registry_->histogram("serve.queue_wait_us");
-  LatencyHistogram& service_time_us_ =
+  obs::Histogram& service_time_us_ =
       registry_->histogram("serve.service_time_us");
-  LatencyHistogram& pure_queue_wait_us_ =
+  obs::Histogram& pure_queue_wait_us_ =
       registry_->histogram("serve.pure_queue_wait_us");
-  LatencyHistogram& exclusive_queue_wait_us_ =
+  obs::Histogram& exclusive_queue_wait_us_ =
       registry_->histogram("serve.exclusive_queue_wait_us");
-  LatencyHistogram& pure_service_time_us_ =
+  obs::Histogram& pure_service_time_us_ =
       registry_->histogram("serve.pure_service_time_us");
-  LatencyHistogram& exclusive_service_time_us_ =
+  obs::Histogram& exclusive_service_time_us_ =
       registry_->histogram("serve.exclusive_service_time_us");
   // One sample per step() of a stepwise exclusive run: a slice overshoots
   // its budget by at most one step, so this bounds a sliced p99.
-  LatencyHistogram& step_us_ = registry_->histogram("serve.step_us");
+  obs::Histogram& step_us_ = registry_->histogram("serve.step_us");
   // This service started the global trace collector (trace_path set):
   // shutdown() exports and stops it.
   bool trace_owner_ = false;

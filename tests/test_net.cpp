@@ -78,11 +78,20 @@ std::vector<api::Arch> sample_archs(const api::EngineConfig& cfg, int n) {
   return archs;
 }
 
+/// One named value of a service's stats snapshot (what kStats answers).
+std::int64_t stat(const serve::Service& service, const std::string& name) {
+  return service.metrics_snapshot().at(name);
+}
+
+std::int64_t stat(const Server& server, const std::string& name) {
+  return stat(*server.service(), name);
+}
+
 /// Spin until the server's service has admitted `count` requests (it has
 /// *received* them; they may still be queued).
 void wait_for_requests(const Server& server, std::int64_t count) {
   for (int i = 0; i < 2000; ++i) {
-    if (server.service()->stats().requests >= count) return;
+    if (stat(server, "serve.requests") >= count) return;
     std::this_thread::sleep_for(1ms);
   }
   FAIL() << "server never saw " << count << " requests";
@@ -92,7 +101,7 @@ void wait_for_requests(const Server& server, std::int64_t count) {
 /// stall request has been dequeued and is running).
 void wait_for_drain_into_worker(const Server& server) {
   for (int i = 0; i < 2000; ++i) {
-    if (server.service()->stats().queue_depth == 0) return;
+    if (server.service()->queue_depth() == 0) return;
     std::this_thread::sleep_for(1ms);
   }
   FAIL() << "queue never drained into a worker";
@@ -707,31 +716,27 @@ TEST(NetServer, RemoteStatsMatchLocalCounters) {
   ASSERT_TRUE(scraped.ok()) << scraped.status().to_string();
   const obs::Snapshot& snap = scraped.value();
 
-  // One registry, two views: the wire snapshot must agree with the local
-  // structs field for field (requests are quiesced — every verb above
-  // completed before the scrape).
-  const serve::ServiceStats local = server.value()->service()->stats();
-  EXPECT_EQ(snap.at("serve.requests"), local.requests);
-  EXPECT_EQ(snap.at("serve.predict_requests"), local.predict_requests);
-  EXPECT_EQ(snap.at("serve.predict_batches"), local.predict_batches);
-  EXPECT_EQ(snap.at("serve.pings"), local.pings);
-  EXPECT_EQ(snap.at("serve.queue_depth"), 0);
-  EXPECT_EQ(snap.at("serve.service_time_us.p99_us"),
-            local.service_time_p99_us);
+  // One registry, two views: the wire snapshot must equal the local one
+  // key for key (every verb above completed before the scrape). The one
+  // exception is net.replies_sent, which trails by the scrape's own reply:
+  // the snapshot was taken after the kStats frame arrived but before its
+  // reply went out.
+  const obs::Snapshot local = server.value()->service()->metrics_snapshot();
+  ASSERT_EQ(snap.size(), local.size());
+  for (const auto& [name, value] : local) {
+    ASSERT_EQ(snap.count(name), 1u) << name;
+    const std::int64_t trailing = name == "net.replies_sent" ? 1 : 0;
+    EXPECT_EQ(snap.at(name), value - trailing) << name;
+  }
+  EXPECT_EQ(snap.at("serve.pings"), 1);
+  EXPECT_EQ(snap.at("serve.predict_requests"), 4);
   EXPECT_GT(snap.at("serve.service_time_us.count"), 0);
-
-  // net.* counters live in the same registry. The snapshot was taken
-  // after the kStats frame arrived but before its reply went out.
-  const NetStats net = server.value()->net_stats();
-  EXPECT_EQ(snap.at("net.connections_opened"), net.connections_opened);
-  EXPECT_EQ(snap.at("net.frames_received"), net.frames_received);
-  EXPECT_EQ(snap.at("net.replies_sent"), net.replies_sent - 1);
-  EXPECT_EQ(snap.at("net.frames_rejected"), 0);
 
   // A second scrape counts the first one's reply.
   api::Result<obs::Snapshot> again = remote.stats();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().at("net.replies_sent"), net.replies_sent);
+  EXPECT_EQ(again.value().at("net.replies_sent"),
+            local.at("net.replies_sent"));
 }
 
 TEST(NetServer, WireRequestIdBecomesServerTraceId) {
@@ -813,7 +818,7 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   EXPECT_TRUE(fine.ok()) << fine.status().to_string();
   EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
 
-  EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
+  EXPECT_GE(stat(*server.value(), "serve.deadline_expired"), 1);
 }
 
 TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
@@ -840,7 +845,7 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
   // before the deadline can fire.
   bool started = false;
   for (int i = 0; i < 2000 && !started; ++i) {
-    started = server.value()->service()->stats().exclusive_slices > 0;
+    started = stat(*server.value(), "serve.exclusive_slices") > 0;
     std::this_thread::sleep_for(1ms);
   }
   ASSERT_TRUE(started) << "search never started slicing";
@@ -849,7 +854,7 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
       remote.wait(verbs::kSearch, search_id.value());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-  EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
+  EXPECT_GE(stat(*server.value(), "serve.deadline_expired"), 1);
 
   // The worker is free again and the server keeps serving.
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
@@ -898,7 +903,7 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(rejected, kFlood - 2);
   EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
-  EXPECT_EQ(server.value()->service()->stats().rejected_requests,
+  EXPECT_EQ(stat(*server.value(), "serve.rejected_requests"),
             kFlood - 2);
 }
 
@@ -929,7 +934,7 @@ TEST(NetServer, DisconnectCancelsThatConnectionsQueuedRequests) {
   api::Result<api::ProfileReport> after =
       fresh.value().profile(archs[0]);
   EXPECT_TRUE(after.ok()) << after.status().to_string();
-  EXPECT_GE(server.value()->service()->stats().cancelled_requests, 4);
+  EXPECT_GE(stat(*server.value(), "serve.cancelled_requests"), 4);
 }
 
 TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
@@ -975,10 +980,11 @@ TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
     EXPECT_DOUBLE_EQ(served.value().latency_ms, direct.value().latency_ms);
   }
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.predict_requests, 8);
-  EXPECT_LT(stats.predict_batches, stats.predict_requests);
-  EXPECT_GT(stats.max_predict_batch, 1);
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"), 8);
+  EXPECT_LT(stats.at("serve.predict_batches"),
+            stats.at("serve.predict_requests"));
+  EXPECT_GT(stats.at("serve.max_predict_batch"), 1);
 }
 
 TEST(ServeWindow, ZeroWindowPreservesEagerDraining) {
@@ -1004,7 +1010,7 @@ TEST(ServeWindow, ZeroWindowPreservesEagerDraining) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // Far below any plausible window; just prove nobody slept on purpose.
   EXPECT_LT(elapsed, 5s);
-  EXPECT_EQ(service.value()->stats().predict_batches, 1);
+  EXPECT_EQ(stat(*service.value(), "serve.predict_batches"), 1);
 }
 
 // ---- raw-socket robustness -------------------------------------------------
@@ -1186,11 +1192,11 @@ TEST(NetBatchFrame, BatchedFrameRunsAsOneServiceUnit) {
     EXPECT_DOUBLE_EQ(remote.value()[i].latency_ms,
                      local.value()[i].latency_ms);
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.predict_requests,
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"),
             static_cast<std::int64_t>(archs.size()));
-  EXPECT_GE(stats.predict_batches, 1);
-  EXPECT_GE(stats.max_predict_batch,
+  EXPECT_GE(stats.at("serve.predict_batches"), 1);
+  EXPECT_GE(stats.at("serve.max_predict_batch"),
             static_cast<std::int64_t>(archs.size()));
 }
 
@@ -1211,7 +1217,7 @@ TEST(NetBatchFrame, OversizedBatchRefusedPerElementWithoutRunning) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), api::StatusCode::kResourceExhausted);
   // Refused before submission: the service never saw the work.
-  EXPECT_EQ(server.value()->service()->stats().requests, 0);
+  EXPECT_EQ(stat(*server.value(), "serve.requests"), 0);
 
   // The refusal is a clean per-request answer — the connection lives.
   api::Result<api::LatencyReport> sane =
@@ -1250,7 +1256,7 @@ TEST(NetBatchFrame, RetiredFrameTypeGetsTypedRefusal) {
     EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
     EXPECT_EQ(status.message(), "unknown frame type " + std::to_string(type));
   }
-  EXPECT_EQ(server.value()->service()->stats().requests, 0);
+  EXPECT_EQ(stat(*server.value(), "serve.requests"), 0);
 
   // Same connection: a normal predict_latency is answered.
   Writer one;
@@ -1407,7 +1413,7 @@ TEST(NetClient, GoodbyeDrainsPipelinedRequests) {
       remote.wait(verbs::kProfile, id2.value());
   EXPECT_TRUE(r1.ok()) << r1.status().to_string();
   EXPECT_TRUE(r2.ok()) << r2.status().to_string();
-  EXPECT_EQ(server.value()->service()->stats().cancelled_requests, 0);
+  EXPECT_EQ(stat(*server.value(), "serve.cancelled_requests"), 0);
 }
 
 TEST(ServeWindow, LoneWorkerDoesNotStallPureWorkOnTheWindow) {
@@ -1658,10 +1664,11 @@ TEST(NetServer, PingReportsHealthAndDrainState) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), api::StatusCode::kUnavailable);
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_GE(stats.pings, 2);
-  EXPECT_EQ(stats.drain_started, 1);
-  EXPECT_GE(stats.sheds_with_hint, 1);  // the drain refusal carried a hint
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_GE(stats.at("serve.pings"), 2);
+  EXPECT_EQ(stats.at("serve.drain_started"), 1);
+  // The drain refusal carried a hint.
+  EXPECT_GE(stats.at("serve.sheds_with_hint"), 1);
 }
 
 TEST(NetServer, OldVersionPeerGetsCleanFarewell) {
@@ -1707,7 +1714,7 @@ TEST(NetServer, OldVersionPeerGetsCleanFarewell) {
   EXPECT_EQ(code,
             static_cast<std::uint32_t>(api::StatusCode::kFailedPrecondition));
   EXPECT_TRUE(conn.closed_by_peer());
-  EXPECT_GE(server.value()->net_stats().version_mismatches, 1);
+  EXPECT_GE(stat(*server.value(), "net.version_mismatches"), 1);
 }
 
 TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
@@ -1760,7 +1767,7 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), api::StatusCode::kResourceExhausted);
   EXPECT_EQ(hint, 9'000u);
-  EXPECT_GE(server.value()->service()->stats().sheds_with_hint, 1);
+  EXPECT_GE(stat(*server.value(), "serve.sheds_with_hint"), 1);
 
   // The hint certifies "never ran", so even a MUTATING verb may ride it:
   // this search retries through the full queue (backoff floored at the
@@ -1843,9 +1850,10 @@ TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {
   }
   EXPECT_TRUE(refused) << "drain never closed the listen socket";
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.drain_started, 1);
-  EXPECT_EQ(stats.cancelled_requests, 0) << "drain abandoned admitted work";
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.drain_started"), 1);
+  EXPECT_EQ(stats.at("serve.cancelled_requests"), 0)
+      << "drain abandoned admitted work";
   server.value()->stop();
 }
 
@@ -2149,7 +2157,7 @@ TEST(NetClient, OversizedRequestIsNotRetried) {
   EXPECT_EQ(wraps, 1) << "the client dropped its connection to retry";
   // The connection it kept still serves.
   EXPECT_TRUE(client.value().ping().ok());
-  EXPECT_EQ(server.value()->net_stats().connections_opened, 1);
+  EXPECT_EQ(stat(*server.value(), "net.connections_opened"), 1);
 }
 
 TEST(NetClient, RetryRespectsRequestDeadline) {

@@ -38,6 +38,11 @@ std::shared_ptr<Service> make_service(const api::EngineConfig& cfg,
   return service.ok() ? service.value() : nullptr;
 }
 
+/// One named value of the service's stats snapshot.
+std::int64_t stat(const Service& service, const std::string& name) {
+  return service.metrics_snapshot().at(name);
+}
+
 /// Every result of one scripted mixed-workload run, in submission order.
 struct RunResults {
   std::vector<api::SearchReport> searches;
@@ -218,10 +223,11 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
     EXPECT_DOUBLE_EQ(served.value().latency_ms, direct.value().latency_ms);
   }
 
-  const ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.predict_requests, 12);
-  EXPECT_LT(stats.predict_batches, stats.predict_requests);
-  EXPECT_GT(stats.max_predict_batch, 1);
+  const obs::Snapshot stats = service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"), 12);
+  EXPECT_LT(stats.at("serve.predict_batches"),
+            stats.at("serve.predict_requests"));
+  EXPECT_GT(stats.at("serve.max_predict_batch"), 1);
 
   // A malformed genome that lands in a coalesced batch must fail alone:
   // its batchmates get exactly the answer an uncoalesced query would.
@@ -253,7 +259,7 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   // lone queries, a 4-arch batch and a batch larger than max_predict_batch
   // (never split, so it runs whole) all answer exactly what a lone
   // Engine::predict_latency answers.
-  const ServiceStats before = service->stats();
+  const obs::Snapshot before = service->metrics_snapshot();
   const std::size_t large = ServiceConfig{}.max_predict_batch + 5;
   std::vector<api::Arch> small_batch(archs.begin(), archs.begin() + 4);
   std::vector<api::Arch> large_batch;
@@ -283,11 +289,12 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   ASSERT_EQ(large_results.size(), large);
   for (std::size_t i = 0; i < large; ++i)
     expect_lone_answer(large_results[i], large_batch[i]);
-  const ServiceStats after = service->stats();
-  EXPECT_GE(after.max_predict_batch, static_cast<std::int64_t>(large));
-  EXPECT_EQ(after.predict_requests - before.predict_requests,
-            static_cast<std::int64_t>(lone.size() + small_batch.size() +
-                                      large));
+  const obs::Snapshot after = service->metrics_snapshot();
+  EXPECT_GE(after.at("serve.max_predict_batch"),
+            static_cast<std::int64_t>(large));
+  EXPECT_EQ(
+      after.at("serve.predict_requests") - before.at("serve.predict_requests"),
+      static_cast<std::int64_t>(lone.size() + small_batch.size() + large));
 }
 
 TEST(Serve, IncompatibleSearchConfigFailsThatRequestOnly) {
@@ -367,9 +374,9 @@ TEST(Serve, StressManyMixedRequestsAcrossWorkerCounts) {
     }
     for (auto& f : prof) ASSERT_TRUE(f.get().ok());
     for (auto& f : train) ASSERT_TRUE(f.get().ok());
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.requests, 4 * (2 * 16 + 1));
-    EXPECT_EQ(stats.exclusive_requests, 4);
+    const obs::Snapshot stats = service->metrics_snapshot();
+    EXPECT_EQ(stats.at("serve.requests"), 4 * (2 * 16 + 1));
+    EXPECT_EQ(stats.at("serve.exclusive_requests"), 4);
     latencies.push_back(std::move(run));
   }
   ASSERT_EQ(latencies[0].size(), latencies[1].size());
@@ -409,10 +416,12 @@ TEST(ServeBatch, BatchRequestMatchesLoneSubmissionsBitIdentically) {
     EXPECT_DOUBLE_EQ(batched[i].value().peak_memory_mb,
                      lone[i].peak_memory_mb);
   }
-  const ServiceStats stats = batch_service->stats();
-  EXPECT_EQ(stats.predict_requests, static_cast<std::int64_t>(archs.size()));
-  EXPECT_GE(stats.predict_batches, 1);
-  EXPECT_GE(stats.max_predict_batch, static_cast<std::int64_t>(archs.size()));
+  const obs::Snapshot stats = batch_service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"),
+            static_cast<std::int64_t>(archs.size()));
+  EXPECT_GE(stats.at("serve.predict_batches"), 1);
+  EXPECT_GE(stats.at("serve.max_predict_batch"),
+            static_cast<std::int64_t>(archs.size()));
   batch_service->shutdown();
 }
 
@@ -484,12 +493,38 @@ TEST(ServeBatch, ExpiredOrCancelledBatchCountsEveryElement) {
          service->submit(PredictBatchRequest{archs, cancelled}).get())
       EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
 
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.requests, 2 * kArchs);
-    EXPECT_EQ(stats.deadline_expired, kArchs);
-    EXPECT_EQ(stats.cancelled_requests, kArchs);
+    const obs::Snapshot stats = service->metrics_snapshot();
+    EXPECT_EQ(stats.at("serve.requests"), 2 * kArchs);
+    EXPECT_EQ(stats.at("serve.deadline_expired"), kArchs);
+    EXPECT_EQ(stats.at("serve.cancelled_requests"), kArchs);
     service->shutdown();
   }
+}
+
+TEST(ServeBatch, MeasuredBatchCountsEveryArchAsExclusive) {
+  // A "measured" service runs predictions on the exclusive FIFO, so each
+  // arch of a batch is an exclusive request: serve.exclusive_requests moves
+  // by the entry's arch count, like serve.requests and
+  // serve.predict_requests.
+  constexpr std::int64_t kArchs = 5;
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.device = "rtx3080";
+  cfg.evaluator = "measured";
+  auto service = make_service(cfg, 2);
+  ASSERT_NE(service, nullptr);
+  auto probe = api::Engine::create(cfg, service->context());
+  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
+  std::vector<api::Arch> archs;
+  for (std::int64_t i = 0; i < kArchs; ++i)
+    archs.push_back(probe.value().sample_arch());
+
+  for (const auto& r : service->submit(PredictBatchRequest{archs}).get())
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+  const obs::Snapshot stats = service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.requests"), kArchs);
+  EXPECT_EQ(stats.at("serve.predict_requests"), kArchs);
+  EXPECT_EQ(stats.at("serve.exclusive_requests"), kArchs);
+  service->shutdown();
 }
 
 TEST(ServeBatch, EmptyBatchResolvesImmediately) {
@@ -501,7 +536,7 @@ TEST(ServeBatch, EmptyBatchResolvesImmediately) {
   service->shutdown();
 }
 
-TEST(ServeStats, LatencyHistogramsReportWaitAndServiceTime) {
+TEST(ServeStats, HistogramsReportWaitAndServiceTime) {
   const api::EngineConfig cfg = tiny_cfg();
   auto probe = api::Engine::create(cfg);
   ASSERT_TRUE(probe.ok());
@@ -514,14 +549,16 @@ TEST(ServeStats, LatencyHistogramsReportWaitAndServiceTime) {
         service->submit(PredictLatencyRequest{probe.value().sample_arch()}));
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
-  const ServiceStats stats = service->stats();
+  const obs::Snapshot stats = service->metrics_snapshot();
   // Percentiles are log-linear-bucket upper bounds: monotone in rank, and
   // a served request always records a service time (>= the 0-bucket).
-  EXPECT_GE(stats.queue_wait_p99_us, stats.queue_wait_p50_us);
-  EXPECT_GE(stats.service_time_p99_us, stats.service_time_p50_us);
-  EXPECT_GE(stats.service_time_p99_us, 0);
+  EXPECT_GE(stats.at("serve.queue_wait_us.p99_us"),
+            stats.at("serve.queue_wait_us.p50_us"));
+  EXPECT_GE(stats.at("serve.service_time_us.p99_us"),
+            stats.at("serve.service_time_us.p50_us"));
+  EXPECT_GE(stats.at("serve.service_time_us.p99_us"), 0);
   // A p99 of a 32-request run that did real work should be nonzero.
-  EXPECT_GT(stats.service_time_p99_us, 0);
+  EXPECT_GT(stats.at("serve.service_time_us.p99_us"), 0);
   service->shutdown();
 }
 
@@ -644,10 +681,10 @@ TEST(ServeStats, SnapshotKeySetIsPinned) {
 }
 
 TEST(ServeStats, HistogramBucketsAreUpperBounds) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.record_us(0);
   EXPECT_EQ(h.percentile_us(0.5), 0);
-  LatencyHistogram h2;
+  obs::Histogram h2;
   h2.record_us(1000);  // octave 9, sub-bucket (896..1023) -> 1023
   EXPECT_EQ(h2.percentile_us(0.5), 1023);
   h2.record_us(100000);  // octave 16, sub-bucket (98304..114687) -> 114687
@@ -657,22 +694,22 @@ TEST(ServeStats, HistogramBucketsAreUpperBounds) {
 
 TEST(ServeStats, HistogramEdgeCases) {
   // Empty: every quantile reads 0 (the "nothing recorded" sentinel).
-  LatencyHistogram empty;
+  obs::Histogram empty;
   EXPECT_EQ(empty.percentile_us(0.50), 0);
   EXPECT_EQ(empty.percentile_us(0.99), 0);
   // A single sample answers every quantile with its bucket's upper bound.
   // Octave 2 splits into width-1 sub-buckets, so 5 reads back exactly.
-  LatencyHistogram one;
+  obs::Histogram one;
   one.record_us(5);
   EXPECT_EQ(one.percentile_us(0.50), 5);
   EXPECT_EQ(one.percentile_us(0.99), 5);
   // Log-linear upper edges: the last value of a sub-bucket reads as
   // itself, one past it lands in the next octave's first quarter (a
   // quantile overestimates by < 25%, not the factor of 2 log2 gave).
-  LatencyHistogram edge;
+  obs::Histogram edge;
   edge.record_us(1023);
   EXPECT_EQ(edge.percentile_us(0.50), 1023);
-  LatencyHistogram past;
+  obs::Histogram past;
   past.record_us(1024);
   EXPECT_EQ(past.percentile_us(0.50), 1279);
 }
@@ -694,7 +731,7 @@ std::shared_ptr<Service> make_sliced_service(const api::EngineConfig& cfg,
 /// (i.e. the search is genuinely running, not just queued).
 bool wait_for_first_slice(Service& service) {
   for (int i = 0; i < 2000; ++i) {
-    if (service.stats().exclusive_slices > 0) return true;
+    if (stat(service, "serve.exclusive_slices") > 0) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
@@ -721,15 +758,16 @@ TEST(ServeSlice, SlicedRunBitIdenticalToRunToCompletion) {
   auto sliced = make_sliced_service(cfg, 2, /*slice_ms=*/1);
   ASSERT_NE(sliced, nullptr);
   const RunResults preempted = run_script(*sliced, archs);
-  const ServiceStats stats = sliced->stats();
+  const obs::Snapshot stats = sliced->metrics_snapshot();
   sliced->shutdown();
 
   // The slice path actually engaged, and the per-kind split saw traffic
   // on both sides.
-  EXPECT_GT(stats.exclusive_slices, 0);
-  EXPECT_GT(stats.pure_service_time_p99_us, 0);
-  EXPECT_GT(stats.exclusive_service_time_p99_us, 0);
-  EXPECT_GE(stats.queue_wait_p99_us, stats.pure_queue_wait_p50_us);
+  EXPECT_GT(stats.at("serve.exclusive_slices"), 0);
+  EXPECT_GT(stats.at("serve.pure_service_time_us.p99_us"), 0);
+  EXPECT_GT(stats.at("serve.exclusive_service_time_us.p99_us"), 0);
+  EXPECT_GE(stats.at("serve.queue_wait_us.p99_us"),
+            stats.at("serve.pure_queue_wait_us.p50_us"));
 
   ASSERT_EQ(legacy.searches.size(), preempted.searches.size());
   for (std::size_t i = 0; i < legacy.searches.size(); ++i) {
@@ -788,11 +826,11 @@ TEST(ServeSlice, PreemptedSearchIsResumedAndStillCorrect) {
   }
   api::Result<api::SearchReport> got = search.get();
   ASSERT_TRUE(got.ok()) << got.status().to_string();
-  const ServiceStats stats = service->stats();
+  const obs::Snapshot stats = service->metrics_snapshot();
   service->shutdown();
 
-  EXPECT_GT(stats.exclusive_preemptions, 0);
-  EXPECT_GT(stats.exclusive_resumes, 0);
+  EXPECT_GT(stats.at("serve.exclusive_preemptions"), 0);
+  EXPECT_GT(stats.at("serve.exclusive_resumes"), 0);
   EXPECT_GT(probes, 0);
   // The service search ran on a fresh engine over the same context state
   // a lone engine starts from — identical results.
@@ -826,7 +864,7 @@ TEST(ServeSlice, MidRunCancelResolvesBetweenSteps) {
     api::Result<api::SearchReport> r = search.get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-    EXPECT_GE(service->stats().cancelled_requests, 1);
+    EXPECT_GE(stat(*service, "serve.cancelled_requests"), 1);
 
     // The worker is free again: the service keeps serving.
     auto probe = api::Engine::create(cfg);
@@ -856,7 +894,7 @@ TEST(ServeSlice, MidRunDeadlineResolvesBetweenSteps) {
     api::Result<api::SearchReport> r = search.get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-    EXPECT_GE(service->stats().deadline_expired, 1);
+    EXPECT_GE(stat(*service, "serve.deadline_expired"), 1);
     service->shutdown();
   }
 }
@@ -899,15 +937,15 @@ TEST(ServeSlice, SliceZeroRunsTheStepperUnpreempted) {
   auto train = service->submit(TrainBaselineRequest{"tailor"});
   const api::Result<api::SearchReport> searched = search.get();
   const api::Result<api::TrainReport> trained = train.get();
-  const ServiceStats stats = service->stats();
+  const obs::Snapshot stats = service->metrics_snapshot();
   const obs::Snapshot snap = service->metrics_snapshot();
   service->shutdown();
   ASSERT_TRUE(searched.ok()) << searched.status().to_string();
   ASSERT_TRUE(trained.ok()) << trained.status().to_string();
 
-  EXPECT_EQ(stats.exclusive_preemptions, 0);
-  EXPECT_EQ(stats.exclusive_resumes, 0);
-  EXPECT_EQ(stats.exclusive_slices, 2);  // one dispatch per run
+  EXPECT_EQ(stats.at("serve.exclusive_preemptions"), 0);
+  EXPECT_EQ(stats.at("serve.exclusive_resumes"), 0);
+  EXPECT_EQ(stats.at("serve.exclusive_slices"), 2);  // one dispatch per run
   EXPECT_EQ(snap.at("serve.step_us.count"), search_steps + train_steps);
   EXPECT_EQ(searched.value().result.best_arch,
             expected_search.value().result.best_arch);
@@ -973,7 +1011,7 @@ TEST(ServeSlice, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
   auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
   ASSERT_NE(service, nullptr);
   ASSERT_TRUE(service->submit(SearchRequest{}).get().ok());
-  const LatencyHistogram& step_us =
+  const obs::Histogram& step_us =
       service->registry().histogram("serve.step_us");
   const obs::Snapshot snap = service->metrics_snapshot();
   service->shutdown();
