@@ -730,6 +730,8 @@ TEST(NetServer, RemoteStatsMatchLocalCounters) {
   }
   EXPECT_EQ(snap.at("serve.pings"), 1);
   EXPECT_EQ(snap.at("serve.predict_requests"), 4);
+  EXPECT_EQ(snap.at("serve.queue_depth"), 0);
+  EXPECT_EQ(snap.at("net.frames_rejected"), 0);
   EXPECT_GT(snap.at("serve.service_time_us.count"), 0);
 
   // A second scrape counts the first one's reply.
