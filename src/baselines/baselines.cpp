@@ -97,6 +97,13 @@ void Dgcnn::set_training(bool training) {
   emb_bn_->set_training(training);
 }
 
+std::vector<const nn::BatchNorm1d*> Dgcnn::batch_norms() const {
+  std::vector<const nn::BatchNorm1d*> out;
+  for (const auto& c : convs_) out.push_back(&c->batch_norm());
+  out.push_back(emb_bn_.get());
+  return out;
+}
+
 double Dgcnn::param_mb() const {
   return static_cast<double>(num_parameters()) * 4.0 / 1e6;
 }
@@ -223,6 +230,11 @@ void TailorGnn::set_training(bool training) {
   bn3_->set_training(training);
   bn4_->set_training(training);
   emb_bn_->set_training(training);
+}
+
+std::vector<const nn::BatchNorm1d*> TailorGnn::batch_norms() const {
+  return {&conv1_->batch_norm(), &conv2_->batch_norm(), bn3_.get(), bn4_.get(),
+          emb_bn_.get()};
 }
 
 double TailorGnn::param_mb() const {

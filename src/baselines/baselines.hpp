@@ -53,6 +53,9 @@ class Dgcnn final : public nn::Module {
 
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
+  /// Every BatchNorm1d layer in forward order: their running statistics
+  /// are training state that parameters() leaves out.
+  std::vector<const nn::BatchNorm1d*> batch_norms() const;
 
   const DgcnnConfig& config() const { return cfg_; }
   double param_mb() const;
@@ -96,6 +99,9 @@ class TailorGnn final : public nn::Module {
 
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
+  /// Every BatchNorm1d layer in forward order: their running statistics
+  /// are training state that parameters() leaves out.
+  std::vector<const nn::BatchNorm1d*> batch_norms() const;
 
   const TailorConfig& config() const { return cfg_; }
   double param_mb() const;

@@ -80,6 +80,7 @@ class EdgeConv final : public nn::Module {
 
   std::int64_t in_dim() const { return in_dim_; }
   std::int64_t out_dim() const { return out_dim_; }
+  const nn::BatchNorm1d& batch_norm() const { return *bn_; }
 
  private:
   std::int64_t in_dim_, out_dim_;

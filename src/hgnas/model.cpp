@@ -126,6 +126,13 @@ void GnnModel::set_training(bool training) {
   head2_->set_training(training);
 }
 
+std::vector<const nn::BatchNorm1d*> GnnModel::batch_norms() const {
+  std::vector<const nn::BatchNorm1d*> out;
+  for (const auto& b : combine_bn_)
+    if (b) out.push_back(b.get());
+  return out;
+}
+
 double GnnModel::param_mb() const {
   return static_cast<double>(num_parameters()) * 4.0 / 1e6;
 }

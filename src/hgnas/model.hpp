@@ -32,6 +32,9 @@ class GnnModel final : public nn::Module {
 
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
+  /// Every BatchNorm1d layer in forward order: their running statistics
+  /// are training state that parameters() leaves out.
+  std::vector<const nn::BatchNorm1d*> batch_norms() const;
 
   const Arch& arch() const { return arch_; }
   const Workload& workload() const { return workload_; }

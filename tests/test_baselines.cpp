@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "baselines/baselines.hpp"
+#include "core/parallel.hpp"
+#include "fingerprint.hpp"
 
 namespace hg::baselines {
 namespace {
@@ -133,6 +136,42 @@ TEST(Baselines, TrainingBeatsChance) {
   Dgcnn model(DgcnnConfig::scaled(10, 6), rng);
   BaselineEval r = train_baseline(model, data, /*epochs=*/6, 2e-3f, rng);
   EXPECT_GT(r.overall_acc, 0.25);  // chance = 0.10
+}
+
+/// FNV of every weight, then every BatchNorm running mean and variance.
+template <typename ModelT>
+std::uint64_t trained_state_hash(const ModelT& model) {
+  Fnv1a h;
+  for (const Tensor& p : model.parameters()) h.floats(p.data());
+  for (const nn::BatchNorm1d* bn : model.batch_norms()) {
+    h.floats(bn->running_mean());
+    h.floats(bn->running_var());
+  }
+  return h.h;
+}
+
+// train_baseline leaves the same weights and running statistics at every
+// pool width, and these pins hold them fixed. The 20-cloud training split
+// ends each epoch on a partial batch. A Table II report hashes only the
+// test accuracy, which cannot see a drifted weight or running statistic.
+TEST(Baselines, TrainedStateIsPinnedAtEveryWidth) {
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    core::ScopedNumThreads scoped(threads);
+    pointcloud::Dataset data(3, 32, 21);
+    {
+      Rng rng(22);
+      Dgcnn model(DgcnnConfig::scaled(10, 6), rng);
+      train_baseline(model, data, /*epochs=*/2, 2e-3f, rng);
+      EXPECT_EQ(trained_state_hash(model), 0xc7c1a9064715f689ull) << "dgcnn";
+    }
+    {
+      Rng rng(23);
+      TailorGnn model(TailorConfig::scaled(10, 6), rng);
+      train_baseline(model, data, /*epochs=*/2, 2e-3f, rng);
+      EXPECT_EQ(trained_state_hash(model), 0xfdfb55dfed51b1d3ull) << "tailor";
+    }
+  }
 }
 
 TEST(Baselines, GradientsFlowThroughTailor) {
