@@ -289,24 +289,20 @@ core::Stepper train_baseline_stepwise(ModelT& model,
   Adam opt(model.parameters(), lr);
   model.set_training(true);
   const auto& train = data.train();
-  const std::int64_t batch = 8;
-  // Serial, not nn::DataParallelStep: BatchNorm1d updates its running
-  // statistics during each training forward, so the samples of a batch are
-  // not independent.
+  const std::size_t batch = 8;
+  nn::DataParallelStep step;
   for (std::int64_t e = 0; e < epochs; ++e) {
     auto order = pointcloud::shuffled_indices(train.size(), rng);
-    std::int64_t in_batch = 0;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const auto& s = train[order[oi]];
-      Tensor pts = pointcloud::Dataset::to_tensor(s);
-      Tensor logits = model.forward(pts);
-      const std::int64_t label[1] = {s.label};
-      cross_entropy(logits, label).backward();
-      if (++in_batch == batch || oi + 1 == order.size()) {
-        opt.step();
-        opt.zero_grad();
-        in_batch = 0;
-      }
+    for (std::size_t oi = 0; oi < order.size(); oi += batch) {
+      const std::size_t n = std::min(batch, order.size() - oi);
+      step.run(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+        const auto& s = train[order[oi + static_cast<std::size_t>(i)]];
+        Tensor logits = model.forward(pointcloud::Dataset::to_tensor(s));
+        const std::int64_t label[1] = {s.label};
+        return cross_entropy(logits, label);
+      });
+      opt.step();
+      opt.zero_grad();
     }
     co_await std::suspend_always{};
   }

@@ -118,12 +118,15 @@ class TailorGnn final : public nn::Module {
   std::unique_ptr<nn::Linear> head1_, head2_, head3_;
 };
 
-/// Shared training loop for baseline models (mirrors hgnas::train_model).
+/// Test-split metrics of a trained baseline.
 struct BaselineEval {
   double overall_acc = 0.0;
   double balanced_acc = 0.0;
 };
 
+/// Train a baseline with Adam on the train split in mini-batches of 8
+/// clouds, each batch one nn::DataParallelStep, then evaluate on the test
+/// split. `rng` draws only the epoch shuffles.
 template <typename ModelT>
 BaselineEval train_baseline(ModelT& model, const pointcloud::Dataset& data,
                             std::int64_t epochs, float lr, Rng& rng);

@@ -150,29 +150,34 @@ core::Stepper train_model_stepwise(GnnModel& model,
   std::int64_t step = 0;
 
   model.set_training(true);
-  // Serial, not nn::DataParallelStep: each training forward draws from the
-  // shared `rng` (Random-sample graphs) in sample order.
+  // Each sample's seed comes off `rng` in sample order before the batch
+  // fans out; its forward draws Random-sample graphs from its own stream.
+  const auto batch = static_cast<std::size_t>(cfg.batch_size);
+  nn::DataParallelStep parallel_step;
+  std::vector<std::uint64_t> seeds;
   for (std::int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     auto order = pointcloud::shuffled_indices(train.size(), rng);
     double epoch_loss = 0.0;
-    std::int64_t in_batch = 0;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const auto& s = train[order[oi]];
-      Tensor pts = pointcloud::Dataset::to_tensor(s);
-      Tensor logits = model.forward(pts, rng);
-      const std::int64_t label[1] = {s.label};
-      Tensor loss = cross_entropy(logits, label);
-      loss.backward();
-      epoch_loss += loss.item();
-      ++in_batch;
-      ++step;
-      if (in_batch == cfg.batch_size || oi + 1 == order.size()) {
-        if (cfg.cosine_schedule)
-          opt.set_lr(cosine_lr(cfg.lr, cfg.lr * 0.01f, step, total_steps));
-        opt.step();
-        opt.zero_grad();
-        in_batch = 0;
-      }
+    for (std::size_t oi = 0; oi < order.size(); oi += batch) {
+      const std::size_t n = std::min(batch, order.size() - oi);
+      seeds.resize(n);
+      for (std::uint64_t& seed : seeds) seed = rng.next();
+      const std::vector<float> losses = parallel_step.run(
+          static_cast<std::int64_t>(n), [&](std::int64_t i) {
+            const auto u = static_cast<std::size_t>(i);
+            const auto& s = train[order[oi + u]];
+            Rng sample_rng(seeds[u]);
+            Tensor logits =
+                model.forward(pointcloud::Dataset::to_tensor(s), sample_rng);
+            const std::int64_t label[1] = {s.label};
+            return cross_entropy(logits, label);
+          });
+      for (const float loss : losses) epoch_loss += loss;
+      step += static_cast<std::int64_t>(n);
+      if (cfg.cosine_schedule)
+        opt.set_lr(cosine_lr(cfg.lr, cfg.lr * 0.01f, step, total_steps));
+      opt.step();
+      opt.zero_grad();
     }
     if (cfg.log_every > 0 && (epoch + 1) % cfg.log_every == 0) {
       std::printf("  epoch %3lld  loss %.4f\n",

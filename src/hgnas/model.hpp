@@ -66,6 +66,9 @@ struct TrainConfig {
 };
 
 /// Train on the dataset's train split with Adam; returns final test metrics.
+/// Each mini-batch is one nn::DataParallelStep. `rng` draws each epoch's
+/// shuffle and then one seed per sample, in sample order, so the result is
+/// the same at every pool width.
 EvalResult train_model(GnnModel& model, const pointcloud::Dataset& data,
                        const TrainConfig& cfg, Rng& rng);
 

@@ -65,21 +65,27 @@ Tensor BatchNorm1d::forward(const Tensor& x) {
     Tensor std_ = sqrt_op(add(var, eps_));
     Tensor norm = div(centered, std_);
     if (training_) {
-      // Update running stats outside the tape.
-      const auto md = mean.data();
-      const auto vd = var.data();
-      for (std::int64_t c = 0; c < num_features_; ++c) {
-        running_mean_[static_cast<std::size_t>(c)] =
-            (1.f - momentum_) * running_mean_[static_cast<std::size_t>(c)] +
-            momentum_ * md[c];
-        running_var_[static_cast<std::size_t>(c)] =
-            (1.f - momentum_) * running_var_[static_cast<std::size_t>(c)] +
-            momentum_ * vd[c];
-      }
+      // Update running stats outside the tape; inside a data-parallel
+      // step the update waits for the step's in-order replay.
+      detail::update_shared(
+          [this, md = std::vector<float>(mean.data().begin(), mean.data().end()),
+           vd = std::vector<float>(var.data().begin(), var.data().end())] {
+            for (std::size_t c = 0; c < md.size(); ++c) {
+              running_mean_[c] =
+                  (1.f - momentum_) * running_mean_[c] + momentum_ * md[c];
+              running_var_[c] =
+                  (1.f - momentum_) * running_var_[c] + momentum_ * vd[c];
+            }
+          });
     }
     return add(mul(norm, gamma_), beta_);
   }
-  // Degenerate single-row batch: use running statistics.
+  // Degenerate single-row batch: use running statistics. Inside a
+  // data-parallel step those may still lack earlier samples' updates.
+  if (training_ && detail::installed_grad_sink() != nullptr)
+    throw std::logic_error(
+        "BatchNorm1d: single-row training forward inside a data-parallel "
+        "step");
   std::vector<float> inv_std(static_cast<std::size_t>(num_features_));
   for (std::int64_t c = 0; c < num_features_; ++c)
     inv_std[static_cast<std::size_t>(c)] =

@@ -68,7 +68,11 @@ class Linear final : public Module {
 /// current batch statistics when the batch has more than one row —
 /// graph-instance normalisation, deterministic at inference — and falls
 /// back to the running estimates only for degenerate single-row batches.
-/// Running statistics are updated in training mode only.
+/// Running statistics are updated in training mode only, through
+/// detail::update_shared, so inside nn::DataParallelStep they move in
+/// sample order after the step. A single-row training forward there throws
+/// std::logic_error: it would read statistics that earlier samples of the
+/// step have not applied yet.
 class BatchNorm1d final : public Module {
  public:
   explicit BatchNorm1d(std::int64_t num_features);
@@ -132,9 +136,11 @@ Tensor apply_activation(const Tensor& x, Activation act);
 /// order.
 ///
 /// Samples run concurrently, so sample_loss may read shared weights but
-/// must write no shared state. A forward that updates running statistics
-/// (BatchNorm1d in training mode) or draws from a shared Rng does not
-/// qualify.
+/// must write shared state only through detail::update_shared, which logs
+/// the write in the sample's sink; the replay applies those writes in
+/// sample order too (BatchNorm1d's running statistics). A sample that
+/// needs random draws takes its own Rng, seeded from the caller's stream
+/// before run().
 ///
 /// If a sample throws, no contribution is applied and the exception
 /// propagates. The logs and their buffers belong to this object, so one

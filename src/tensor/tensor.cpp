@@ -414,12 +414,14 @@ void GradSink::replay() {
   HG_CHECK(g_grad_sink == nullptr, "GradSink::replay with a sink installed");
   for (std::size_t i = 0; i < size_; ++i)
     entries_[i].leaf->accumulate_grad(entries_[i].grad);
+  for (const auto& update : updates_) update();
   clear();
 }
 
 void GradSink::clear() {
   for (std::size_t i = 0; i < size_; ++i) entries_[i].leaf.reset();
   size_ = 0;
+  updates_.clear();
 }
 
 GradSinkGuard::GradSinkGuard(GradSink& sink) : prev_(g_grad_sink) {
@@ -428,6 +430,13 @@ GradSinkGuard::GradSinkGuard(GradSink& sink) : prev_(g_grad_sink) {
 GradSinkGuard::~GradSinkGuard() { g_grad_sink = prev_; }
 
 GradSink* installed_grad_sink() { return g_grad_sink; }
+
+void update_shared(std::function<void()> update) {
+  if (g_grad_sink == nullptr)
+    update();
+  else
+    g_grad_sink->updates_.push_back(std::move(update));
+}
 
 NoGradGuard::NoGradGuard() : prev_(g_grad_enabled) { g_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { g_grad_enabled = prev_; }

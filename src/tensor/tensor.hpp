@@ -31,6 +31,12 @@
 //    floats a serial loop of those passes gives it
 //    (nn::DataParallelStep). Non-leaf grads are private to one pass's tape
 //    and are never diverted.
+//  * Other state that a forward pass updates outside the tape (BatchNorm1d's
+//    running statistics) goes through `detail::update_shared`: the update
+//    runs at once with no sink installed, and is logged in the sink
+//    otherwise. replay() applies a sink's logged updates in logged order,
+//    so replaying sinks in sample order gives that state the floats of the
+//    serial loop too.
 #pragma once
 
 #include <cstdint>
@@ -79,21 +85,24 @@ struct TensorImpl : std::enable_shared_from_this<TensorImpl> {
   void ensure_grad();
 };
 
-/// A log of leaf-gradient contributions, in the order they were made (see
-/// the header note). Its entries and their buffers outlive replay() and
-/// clear(), so a sink reused across optimiser steps stops allocating once
-/// it has seen one step; a handed-over vector replaces its entry's buffer.
-/// Each entry holds its leaf alive until it is replayed or cleared.
+/// A log of leaf-gradient contributions and deferred shared-state updates,
+/// each in the order they were made (see the header note). Its gradient
+/// entries and their buffers outlive replay() and clear(), so a sink
+/// reused across optimiser steps stops allocating them once it has seen
+/// one step; a handed-over vector replaces its entry's buffer. Each entry
+/// holds its leaf alive until it is replayed or cleared.
 class GradSink {
  public:
-  /// accumulate_grad every logged contribution into its leaf, in logged
-  /// order, then empty the log. Call it with no sink installed.
+  /// accumulate_grad every logged contribution into its leaf, then run
+  /// every logged update, each in logged order, then empty the log. Call
+  /// it with no sink installed.
   void replay();
   /// Empty the log without applying anything.
   void clear();
 
  private:
   friend struct TensorImpl;
+  friend void update_shared(std::function<void()> update);
   struct Entry {
     std::shared_ptr<TensorImpl> leaf;
     std::vector<float> grad;
@@ -103,6 +112,7 @@ class GradSink {
 
   std::vector<Entry> entries_;  // [0, size_) logged, the rest spare
   std::size_t size_ = 0;
+  std::vector<std::function<void()>> updates_;
 };
 
 /// RAII: divert this thread's leaf gradients into `sink` for the guard's
@@ -120,6 +130,11 @@ class GradSinkGuard {
 
 /// The sink installed on this thread, or nullptr.
 GradSink* installed_grad_sink();
+
+/// Run `update` now, or log it in this thread's sink for replay() (see the
+/// header note). The one way a forward pass writes state that other
+/// samples of a data-parallel step may share.
+void update_shared(std::function<void()> update);
 
 /// Stable grouping of positions by index value (counting sort): bucket v
 /// owns items[row_ptr[v] .. row_ptr[v+1]), in ascending position order.

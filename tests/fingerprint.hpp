@@ -29,4 +29,17 @@ struct Fnv1a {
   }
 };
 
+/// FNV of a trained model's state: every weight, then every BatchNorm
+/// running mean and variance, each in the model's own order.
+template <typename ModelT>
+std::uint64_t trained_state_hash(const ModelT& model) {
+  Fnv1a h;
+  for (const auto& p : model.parameters()) h.floats(p.data());
+  for (const auto* bn : model.batch_norms()) {
+    h.floats(bn->running_mean());
+    h.floats(bn->running_var());
+  }
+  return h.h;
+}
+
 }  // namespace hg

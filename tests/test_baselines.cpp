@@ -138,18 +138,6 @@ TEST(Baselines, TrainingBeatsChance) {
   EXPECT_GT(r.overall_acc, 0.25);  // chance = 0.10
 }
 
-/// FNV of every weight, then every BatchNorm running mean and variance.
-template <typename ModelT>
-std::uint64_t trained_state_hash(const ModelT& model) {
-  Fnv1a h;
-  for (const Tensor& p : model.parameters()) h.floats(p.data());
-  for (const nn::BatchNorm1d* bn : model.batch_norms()) {
-    h.floats(bn->running_mean());
-    h.floats(bn->running_var());
-  }
-  return h.h;
-}
-
 // train_baseline leaves the same weights and running statistics at every
 // pool width, and these pins hold them fixed. The 20-cloud training split
 // ends each epoch on a partial batch. A Table II report hashes only the

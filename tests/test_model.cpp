@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "core/parallel.hpp"
+#include "fingerprint.hpp"
 #include "hgnas/model.hpp"
 #include "invalid_argument_text.hpp"
 
@@ -208,6 +211,33 @@ TEST(GnnModel, TrainingImprovesOverChance) {
       evaluate_model(model, data.train(), data.num_classes(), rng);
   EXPECT_GT(train_fit.overall_acc, 0.6);
   EXPECT_GE(r.overall_acc, 0.15);  // clearly above 10% chance
+}
+
+// train_model leaves the same weights and running statistics at every
+// pool width. The second Sample is Random, so every training forward draws
+// a graph from its own seeded stream.
+TEST(GnnModel, TrainedStateIsPinnedAtEveryWidth) {
+  PositionGene random_sample = gene(OpType::Sample);
+  random_sample.fn.sample = SampleFunc::Random;
+  PositionGene agg = gene(OpType::Aggregate);
+  agg.fn.msg = gnn::MessageType::TargetRel;
+  agg.fn.aggr = AggrType::Max;
+  PositionGene c = gene(OpType::Combine);
+  c.fn.combine_dim_idx = 1;  // 16
+  Arch a;
+  a.genes = {gene(OpType::Sample), agg, c, random_sample, agg, c};
+  const Workload w = tiny_workload();
+  pointcloud::Dataset data(3, w.num_points, 31);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    core::ScopedNumThreads scoped(threads);
+    Rng rng(32);
+    GnnModel model(a, w, rng);
+    train_model(model, data, cfg, rng);
+    EXPECT_EQ(trained_state_hash(model), 0x9c750046b61854b1ull);
+  }
 }
 
 TEST(EvaluateModel, MetricsInRange) {

@@ -847,9 +847,11 @@ TEST(ParallelTraining, TrainEpochDeterministicAcrossThreadCounts) {
 
 /// The parameters of a small model whose samples exercise the replay
 /// order: `w` is used twice in every sample (x·W·W), `v` only by even
-/// samples, and `bias` broadcast over every row.
+/// samples, and `bias` broadcast over every row. A training-mode
+/// BatchNorm1d normalises every sample and updates its running statistics.
 struct ReplayModel {
   Tensor w, v, bias;
+  nn::BatchNorm1d bn{4};
   std::vector<Tensor> inputs;  // one [3, 4] input per sample
 
   explicit ReplayModel(std::int64_t samples) {
@@ -861,18 +863,37 @@ struct ReplayModel {
       inputs.push_back(Tensor::randn({3, 4}, rng));
   }
 
-  Tensor loss(std::int64_t i) const {
+  Tensor loss(std::int64_t i) {
     const Tensor& x = inputs[static_cast<std::size_t>(i)];
     Tensor h = matmul(matmul(x, w), w);
     if (i % 2 == 0) h = add(h, matmul(x, v));
-    return mean_all(square(tanh_op(add(h, bias))));
+    return mean_all(square(tanh_op(add(bn.forward(h), bias))));
+  }
+
+  std::vector<Tensor> params() const {
+    std::vector<Tensor> out = {w, v, bias};
+    for (const Tensor& p : bn.parameters()) out.push_back(p);
+    return out;
   }
 
   std::vector<std::vector<float>> grads() const {
     std::vector<std::vector<float>> out;
-    for (const Tensor* p : {&w, &v, &bias})
-      out.emplace_back(p->grad().begin(), p->grad().end());
+    for (const Tensor& p : params())
+      out.emplace_back(p.grad().begin(), p.grad().end());
     return out;
+  }
+
+  /// The running mean, then the running variance.
+  std::vector<float> running_stats() const {
+    std::vector<float> out(bn.running_mean().begin(), bn.running_mean().end());
+    out.insert(out.end(), bn.running_var().begin(), bn.running_var().end());
+    return out;
+  }
+
+  bool any_grad() const {
+    for (const Tensor& p : params())
+      if (p.has_grad()) return true;
+    return false;
   }
 };
 
@@ -880,7 +901,9 @@ struct ReplayModel {
 // calls, with the same floats in the same order, as the plain per-sample
 // backward() loop, at every pool width: for a parameter used twice in one
 // sample, one some samples never touch, and a broadcast bias, over two
-// steps that accumulate without zero_grad between them.
+// steps that accumulate without zero_grad between them. The BatchNorm's
+// running statistics, updated by every training forward, end bit-equal
+// too.
 TEST(ParallelTraining, DataParallelStepMatchesSerialLoopBitForBit) {
   constexpr std::int64_t kSamples = 7;
   ReplayModel serial(kSamples);
@@ -892,6 +915,8 @@ TEST(ParallelTraining, DataParallelStepMatchesSerialLoopBitForBit) {
       serial_losses.push_back(loss.item());
     }
   const auto expected = serial.grads();
+  const std::vector<float> expected_stats = serial.running_stats();
+  ASSERT_NE(expected_stats, ReplayModel(kSamples).running_stats());
 
   for (const std::int64_t threads : {1, 2, 3}) {
     SCOPED_TRACE(threads);
@@ -914,6 +939,36 @@ TEST(ParallelTraining, DataParallelStepMatchesSerialLoopBitForBit) {
         ASSERT_TRUE(same_bits(got[p][i], expected[p][i]))
             << "param " << p << " element " << i;
     }
+    const std::vector<float> stats = model.running_stats();
+    ASSERT_EQ(stats.size(), expected_stats.size());
+    for (std::size_t i = 0; i < stats.size(); ++i)
+      EXPECT_TRUE(same_bits(stats[i], expected_stats[i])) << "stat " << i;
+  }
+}
+
+// A single-row training forward reads the BatchNorm's running statistics,
+// which inside a step still lack earlier samples' updates. It throws
+// instead, and the step applies nothing: no gradient and none of the other
+// samples' running-statistic updates.
+TEST(ParallelTraining, DataParallelStepRefusesSingleRowBatchNormForward) {
+  constexpr std::int64_t kSamples = 6;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    ScopedNumThreads scoped(threads);
+    ReplayModel model(kSamples);
+    const std::vector<float> initial = model.running_stats();
+    nn::DataParallelStep step;
+    EXPECT_THROW(step.run(kSamples,
+                          [&](std::int64_t i) {
+                            if (i != 4) return model.loss(i);
+                            return sum_all(model.bn.forward(
+                                slice_rows(model.inputs[4], 0, 1)));
+                          }),
+                 std::logic_error);
+    EXPECT_FALSE(model.any_grad());
+    EXPECT_EQ(model.running_stats(), initial);
+    // Outside a step the same forward reads the running statistics.
+    EXPECT_NO_THROW(model.bn.forward(slice_rows(model.inputs[4], 0, 1)));
   }
 }
 
@@ -948,9 +1003,8 @@ TEST(ParallelTraining, DataParallelStepFailureAppliesNothingAndUninstallsSinks) 
                             return model.loss(i);
                           }),
                  std::logic_error);
-    EXPECT_FALSE(model.w.has_grad());
-    EXPECT_FALSE(model.v.has_grad());
-    EXPECT_FALSE(model.bias.has_grad());
+    EXPECT_FALSE(model.any_grad());
+    EXPECT_EQ(model.running_stats(), ReplayModel(kSamples).running_stats());
 
     // Backward passes on pool threads after the failure: each adds into
     // its own leaf.
@@ -973,9 +1027,7 @@ TEST(ParallelTraining, DataParallelStepFailureAppliesNothingAndUninstallsSinks) 
     EXPECT_EQ(detail::installed_grad_sink(), nullptr);
     model.loss(0).backward();
     EXPECT_TRUE(model.w.has_grad());
-    model.w.zero_grad();
-    model.v.zero_grad();
-    model.bias.zero_grad();
+    for (Tensor& p : model.params()) p.zero_grad();
     // ...and the failed step left nothing behind to replay.
     step.run(kSamples, [&](std::int64_t i) { return model.loss(i); });
     const auto got = model.grads();
