@@ -12,6 +12,8 @@
 #include <string>
 #include <utility>
 
+#include "core/check.hpp"
+
 namespace hg::api {
 
 enum class StatusCode : int {
@@ -92,10 +94,12 @@ inline std::string status_code_name(StatusCode code) {
 }
 
 /// A value or the Status explaining its absence. Accessing `value()` on an
-/// error Result is a programmer error (asserts in debug, UB in release) —
-/// check `ok()` first.
+/// error Result is a programmer error: it throws std::invalid_argument
+/// naming the Status, in every build type — check `ok()` first.
 template <typename T>
 class Result {
+  static constexpr char kCheckScope[] = "api::Result: ";
+
  public:
   Result(T value) : value_(std::move(value)) {}  // NOLINT: implicit by design
   Result(Status status) : status_(std::move(status)) {  // NOLINT
@@ -106,9 +110,18 @@ class Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  T& value() & { return *value_; }
-  const T& value() const& { return *value_; }
-  T&& value() && { return *std::move(value_); }
+  T& value() & {
+    HG_CHECK(ok(), "value() on " + status_.to_string());
+    return *value_;
+  }
+  const T& value() const& {
+    HG_CHECK(ok(), "value() on " + status_.to_string());
+    return *value_;
+  }
+  T&& value() && {
+    HG_CHECK(ok(), "value() on " + status_.to_string());
+    return *std::move(value_);
+  }
 
   /// value() with a fallback for the error case.
   T value_or(T fallback) const {

@@ -12,6 +12,7 @@
 #include "api/engine.hpp"
 #include "baselines/baselines.hpp"
 #include "hgnas/pareto.hpp"
+#include "invalid_argument_text.hpp"
 #include "serve/service.hpp"
 
 namespace hg::api {
@@ -34,6 +35,19 @@ TEST(Result, ValueAndError) {
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(err.value_or(-1), -1);
+}
+
+// value() on an error Result throws a message naming the Status, from
+// every overload, in every build type.
+TEST(Result, ValueOnErrorThrowsNamingTheStatus) {
+  const std::string expected = "api::Result: value() on INTERNAL: boom";
+  Result<int> err(Status::Internal("boom"));
+  const Result<int>& const_err = err;
+  EXPECT_EQ(invalid_argument_text([&] { (void)err.value(); }), expected);
+  EXPECT_EQ(invalid_argument_text([&] { (void)const_err.value(); }),
+            expected);
+  EXPECT_EQ(invalid_argument_text([&] { (void)std::move(err).value(); }),
+            expected);
 }
 
 TEST(EngineConfigValidation, RejectsBadFields) {
