@@ -34,8 +34,9 @@
 //
 // Admission control and queue-time guarantees (all per-request, see
 // serve/request.hpp):
-//   * ServiceConfig::max_queue_depth bounds the pending-request queue:
-//     over-limit submissions resolve immediately to RESOURCE_EXHAUSTED
+//   * ServiceConfig::max_queue_depth bounds the queued entries (a
+//     PredictBatch of N archs is one entry): a submission that finds that
+//     many entries waiting resolves immediately to RESOURCE_EXHAUSTED
 //     instead of growing the queue without bound (back-pressure).
 //   * A request whose RequestOptions::deadline passes while it is still
 //     queued resolves to DEADLINE_EXCEEDED without running.
@@ -85,9 +86,11 @@ struct ServiceConfig {
   /// PredictBatchRequest larger than the limit runs whole. 1 disables
   /// coalescing (every entry is its own forward).
   std::int64_t max_predict_batch = 16;
-  /// Bound on the number of *queued* (admitted, not yet started)
-  /// requests across all three queues. A submission that would exceed it
-  /// resolves immediately to RESOURCE_EXHAUSTED. 0 = unbounded.
+  /// Bound on the number of *queued* (admitted, not yet started) entries
+  /// across all three queues; a PredictBatchRequest of N archs is one
+  /// entry and is admitted whole. A submission that finds this many
+  /// entries queued resolves immediately to RESOURCE_EXHAUSTED.
+  /// 0 = unbounded.
   std::int64_t max_queue_depth = 0;
   /// Time-based predict-coalescing window (microseconds): a worker about
   /// to fire a packed forward with fewer than max_predict_batch queued

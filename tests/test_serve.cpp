@@ -736,6 +736,44 @@ bool wait_for_first_slice(Service& service) {
   return false;
 }
 
+// max_queue_depth bounds queue *entries*, not requests: with the only
+// worker busy on a search and a limit of one, a 16-arch batch is one entry
+// and is admitted whole, and a lone prediction after it finds the queue
+// full.
+TEST(ServeAdmission, QueueDepthCountsEntriesNotRequests) {
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.iterations = 500;  // runs until cancelled
+  ServiceConfig scfg;
+  scfg.num_workers = 1;
+  scfg.exclusive_slice_ms = 0;  // the search never yields its worker
+  scfg.max_queue_depth = 1;
+  api::Result<std::shared_ptr<Service>> created = Service::create(cfg, scfg);
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  Service& service = *created.value();
+  auto probe = api::Engine::create(cfg, service.context());
+  ASSERT_TRUE(probe.ok());
+  std::vector<api::Arch> archs;
+  for (int i = 0; i < 16; ++i) archs.push_back(probe.value().sample_arch());
+
+  SearchRequest search_req;
+  search_req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+  auto cancel = search_req.opts.cancel;
+  auto search = service.submit(std::move(search_req));
+  ASSERT_TRUE(wait_for_first_slice(service));
+  auto batch = service.submit(PredictBatchRequest{archs});
+  api::Result<api::LatencyReport> lone =
+      service.submit(PredictLatencyRequest{archs[0]}).get();
+  EXPECT_EQ(lone.status().code(), api::StatusCode::kResourceExhausted);
+
+  cancel->store(true);
+  EXPECT_EQ(search.get().status().code(), api::StatusCode::kCancelled);
+  const std::vector<api::Result<api::LatencyReport>> answered = batch.get();
+  ASSERT_EQ(answered.size(), archs.size());
+  for (const auto& r : answered) EXPECT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(stat(service, "serve.rejected_requests"), 1);
+  service.shutdown();
+}
+
 TEST(ServeSlice, SlicedRunBitIdenticalToRunToCompletion) {
   // The tentpole guarantee: enabling the slice changes WHEN work runs,
   // never WHAT it computes. The same mixed script through a sliced
