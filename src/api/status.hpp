@@ -98,8 +98,6 @@ inline std::string status_code_name(StatusCode code) {
 /// naming the Status, in every build type — check `ok()` first.
 template <typename T>
 class Result {
-  static constexpr char kCheckScope[] = "api::Result: ";
-
  public:
   Result(T value) : value_(std::move(value)) {}  // NOLINT: implicit by design
   Result(Status status) : status_(std::move(status)) {  // NOLINT
@@ -129,6 +127,8 @@ class Result {
   }
 
  private:
+  static constexpr char kCheckScope[] = "api::Result: ";
+
   Status status_;  // OK iff value_ holds a T
   std::optional<T> value_;
 };
