@@ -52,8 +52,9 @@ int main() {
   // Each baseline's training wall time goes into the JSON record.
   auto train_timed = [&](const std::string& name) {
     hg::bench::Timer timer;
+    const std::string what = "train " + name;
     api::TrainReport report =
-        bench::unwrap(acc_engine.train_baseline(name), ("train " + name).c_str());
+        bench::unwrap(acc_engine.train_baseline(name), what.c_str());
     const double ms = timer.ms();
     std::printf("train_baseline(%s): %.0f ms\n", name.c_str(), ms);
     bench_json.add("train_" + name, ms,

@@ -67,16 +67,16 @@ Tensor BatchNorm1d::forward(const Tensor& x) {
     if (training_) {
       // Update running stats outside the tape; inside a data-parallel
       // step the update waits for the step's in-order replay.
-      detail::update_shared(
-          [this, md = std::vector<float>(mean.data().begin(), mean.data().end()),
-           vd = std::vector<float>(var.data().begin(), var.data().end())] {
-            for (std::size_t c = 0; c < md.size(); ++c) {
-              running_mean_[c] =
-                  (1.f - momentum_) * running_mean_[c] + momentum_ * md[c];
-              running_var_[c] =
-                  (1.f - momentum_) * running_var_[c] + momentum_ * vd[c];
-            }
-          });
+      std::vector<float> md(mean.data().begin(), mean.data().end());
+      std::vector<float> vd(var.data().begin(), var.data().end());
+      detail::update_shared([this, md = std::move(md), vd = std::move(vd)] {
+        for (std::size_t c = 0; c < md.size(); ++c) {
+          running_mean_[c] =
+              (1.f - momentum_) * running_mean_[c] + momentum_ * md[c];
+          running_var_[c] =
+              (1.f - momentum_) * running_var_[c] + momentum_ * vd[c];
+        }
+      });
     }
     return add(mul(norm, gamma_), beta_);
   }

@@ -130,7 +130,8 @@ Tensor apply_activation(const Tensor& x, Activation act);
 /// [0, n). The samples run on the pool, each under its own
 /// detail::GradSink. Then the sinks are replayed in sample order, so every
 /// parameter receives the same accumulate_grad calls, with the same
-/// floats in the same order, as from `for i: sample_loss(i).backward()`.
+/// floats in the same order, as from a serial loop that calls backward()
+/// on each sample_loss(i) in turn.
 /// That holds at every pool width, 1 included, and also when a sample
 /// uses a parameter more than once. Returns the n loss values in sample
 /// order.
