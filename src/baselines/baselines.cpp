@@ -99,6 +99,7 @@ void Dgcnn::set_training(bool training) {
 
 std::vector<const nn::BatchNorm1d*> Dgcnn::batch_norms() const {
   std::vector<const nn::BatchNorm1d*> out;
+  out.reserve(convs_.size() + 1);
   for (const auto& c : convs_) out.push_back(&c->batch_norm());
   out.push_back(emb_bn_.get());
   return out;
