@@ -1,22 +1,22 @@
 // bench_mixed_load — predict tail latency while a long search is in flight.
 //
-// The serving layer's generation-sliced scheduler exists for exactly one
-// number: the p99 of a small predict probe submitted while an exclusive
-// search occupies the service. Run-to-completion (exclusive_slice_ms = 0)
-// parks the probe behind the whole search; with a slice, the search is
-// preempted at the next generation boundary and the probe is answered in
-// between slices. Same context, same requests, same results — only the
-// interleaving differs.
+// A search runs on the service's runner thread and predictions on its
+// workers, so a predict probe must not wait for the search. This bench
+// measures how far a running search still moves a probe's latency: the
+// p99 of small predict probes with the service idle, against the p99 of
+// the same probes while a search runs, on the same service in the same
+// run.
 //
 // Method: one worker (the worst case — no second worker to absorb pure
-// traffic), one long search submitted, then a closed loop of predict
-// probes until the search completes; each probe's wall time is one sample.
-// Repeated for slice=0 and slice=5 ms.
+// traffic) and a closed loop of predict probes, each probe's wall time
+// one sample. First a fixed number of probes on the idle service, then
+// one long search submitted and the loop again until the search
+// completes.
 //
 // Results are printed and written to BENCH_mixed_load.json; CI's
 // smoke-perf job gates the --quick run against
 // bench/baseline/BENCH_mixed_load.json and requires
-// predict_p99_slice0 >= 3x predict_p99_sliced.
+// predict_p99_search <= 3x predict_p99_idle.
 //
 // Usage: bench_mixed_load [--quick]
 #include <algorithm>
@@ -77,32 +77,20 @@ int main(int argc, char** argv) {
       bench::unwrap(api::Engine::create(cfg, ctx.value()), "engine");
   const api::Arch probe_arch = engine.sample_arch();
 
-  const std::int64_t slice_ms = 5;
-  for (const std::int64_t slice : {std::int64_t{0}, slice_ms}) {
-    serve::ServiceConfig scfg;
-    scfg.num_workers = 1;  // worst case: nobody else can take pure work
-    scfg.exclusive_slice_ms = slice;
-    api::Result<std::shared_ptr<serve::Service>> service =
-        serve::Service::create(cfg, ctx.value(), scfg);
-    if (!service.ok()) {
-      std::fprintf(stderr, "service: %s\n",
-                   service.status().to_string().c_str());
-      return 1;
-    }
+  serve::ServiceConfig scfg;
+  scfg.num_workers = 1;  // worst case: nobody else can take pure work
+  api::Result<std::shared_ptr<serve::Service>> service =
+      serve::Service::create(cfg, ctx.value(), scfg);
+  if (!service.ok()) {
+    std::fprintf(stderr, "service: %s\n", service.status().to_string().c_str());
+    return 1;
+  }
 
-    bench::Timer search_timer;
-    std::future<api::Result<api::SearchReport>> search =
-        service.value()->submit(serve::SearchRequest{});
-    // Let the worker claim the search before the first probe, so every
-    // sample below really contends with a running search.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-    // Closed-loop probing: submit one predict, wait for its answer, record
-    // the wall time, repeat while the search is still in flight. Under
-    // run-to-completion the first probe simply waits out the search — that
-    // IS the tail a mixed-load client sees.
-    std::vector<double> samples_ms;
-    const std::size_t max_probes = quick ? 400 : 2000;
+  // Closed-loop probing: submit one predict, wait for its answer, record
+  // the wall time, repeat while `more()` holds (at most max_probes).
+  const std::size_t idle_probes = quick ? 400 : 2000;
+  const std::size_t max_probes = 200000;
+  auto probe_while = [&](auto more, std::vector<double>* samples_ms) {
     do {
       bench::Timer t;
       api::Result<api::LatencyReport> r =
@@ -111,39 +99,54 @@ int main(int argc, char** argv) {
               .get();
       if (!r.ok()) {
         std::fprintf(stderr, "probe: %s\n", r.status().to_string().c_str());
-        return 1;
+        return false;
       }
-      samples_ms.push_back(t.ms());
-    } while (search.wait_for(std::chrono::seconds(0)) !=
-                 std::future_status::ready &&
-             samples_ms.size() < max_probes);
+      samples_ms->push_back(t.ms());
+    } while (more() && samples_ms->size() < max_probes);
+    return true;
+  };
 
-    if (!search.get().ok()) {
-      std::fprintf(stderr, "search failed\n");
-      return 1;
-    }
-    const double search_wall_ms = search_timer.ms();
-    const obs::Snapshot stats = service.value()->metrics_snapshot();
-    service.value()->shutdown();
+  std::vector<double> idle_ms;
+  if (!probe_while([&] { return idle_ms.size() < idle_probes; }, &idle_ms))
+    return 1;
 
-    const double p50 = percentile(samples_ms, 0.50);
-    const double p99 = percentile(samples_ms, 0.99);
-    const std::string tag = slice == 0 ? "slice0" : "sliced";
-    const std::string problem =
-        std::to_string(samples_ms.size()) + " probes vs search";
-    std::printf(
-        "slice=%-2lld ms  %-24s p50 %9.2f ms  p99 %9.2f ms  "
-        "(search %8.0f ms, %lld slices, %lld preemptions, %lld resumes)\n",
-        static_cast<long long>(slice), problem.c_str(), p50, p99,
-        search_wall_ms,
-        static_cast<long long>(stats.at("serve.exclusive_slices")),
-        static_cast<long long>(stats.at("serve.exclusive_preemptions")),
-        static_cast<long long>(stats.at("serve.exclusive_resumes")));
-    json.add("mixed/predict_p50_" + tag, p50, problem);
-    json.add("mixed/predict_p99_" + tag, p99, problem,
-             static_cast<double>(samples_ms.size()), "probes");
-    json.add("mixed/search_wall_" + tag, search_wall_ms, problem);
+  bench::Timer search_timer;
+  std::future<api::Result<api::SearchReport>> search =
+      service.value()->submit(serve::SearchRequest{});
+  // Let the runner take the search before the first probe, so every
+  // sample below really overlaps a running search.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::vector<double> search_ms;
+  if (!probe_while(
+          [&] {
+            return search.wait_for(std::chrono::seconds(0)) !=
+                   std::future_status::ready;
+          },
+          &search_ms))
+    return 1;
+  if (!search.get().ok()) {
+    std::fprintf(stderr, "search failed\n");
+    return 1;
   }
+  const double search_wall_ms = search_timer.ms();
+  service.value()->shutdown();
+
+  for (const auto& [tag, samples] :
+       {std::pair<const char*, const std::vector<double>*>{"idle", &idle_ms},
+        {"search", &search_ms}}) {
+    const double p50 = percentile(*samples, 0.50);
+    const double p99 = percentile(*samples, 0.99);
+    const std::string problem =
+        std::to_string(samples->size()) + " probes, " + tag;
+    std::printf("%-6s  %-24s p50 %9.3f ms  p99 %9.3f ms\n", tag,
+                problem.c_str(), p50, p99);
+    json.add(std::string("mixed/predict_p50_") + tag, p50, problem);
+    json.add(std::string("mixed/predict_p99_") + tag, p99, problem,
+             static_cast<double>(samples->size()), "probes");
+  }
+  std::printf("search wall %.0f ms\n", search_wall_ms);
+  json.add("mixed/search_wall", search_wall_ms,
+           std::to_string(search_ms.size()) + " probes, search");
 
   json.write();
   return 0;

@@ -7,8 +7,11 @@
 
 #include <string>
 
-// Git revision baked in by bench/CMakeLists.txt at configure time, so every
+// Git revision stamped by bench/CMakeLists.txt at build time, so every
 // BENCH_*.json row is attributable to a commit.
+#if __has_include("hg_git_rev.hpp")
+#include "hg_git_rev.hpp"
+#endif
 #ifndef HG_GIT_REV
 #define HG_GIT_REV "unknown"
 #endif

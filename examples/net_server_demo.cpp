@@ -6,14 +6,14 @@
 // the demo exits 0 with a stats report).
 //
 //   net_server_demo [--port N] [--device name] [--workers N]
-//                   [--window-us N] [--max-queue N] [--slice-ms N]
+//                   [--window-us N] [--max-queue N]
 //                   [--oracle] [--once] [--drain-after-ms N]
 //                   [--trace-out PATH]
 //
 // Defaults: port 7171, jetson-tx2, 3 workers, a 2 ms predict-coalescing
-// window, queue bounded at 256, a 5 ms exclusive slice (searches yield to
-// queued predict traffic between steps; --slice-ms 0 never preempts a
-// run), GNN latency predictor as evaluator
+// window, queue bounded at 256 (searches run on the service's runner
+// thread, so predict traffic never waits for them), GNN latency predictor
+// as evaluator
 // (--oracle swaps in the analytical oracle: instant startup, used by the
 // CI smoke run). --drain-after-ms N demonstrates the graceful wind-down:
 // after N ms the server stops accepting, finishes and answers everything
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   std::int64_t workers = 3;
   std::int64_t window_us = 2000;
   std::int64_t max_queue = 256;
-  std::int64_t slice_ms = 5;
   std::int64_t drain_after_ms = -1;  // -1 = never
   std::string trace_out;
   bool oracle = false;
@@ -57,8 +56,6 @@ int main(int argc, char** argv) {
       window_us = std::atoll(argv[++i]);
     else if (arg == "--max-queue" && has_next)
       max_queue = std::atoll(argv[++i]);
-    else if (arg == "--slice-ms" && has_next)
-      slice_ms = std::atoll(argv[++i]);
     else if (arg == "--drain-after-ms" && has_next)
       drain_after_ms = std::atoll(argv[++i]);
     else if (arg == "--trace-out" && has_next)
@@ -92,7 +89,6 @@ int main(int argc, char** argv) {
   server_cfg.service.num_workers = workers;
   server_cfg.service.predict_window_us = window_us;
   server_cfg.service.max_queue_depth = max_queue;
-  server_cfg.service.exclusive_slice_ms = slice_ms;
   server_cfg.service.trace_path = trace_out;
 
   std::printf("starting %s service on %s (evaluator: %s)...\n",
@@ -106,12 +102,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("listening on %s:%u (workers %lld, predict window %lld us, "
-              "queue bound %lld, slice %lld ms)\n",
+              "queue bound %lld)\n",
               server_cfg.host.c_str(), server.value()->port(),
               static_cast<long long>(workers),
               static_cast<long long>(window_us),
-              static_cast<long long>(max_queue),
-              static_cast<long long>(slice_ms));
+              static_cast<long long>(max_queue));
   std::fflush(stdout);
 
   const auto started = std::chrono::steady_clock::now();
@@ -143,10 +138,9 @@ int main(int argc, char** argv) {
   server.value()->stop();
   // One registry holds both layers: net.* frame counters (the server
   // registers its instruments into the service's registry) and serve.*
-  // admission / latency / slicing metrics. Rendering is shared with
+  // admission / latency / per-step metrics. Rendering is shared with
   // serve_demo; histograms report .p50_us/.p99_us/.count.
-  std::printf("\n-- session report (slice %lld ms) --\n",
-              static_cast<long long>(slice_ms));
+  std::printf("\n-- session report --\n");
   const obs::Snapshot report = server.value()->service()->metrics_snapshot();
   std::fputs(obs::render_snapshot(report).c_str(), stdout);
   std::printf("drain %s\n", report.at("serve.drain_started") > 0

@@ -47,10 +47,9 @@ int main() {
   }
 
   serve::ServiceConfig scfg;
+  // Three pure workers; searches run on each service's runner thread, so
+  // the small predict/profile queries never wait out a search.
   scfg.num_workers = 3;
-  // Generation-sliced scheduling: searches yield every 5 ms so the small
-  // predict/profile queries interleave instead of waiting out a search.
-  scfg.exclusive_slice_ms = 5;
   std::vector<std::shared_ptr<serve::Service>> services;
   for (std::size_t i = 0; i < devices.size(); ++i) {
     api::Result<std::shared_ptr<serve::Service>> service =
@@ -124,10 +123,8 @@ int main() {
                   prof.value().latency_ms);
     }
     // Full registry snapshot for this service (histograms report
-    // .p50_us/.p99_us/.count; slicing runs with exclusive_slice_ms from
-    // scfg). Rendering is shared with net_server_demo.
-    std::printf("metrics (slice %lld ms):\n",
-                static_cast<long long>(scfg.exclusive_slice_ms));
+    // .p50_us/.p99_us/.count). Rendering is shared with net_server_demo.
+    std::printf("metrics:\n");
     std::fputs(obs::render_snapshot(services[s]->metrics_snapshot()).c_str(),
                stdout);
   }

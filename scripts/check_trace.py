@@ -6,7 +6,7 @@ Usage: check_trace.py <trace.json> [--require-span NAME]...
 Fails (exit 1) unless the file parses as Chrome trace_event JSON
 ({"traceEvents": [...]}) and every complete event carries the keys a
 trace viewer needs ("ph", "ts", "pid"; "X" events also "dur" and "name").
-By default at least one serve-layer execution span ("serve.slice",
+By default at least one serve-layer execution span ("serve.run",
 "serve.exclusive", "serve.pure" or "serve.predict_batch") must be present
 — an empty-but-well-formed file means the tracer was never wired into the
 request path, which is exactly the regression this gate exists to catch.
@@ -24,7 +24,7 @@ import json
 import sys
 
 DEFAULT_EXECUTION_SPANS = (
-    "serve.slice",
+    "serve.run",
     "serve.exclusive",
     "serve.pure",
     "serve.predict_batch",

@@ -146,9 +146,9 @@ class Engine {
   Result<SearchReport> search();
 
   /// The configured search as a run advanced one step at a time; driving
-  /// it to completion is search(). serve::Service preempts long searches
-  /// at this granularity. The run keeps the engine's EvalContext alive, so
-  /// it may outlive this Engine.
+  /// it to completion is search(). serve::Service checks cancel and
+  /// deadline at this granularity. The run keeps the engine's EvalContext
+  /// alive, so it may outlive this Engine.
   Result<std::unique_ptr<SearchRun>> begin_search();
 
   /// Latency of one architecture through the configured evaluator. Noisy
@@ -248,7 +248,7 @@ class Engine {
 
 /// An in-flight search advanced one step at a time — one supernet
 /// mini-batch or one validation-sample round (hgnas::SearchStepper), the
-/// scheduling unit serve::Service preempts under its exclusive time slice. Obtained
+/// unit between which serve::Service checks cancel and deadline. Obtained
 /// from Engine::begin_search(). step() never throws: failures are captured
 /// and surface from take_report(), exactly as Engine::search() would have
 /// reported them.

@@ -38,7 +38,13 @@
 //    anything that trains the supernet or draws from the context RNG
 //    (Engine::search / train / train_baseline) must hold external
 //    exclusion — serve::Service runs exactly one such request at a time,
-//    in submission order.
+//    in submission order, on its runner thread. So does the "measured"
+//    evaluator's noise stream, which its predictions advance.
+//  * Nothing else needs exclusion. Engine::predict_latency /
+//    predict_batch (oracle or fitted predictor), profile and
+//    profile_baseline read only the state above, so serve::Service runs
+//    them on its workers concurrently with each other and with a running
+//    search or training.
 #pragma once
 
 #include <cstdint>

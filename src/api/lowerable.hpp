@@ -38,8 +38,8 @@ struct BaselineTrainResult {
   double param_mb = 0.0;  // of the CPU-scale instance that was trained
 };
 
-/// A baseline training run advanced one epoch at a time — the scheduling
-/// unit serve::Service preempts under its exclusive time slice. Obtained
+/// A baseline training run advanced one epoch at a time — the unit between
+/// which serve::Service checks cancel and deadline. Obtained
 /// from Lowerable::train_stepper; driving step() to completion produces the
 /// same result as the baselines' train_baseline / hgnas::train_model loop.
 class TrainStepper {

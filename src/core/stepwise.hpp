@@ -17,8 +17,8 @@
 //
 // Nesting: a coroutine exposes a sub-stepper's suspensions as its own by
 // driving it with `while (sub.step()) co_await std::suspend_always{};`.
-// Consecutive step() calls may run on different threads (a scheduler
-// resumes a preempted run on whichever worker claims it), so no
+// Consecutive step() calls may run on different threads (a run resumed
+// from a checkpoint, or by a scheduler that moves it), so no
 // thread-local RAII guard (NoGradGuard, ScopedTraceId, ...) may live
 // across a suspension.
 #pragma once

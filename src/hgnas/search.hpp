@@ -322,7 +322,7 @@ class HgnasSearch {
   /// run serially in batch order; feasible candidates' accuracy probes then
   /// advance in co_probe_rounds, each with an RNG derived from (acc_seed,
   /// genome hash), so the result is independent of scheduling, of the
-  /// thread count and of where the run is preempted. `batch` and `out`
+  /// thread count and of where the run pauses. `batch` and `out`
   /// must outlive the stepper.
   core::Stepper co_score_batch(const std::vector<PendingEval>& batch,
                                std::uint64_t acc_seed,
@@ -397,7 +397,7 @@ class HgnasSearch {
 
 /// A whole search run, advanced one supernet mini-batch or one
 /// validation-sample round at a time (see HgnasSearch::run_stepwise) — the
-/// scheduling unit serve::Service preempts under its exclusive time slice.
+/// unit between which serve::Service checks cancel and deadline.
 /// Owns its HgnasSearch (RNG draws in flight, population, Pareto tracker
 /// and cache handles all live in the coroutine frame / the search), so a
 /// run parked between steps carries its full state. The constructor
@@ -424,7 +424,7 @@ class SearchStepper {
   /// that hit it. Each step is one trace span named after the phase its
   /// work ran in — the phase current when the step ends, since a phase is
   /// entered at the start of its first unit; the final step, which leaves
-  /// kDone behind, keeps the phase it started in — so a traced sliced
+  /// kDone behind, keeps the phase it started in — so a traced stepwise
   /// search reads as warmup/stage1/pretrain/stage2 segments. With tracing
   /// off the span costs one relaxed load.
   bool step() {

@@ -1,10 +1,10 @@
-// trace.hpp — hg::obs request-scoped tracing: spans from socket to slice,
+// trace.hpp — hg::obs request-scoped tracing: spans from socket to step,
 // exported as Chrome trace_event JSON (load the file in chrome://tracing
 // or https://ui.perfetto.dev).
 //
 // Model:
 //   * A SPAN is one timed interval on one thread — "net.request",
-//     "serve.queue_wait", "serve.slice", "search.stage2", "train.epoch" —
+//     "serve.queue_wait", "serve.run", "search.stage2", "train.epoch" —
 //     recorded as a Chrome "complete" event (ph "X") with its wall-clock
 //     start and duration.
 //   * Every span carries a TRACE ID linking it to the request it serves.
@@ -27,7 +27,7 @@
 //
 // Usage:
 //   obs::TraceCollector::global().start();            // enable
-//   { HG_TRACE_SCOPE("serve.slice", "serve"); ... }   // span the scope
+//   { HG_TRACE_SCOPE("serve.run", "serve"); ... }   // span the scope
 //   obs::TraceCollector::global().write_json(path);   // export
 //   obs::TraceCollector::global().stop();
 //
@@ -47,7 +47,7 @@ namespace hg::obs {
 
 /// One completed span (Chrome "X" event).
 struct TraceEvent {
-  std::string name;           // e.g. "serve.slice"
+  std::string name;           // e.g. "serve.run"
   const char* cat = "";       // layer: "net" / "serve" / "search" / "train"
   std::uint64_t trace_id = 0; // request attribution (0 = unattributed)
   std::int64_t ts_us = 0;     // start, us since the process trace epoch

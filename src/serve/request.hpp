@@ -7,15 +7,16 @@
 //
 // Scheduling class (decided by the service, not the caller):
 //  * PURE requests — PredictLatency, PredictBatch, Profile,
-//    ProfileBaseline — touch only
-//    immutable or internally-synchronized context state and run
-//    concurrently across the worker pool, in any order.
+//    ProfileBaseline — touch only immutable, fitted or
+//    internally-synchronized context state and run concurrently across
+//    the worker pool, in any order, even while an exclusive run is in
+//    progress.
 //  * EXCLUSIVE requests — Search, TrainBaseline, and predictions when the
 //    service's evaluator is "measured" (its noise stream is shared
 //    state) — consume the context RNG or mutate the supernet, so the
-//    service runs them one at a time, in submission order. That FIFO
-//    ordering is what makes a concurrent run's results bit-identical to a
-//    serial one.
+//    service's runner thread runs them one at a time, in submission order.
+//    That FIFO ordering is what makes a concurrent run's results
+//    bit-identical to a serial one.
 #pragma once
 
 #include <atomic>

@@ -144,25 +144,22 @@ api::Result<std::shared_ptr<Service>> Service::create(
         "ServiceConfig::predict_window_us must be >= 0 (0 = no window)");
   if (service_cfg.exclusive_slice_ms < 0)
     return api::Status::InvalidArgument(
-        "ServiceConfig::exclusive_slice_ms must be >= 0 "
-        "(0 = never preempt)");
+        "ServiceConfig::exclusive_slice_ms must be >= 0");
   if (ctx == nullptr)
     return api::Status::InvalidArgument("EvalContext is null");
 
   std::shared_ptr<Service> service(new Service());
   service->base_cfg_ = cfg;
   service->service_cfg_ = service_cfg;
-  if (service_cfg.exclusive_slice_ms > 0)
-    service->slice_ =
-        std::chrono::milliseconds(service_cfg.exclusive_slice_ms);
   service->ctx_ = std::move(ctx);
   const std::string evaluator = api::normalize_key(cfg.evaluator);
   service->coalesce_predictions_ = evaluator == "predictor";
   service->measured_evaluator_ = evaluator == "measured";
 
+  // One engine per worker, plus the runner's.
   service->engines_.reserve(
-      static_cast<std::size_t>(service_cfg.num_workers));
-  for (std::int64_t i = 0; i < service_cfg.num_workers; ++i) {
+      static_cast<std::size_t>(service_cfg.num_workers + 1));
+  for (std::int64_t i = 0; i <= service_cfg.num_workers; ++i) {
     api::Result<api::Engine> engine = api::Engine::create(cfg, service->ctx_);
     if (!engine.ok()) return engine.status();
     service->engines_.push_back(std::move(engine).value());
@@ -173,17 +170,18 @@ api::Result<std::shared_ptr<Service>> Service::create(
     service->trace_owner_ = !obs::TraceCollector::global().enabled();
     obs::TraceCollector::global().start();
   }
-  service->start_workers(service_cfg.num_workers);
+  service->start_threads(service_cfg.num_workers);
   return service;
 }
 
 Service::~Service() { shutdown(); }
 
-void Service::start_workers(std::int64_t n) {
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
+void Service::start_threads(std::int64_t workers) {
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (std::int64_t i = 0; i < workers; ++i)
     workers_.emplace_back(
         [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  runner_ = std::thread([this] { runner_loop(); });
 }
 
 void Service::shutdown() {
@@ -194,13 +192,14 @@ void Service::shutdown() {
     core::MutexLock lock(queue_mutex_);
     stopping_ = true;
   }
-  // Every parked worker must observe stopping_, including a predict-window
-  // waiter mid-wait_until. The exclusive gate needs no signal: a claimant
-  // blocked there is released by the last pure completion regardless.
+  // Every parked thread must observe stopping_, including a predict-window
+  // waiter mid-wait_until. Each drains its own queues before it exits.
   work_cv_.notify_all();
   window_cv_.notify_one();
+  runner_cv_.notify_one();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
+  if (runner_.joinable()) runner_.join();
   if (trace_owner_) {
     trace_owner_ = false;  // idempotent under shutdown_mutex_
     obs::TraceCollector::global().write_json(service_cfg_.trace_path);
@@ -216,7 +215,8 @@ void Service::drain() {
   }
   counters_.drain_started.inc();
   // No wakeup: draining_ only affects admission (checked by submitters
-  // under the queue lock), never a worker's wait predicate.
+  // under the queue lock), never a worker's or the runner's wait
+  // predicate.
 }
 
 bool Service::draining() const {
@@ -243,27 +243,26 @@ std::deque<Service::QueuedTask>& Service::route(const QueuedTask& task) {
 void Service::enqueue(QueuedTask task) {
   api::Status refused;
   QueuedTask refused_task;  // `task`, when it is not admitted
+  bool exclusive = false;
   bool coalescing = false;
   bool wake_window = false;
   {
     core::MutexLock lock(queue_mutex_);
     const std::int64_t count = task.requests();
-    if (stopping_) {
-      refused = shut_down_status();
-    } else if (draining_) {
-      refused = draining_status();
-    } else {
-      counters_.requests.inc(count);
-      if (task.predicted != nullptr) counters_.predict_requests.inc(count);
-      if (service_cfg_.max_queue_depth > 0 &&
-          queued() >= service_cfg_.max_queue_depth) {
-        counters_.rejected_requests.inc(count);
-        refused = queue_full_status();
-      }
+    counters_.requests.inc(count);
+    if (task.predicted != nullptr) counters_.predict_requests.inc(count);
+    if (stopping_ || draining_) {
+      counters_.refused_requests.inc(count);
+      refused = stopping_ ? shut_down_status() : draining_status();
+    } else if (service_cfg_.max_queue_depth > 0 &&
+               queued() >= service_cfg_.max_queue_depth) {
+      counters_.rejected_requests.inc(count);
+      refused = queue_full_status();
     }
     if (refused.ok()) {
       std::deque<QueuedTask>& queue = route(task);
-      if (&queue == &exclusive_queue_) counters_.exclusive_requests.inc(count);
+      exclusive = &queue == &exclusive_queue_;
+      if (exclusive) counters_.exclusive_requests.inc(count);
       coalescing = &queue == &predict_queue_;
       queue.push_back(std::move(task));
       wake_window = predict_window_waiter_;
@@ -275,11 +274,15 @@ void Service::enqueue(QueuedTask task) {
     refused_task.refuse(refused);
     return;
   }
-  // One admitted task, one woken worker. A window waiter gets its own
+  if (exclusive) {
+    runner_cv_.notify_one();
+    return;
+  }
+  // One admitted pure task, one woken worker. A window waiter gets its own
   // signal: an arrival can satisfy its early-fire conditions (the group
-  // filled, an exclusive arrived, pure work with nobody free), and it
-  // sleeps on window_cv_, not work_cv_. While it holds the coalescing
-  // queue a new prediction is actionable by nobody else.
+  // filled, pure work with nobody free), and it sleeps on window_cv_, not
+  // work_cv_. While it holds the coalescing queue a new prediction is
+  // actionable by nobody else.
   if (!(coalescing && wake_window)) work_cv_.notify_one();
   if (wake_window) window_cv_.notify_one();
 }
@@ -489,239 +492,168 @@ void Service::resolve(std::span<QueuedTask> group, PredictResults results) {
   }
 }
 
+void Service::runner_loop() {
+  api::Engine& engine = engines_.back();
+  core::UniqueMutexLock lock(queue_mutex_);
+  for (;;) {
+    // An explicit loop over guarded state, not cv_.wait(lock, pred):
+    // thread safety analysis treats a predicate lambda as its own
+    // unannotated function (see annotations.hpp rule 4).
+    while (exclusive_queue_.empty() && !stopping_) runner_cv_.wait(lock);
+    if (exclusive_queue_.empty()) return;  // stopping, and drained
+    QueuedTask task;
+    std::vector<std::pair<QueuedTask, api::Status>> failed;
+    const bool got = pop_runnable(exclusive_queue_, &failed, &task,
+                                  exclusive_queue_wait_us_);
+    lock.unlock();
+    // Cancellations / expiries fire promise waiters and notify hooks, so
+    // they resolve outside the lock.
+    for (auto& [t, status] : failed) t.refuse(status);
+    if (got) run_exclusive(engine, task);
+    lock.lock();
+  }
+}
+
+void Service::run_exclusive(api::Engine& engine, QueuedTask& task) {
+  // Nested spans (search.* / train.* from the steppers) inherit the
+  // request's id through the thread-local.
+  HG_TRACE_ID(task.trace_id);
+  const auto started = std::chrono::steady_clock::now();
+  PredictResults answers;
+  std::unique_ptr<Steppable> run;
+  api::Status stopped;  // why a stepwise run ended early; OK = it finished
+  if (task.make_steppable == nullptr) {
+    // Measured-evaluator predictions: quick, one piece.
+    answers = execute(engine, std::span<QueuedTask>(&task, 1));
+  } else {
+    run = task.make_steppable(engine);
+    for (;;) {
+      // Between steps the run is at a clean boundary: honor a cancel or an
+      // expired deadline now instead of at the end of the run.
+      if (is_cancelled(task.cancel)) {
+        counters_.cancelled_requests.inc();
+        stopped =
+            api::Status::Cancelled("request cancelled mid-run (between steps)");
+        break;
+      }
+      const auto step_started = std::chrono::steady_clock::now();
+      if (step_started > task.deadline) {
+        counters_.deadline_expired.inc();
+        stopped = api::Status::DeadlineExceeded(
+            "deadline expired mid-run (between steps)");
+        break;
+      }
+      const bool more = run->step();
+      step_us_.record_us(
+          us_between(step_started, std::chrono::steady_clock::now()));
+      if (!more) break;
+    }
+  }
+  const auto ended = std::chrono::steady_clock::now();
+  const std::int64_t run_us = us_between(started, ended);
+  service_time_us_.record_us(run_us);
+  exclusive_service_time_us_.record_us(run_us);
+  obs::record_span(run != nullptr ? "serve.run" : "serve.exclusive", "serve",
+                   task.trace_id, started, ended);
+  // Resolved after the samples are recorded, so a caller holding its
+  // answer also finds them in the stats.
+  if (run == nullptr)
+    resolve(std::span<QueuedTask>(&task, 1), std::move(answers));
+  else if (stopped.ok())
+    run->finish();
+  else
+    run->abort(stopped);
+}
+
 void Service::worker_loop(std::size_t worker_index) {
   api::Engine& engine = engines_[worker_index];
   core::UniqueMutexLock lock(queue_mutex_);
   for (;;) {
-    // Waits are explicit loops over guarded state, not cv_.wait(lock,
-    // pred): thread safety analysis treats a predicate lambda as its own
-    // unannotated function (see annotations.hpp rule 4).
-    for (;;) {
-      // A predict queue whose coalescing window another worker is
-      // already waiting out is not claimable work.
-      const bool predict_work =
-          !predict_queue_.empty() && !predict_window_waiter_;
-      const bool work =
-          !exclusive_claimed_ &&
-          (!exclusive_queue_.empty() || predict_work ||
-           !pure_queue_.empty());
-      const bool drained = stopping_ && queued() == 0;
-      if (work || drained) break;
+    // A predict queue whose coalescing window another worker is already
+    // waiting out is not claimable work.
+    bool coalescing = !predict_queue_.empty() && !predict_window_waiter_;
+    while (!coalescing && pure_queue_.empty()) {
+      if (stopping_ && predict_queue_.empty()) return;  // drained
       work_cv_.wait(lock);
-    }
-
-    // A preempted exclusive re-parked at the queue front yields one
-    // dispatch round to queued pure/predict traffic — that interleaving is
-    // the whole point of slicing. A FRESH exclusive keeps the
-    // drain-pure-first priority, and under slice_ms == 0 no run is ever
-    // preempted, so this never fires there. Caveat: a saturating pure load
-    // can starve a preempted run (accepted — pure work is cheap and
-    // bounded, exclusives are minutes).
-    const bool defer_exclusive =
-        !exclusive_queue_.empty() &&
-        exclusive_queue_.front().steppable != nullptr &&
-        ((!predict_queue_.empty() && !predict_window_waiter_) ||
-         !pure_queue_.empty());
-
-    // Exclusive requests outrank everything: claim the oldest, wait for
-    // in-flight pure work to drain, run alone. While a claim is pending or
-    // running, no worker starts anything — that is the whole guarantee.
-    if (!exclusive_claimed_ && !exclusive_queue_.empty() &&
-        !defer_exclusive) {
-      exclusive_claimed_ = true;
-      QueuedTask task;
-      std::vector<std::pair<QueuedTask, api::Status>> failed;
-      const bool got = pop_runnable(exclusive_queue_, &failed, &task,
-                                    exclusive_queue_wait_us_);
-      if (!got) exclusive_claimed_ = false;  // every exclusive was dead
-      if (!failed.empty()) {
-        // Resolve cancellations/expiries outside the lock (they fire
-        // promise waiters and notify hooks). When a live task was popped
-        // the claim stays held across the unlock, so no pure work starts.
-        lock.unlock();
-        for (auto& [t, status] : failed) t.refuse(status);
-        lock.lock();
-      }
-      if (!got) {
-        // The transient claim may have parked workers that saw
-        // exclusive_claimed_; every one of them must re-examine the queues.
-        work_cv_.notify_all();
-        continue;
-      }
-      while (pure_active_ != 0) gate_cv_.wait(lock);
-      // Search and train_baseline run stepwise; everything else on this
-      // queue (measured-evaluator predictions) is quick and runs in one
-      // piece.
-      const bool sliced =
-          task.make_steppable != nullptr || task.steppable != nullptr;
-      lock.unlock();
-      // Nested spans (search.* / train.* from the steppers) inherit the
-      // request's id through the thread-local.
-      HG_TRACE_ID(task.trace_id);
-      const auto started = std::chrono::steady_clock::now();
-      bool finished = true;
-      PredictResults answers;
-      if (!sliced) {
-        answers = execute(engine, std::span<QueuedTask>(&task, 1));
-      } else {
-        counters_.exclusive_slices.inc();
-        if (task.steppable == nullptr) {
-          task.steppable = task.make_steppable(engine);
-          task.make_steppable = nullptr;
-        } else {
-          counters_.exclusive_resumes.inc();
-        }
-        finished = false;
-        for (;;) {
-          // Between steps the task is at a clean boundary: honor a cancel
-          // or an expired deadline now instead of at the end of the run.
-          if (is_cancelled(task.cancel)) {
-            counters_.cancelled_requests.inc();
-            task.steppable->abort(api::Status::Cancelled(
-                "request cancelled mid-run (between steps)"));
-            finished = true;
-            break;
-          }
-          const auto step_started = std::chrono::steady_clock::now();
-          if (step_started > task.deadline) {
-            counters_.deadline_expired.inc();
-            task.steppable->abort(api::Status::DeadlineExceeded(
-                "deadline expired mid-run (between steps)"));
-            finished = true;
-            break;
-          }
-          const bool more = task.steppable->step();
-          const auto step_ended = std::chrono::steady_clock::now();
-          step_us_.record_us(us_between(step_started, step_ended));
-          if (!more) {
-            task.steppable->finish();
-            finished = true;
-            break;
-          }
-          if (step_ended - started >= slice_) break;
-        }
-      }
-      const auto ended = std::chrono::steady_clock::now();
-      // Per dispatch, not per request: a preempted run records one
-      // service-time sample per slice (each slice occupied a worker
-      // separately), mirroring the per-dispatch queue-wait samples.
-      const std::int64_t run_us = us_between(started, ended);
-      service_time_us_.record_us(run_us);
-      exclusive_service_time_us_.record_us(run_us);
-      obs::record_span(sliced ? "serve.slice" : "serve.exclusive", "serve",
-                       task.trace_id, started, ended);
-      resolve(std::span<QueuedTask>(&task, 1), std::move(answers));
-      lock.lock();
-      exclusive_claimed_ = false;
-      if (!finished) {
-        // Re-park at the FRONT: the preempted task stays ahead of every
-        // younger exclusive, so exclusives still run FIFO and the shared
-        // context RNG is consumed in submission order — bit-identical
-        // results for any slice value. The wait clock restarts (each
-        // dispatch waited separately).
-        task.enqueued_at = ended;
-        counters_.exclusive_preemptions.inc();
-        exclusive_queue_.push_front(std::move(task));
-      }
-      // Releasing the claim re-opens dispatch for everyone (any queue, any
-      // worker), so this is the one completion that broadcasts.
-      work_cv_.notify_all();
-      continue;
+      coalescing = !predict_queue_.empty() && !predict_window_waiter_;
     }
 
     // Pure work: one group from the coalescing queue (it goes first), else
     // one entry of the pure queue.
-    const bool coalescing = !predict_queue_.empty() && !predict_window_waiter_;
-    if (!exclusive_claimed_ && (coalescing || !pure_queue_.empty())) {
-      // Time-windowed coalescing: with a window configured and room left
-      // in the group, let the oldest queued entry age to the window
-      // before firing, so queries arriving one at a time (remote trickle
-      // traffic) still pack into one forward. Exactly ONE worker holds
-      // the window (predict_window_waiter_) — the others keep serving
-      // pure traffic meanwhile. Fires early when the group fills, an
-      // exclusive request arrives, the service stops, or pure work is
-      // queued with no free worker to take it.
-      if (coalescing && service_cfg_.predict_window_us > 0 && !stopping_ &&
-          !predict_group_full()) {
-        const auto fire_at =
-            predict_queue_.front().enqueued_at +
-            std::chrono::microseconds(service_cfg_.predict_window_us);
-        // When every other worker is busy (with one worker, always),
-        // nobody else can take queued pure work while the window ages.
-        // Sleeping on top of it would stall it for nothing — and running
-        // it first could stall the *predictions* past the window (a
-        // profile can take seconds). So fire the group early with
-        // whatever is queued: the packed forward is quick, the window
-        // stays an upper bound on coalescing delay, and the pure work
-        // runs right after.
-        if (std::chrono::steady_clock::now() < fire_at &&
-            !(!pure_queue_.empty() && no_free_worker())) {
-          predict_window_waiter_ = true;
-          for (;;) {
-            if (stopping_ || exclusive_claimed_ ||
-                !exclusive_queue_.empty() || predict_queue_.empty() ||
-                (!pure_queue_.empty() && no_free_worker()) ||
-                predict_group_full())
-              break;
-            if (window_cv_.wait_until(lock, fire_at) ==
-                std::cv_status::timeout)
-              break;
-          }
-          predict_window_waiter_ = false;
-          // The queue was unclaimable while the flag was up; enqueue-side
-          // notify_ones from that span may have been absorbed by workers
-          // that could not act on them, so re-open it with a broadcast
-          // (rare: once per window).
-          work_cv_.notify_all();
-          continue;  // re-dispatch from the top with fresh state
+    //
+    // Time-windowed coalescing: with a window configured and room left in
+    // the group, let the oldest queued entry age to the window before
+    // firing, so queries arriving one at a time (remote trickle traffic)
+    // still pack into one forward. Exactly ONE worker holds the window
+    // (predict_window_waiter_) — the others keep serving pure traffic
+    // meanwhile. Fires early when the group fills, the service stops, or
+    // pure work is queued with no free worker to take it.
+    if (coalescing && service_cfg_.predict_window_us > 0 && !stopping_ &&
+        !predict_group_full()) {
+      const auto fire_at =
+          predict_queue_.front().enqueued_at +
+          std::chrono::microseconds(service_cfg_.predict_window_us);
+      // When every other worker is busy (with one worker, always), nobody
+      // else can take queued pure work while the window ages. Sleeping on
+      // top of it would stall it for nothing — and running it first could
+      // stall the *predictions* past the window (a profile can take
+      // seconds). So fire the group early with whatever is queued: the
+      // packed forward is quick, the window stays an upper bound on
+      // coalescing delay, and the pure work runs right after.
+      if (std::chrono::steady_clock::now() < fire_at &&
+          !(!pure_queue_.empty() && no_free_worker())) {
+        predict_window_waiter_ = true;
+        for (;;) {
+          if (stopping_ || predict_queue_.empty() ||
+              (!pure_queue_.empty() && no_free_worker()) ||
+              predict_group_full())
+            break;
+          if (window_cv_.wait_until(lock, fire_at) ==
+              std::cv_status::timeout)
+            break;
         }
+        predict_window_waiter_ = false;
+        // The queue was unclaimable while the flag was up; enqueue-side
+        // notify_ones from that span may have been absorbed by workers
+        // that could not act on them, so re-open it with a broadcast
+        // (rare: once per window).
+        work_cv_.notify_all();
+        continue;  // re-dispatch from the top with fresh state
       }
-      // Whole entries from the front until the group holds
-      // max_predict_batch archs (an entry is never split); the pure queue
-      // gives one entry.
-      std::deque<QueuedTask>& queue = coalescing ? predict_queue_ : pure_queue_;
-      std::vector<QueuedTask> group;
-      std::vector<std::pair<QueuedTask, api::Status>> failed;
-      std::int64_t archs = 0;
-      QueuedTask task;
-      // The pops and the pure_active_ bump share one continuous lock hold
-      // with the exclusive_claimed_ check above: an exclusive claimant
-      // waiting for pure_active_ == 0 can never interleave between them,
-      // which is what keeps exclusive runs bit-identical to serial.
-      while ((coalescing ? archs < service_cfg_.max_predict_batch
-                         : group.empty()) &&
-             pop_runnable(queue, &failed, &task, pure_queue_wait_us_)) {
-        archs += task.requests();
-        group.push_back(std::move(task));
-      }
-      if (!group.empty()) ++pure_active_;
-      lock.unlock();
-      for (auto& [t, status] : failed) t.refuse(status);
-      if (!group.empty()) {
-        HG_TRACE_ID(group.front().trace_id);
-        const auto started = std::chrono::steady_clock::now();
-        PredictResults answers = execute(engine, group);
-        const auto ended = std::chrono::steady_clock::now();
-        const std::int64_t run_us = us_between(started, ended);
-        service_time_us_.record_us(run_us);
-        pure_service_time_us_.record_us(run_us);
-        // A coalesced group runs as one unit; its span carries the oldest
-        // entry's attribution.
-        obs::record_span(coalescing ? "serve.predict_batch" : "serve.pure",
-                         "serve", group.front().trace_id, started, ended);
-        resolve(group, std::move(answers));
-      }
-      lock.lock();
-      if (!group.empty()) {
-        --pure_active_;
-        // Only an exclusive claimant waits on the active count; nobody
-        // else needs to hear about a completion.
-        if (pure_active_ == 0 && exclusive_claimed_) gate_cv_.notify_one();
-      }
-      continue;
     }
-
-    if (stopping_ && queued() == 0) return;
+    // Whole entries from the front until the group holds
+    // max_predict_batch archs (an entry is never split); the pure queue
+    // gives one entry.
+    std::deque<QueuedTask>& queue = coalescing ? predict_queue_ : pure_queue_;
+    std::vector<QueuedTask> group;
+    std::vector<std::pair<QueuedTask, api::Status>> failed;
+    std::int64_t archs = 0;
+    QueuedTask task;
+    while ((coalescing ? archs < service_cfg_.max_predict_batch
+                       : group.empty()) &&
+           pop_runnable(queue, &failed, &task, pure_queue_wait_us_)) {
+      archs += task.requests();
+      group.push_back(std::move(task));
+    }
+    if (!group.empty()) ++pure_active_;
+    lock.unlock();
+    for (auto& [t, status] : failed) t.refuse(status);
+    if (!group.empty()) {
+      HG_TRACE_ID(group.front().trace_id);
+      const auto started = std::chrono::steady_clock::now();
+      PredictResults answers = execute(engine, group);
+      const auto ended = std::chrono::steady_clock::now();
+      const std::int64_t run_us = us_between(started, ended);
+      service_time_us_.record_us(run_us);
+      pure_service_time_us_.record_us(run_us);
+      // A coalesced group runs as one unit; its span carries the oldest
+      // entry's attribution.
+      obs::record_span(coalescing ? "serve.predict_batch" : "serve.pure",
+                       "serve", group.front().trace_id, started, ended);
+      resolve(group, std::move(answers));
+    }
+    lock.lock();
+    if (!group.empty()) --pure_active_;
   }
 }
 

@@ -3,25 +3,25 @@
 // requests concurrently").
 //
 // One Service owns one api::EvalContext — one device model, one dataset,
-// one supernet, one fitted predictor — and a pool of worker threads, each
-// holding its own api::Engine on that context. Callers submit typed
-// requests (serve/request.hpp) and get std::futures back; the service
-// dispatches:
+// one supernet, one fitted predictor — a pool of worker threads and one
+// runner thread, each holding its own api::Engine on that context. Callers
+// submit typed requests (serve/request.hpp) and get std::futures back;
+// the service routes each request by what it writes, not by its kind:
 //
-//   * PURE requests (predict / profile / profile_baseline) run
-//     concurrently across the workers.
 //   * EXCLUSIVE requests (search / train_baseline / measured-evaluator
-//     predictions) run one at a time, in submission order, with the pure
-//     traffic drained first — so a concurrent run's results are
-//     bit-identical to submitting the same requests serially.
+//     predictions) draw from the context RNG, train the supernet or
+//     advance the measured evaluator's noise stream. They wait on one FIFO
+//     that only the runner thread takes, one at a time, in submission
+//     order — so their results are bit-identical to submitting the same
+//     requests serially.
+//   * PURE requests (predict / profile / profile_baseline) read only
+//     immutable or fitted state (api/eval_context.hpp), so the workers run
+//     them concurrently with each other AND with the runner's current
+//     run: a prediction never waits for a search.
 //   * A long exclusive run (search / train_baseline) advances one step at
 //     a time (a search's mini-batch or validation-sample round, a
-//     baseline's epoch), with cancel and deadline checked between steps.
-//     With ServiceConfig::exclusive_slice_ms > 0 it is PREEMPTIBLE: once a
-//     slice expires it is re-parked at the front of the exclusive queue so
-//     queued pure traffic interleaves — flat predict p99 under a long
-//     search — while results stay bit-identical to an unpreempted run (see
-//     the config field).
+//     baseline's epoch), with cancel and deadline checked between steps,
+//     and runs on the runner until it finishes.
 //   * Every latency prediction is one queue entry: a PredictLatency is an
 //     entry of one arch, a PredictBatch an entry of N. Against a
 //     "predictor" evaluator the entries wait on one coalescing queue: a
@@ -49,8 +49,9 @@
 //     drain-what-is-queued behavior bit-exactly.
 //
 // Lifecycle: create() -> submit() from any thread -> shutdown() (drains
-// queued work, joins the workers; the destructor calls it too). After
-// shutdown, submit() resolves immediately to FAILED_PRECONDITION.
+// queued work, joins the workers and the runner; the destructor calls it
+// too). After shutdown, submit() resolves immediately to
+// FAILED_PRECONDITION.
 #pragma once
 
 #include <atomic>
@@ -111,23 +112,16 @@ struct ServiceConfig {
   /// start/export. Empty (the default) = tracing off — every trace site
   /// is one relaxed atomic load.
   std::string trace_path{};
-  /// Exclusive-task time slice (milliseconds). search / train_baseline
-  /// always run stepwise (a search step is one supernet mini-batch or one
-  /// validation-sample round of its candidates; a train_baseline step is
-  /// one epoch), with cancel and deadline checked between steps, so a
-  /// mid-run cancel / expiry resolves within one step. 0 = an unbounded
-  /// slice: the run is never preempted. > 0: once a slice expires at a
-  /// step boundary the task is re-parked at the FRONT of the exclusive
-  /// queue — exclusives stay FIFO and the shared-context RNG stream is
-  /// consumed in submission order, so results are bit-identical for ANY
-  /// slice value — and queued pure work gets a dispatch round before it
-  /// resumes.
+  /// No effect: exclusive runs no longer share threads with pure work, so
+  /// there is nothing to slice. Create() still refuses a negative value.
+  /// Kept only so that existing setters compile; it goes once the
+  /// benchmark stops setting it (ROADMAP item 1).
   std::int64_t exclusive_slice_ms = 0;
 };
 
-/// One preemptible unit of exclusive work, advanced a step at a time (a
-/// search's mini-batch or validation-sample round, a training epoch)
-/// between slice-expiry checks.
+/// One long exclusive run, advanced a step at a time (a search's
+/// mini-batch or validation-sample round, a training epoch) with cancel
+/// and deadline checked in between.
 /// step() must not throw: failures are captured inside the run and reported
 /// when finish() resolves the request's promise.
 class Steppable {
@@ -179,7 +173,8 @@ class Service {
   std::future<api::Result<api::TrainReport>> submit(TrainBaselineRequest req);
 
   /// Stop accepting requests, finish everything already queued, join the
-  /// workers. Idempotent; safe from any thread (not from a worker).
+  /// workers and the runner. Idempotent; safe from any thread (not from a
+  /// worker or the runner).
   void shutdown();
 
   /// Stop ADMITTING requests (further submissions resolve UNAVAILABLE
@@ -234,11 +229,8 @@ class Service {
     /// Resolves any other task with a Status; see refuse().
     std::function<void(const api::Status&)> fail;
     /// Set instead of `run` for the long exclusive verbs (search /
-    /// train_baseline): builds the stepwise run on first dispatch.
+    /// train_baseline): builds the stepwise run when the runner takes it.
     std::function<std::unique_ptr<Steppable>(api::Engine&)> make_steppable;
-    /// The in-flight stepwise run of a preempted task, carried across its
-    /// re-park at the front of the exclusive queue.
-    std::unique_ptr<Steppable> steppable;
     std::chrono::steady_clock::time_point deadline;
     std::shared_ptr<std::atomic<bool>> cancel;
     std::chrono::steady_clock::time_point enqueued_at;  // queue-wait histo
@@ -266,8 +258,15 @@ class Service {
     }
   };
 
-  void start_workers(std::int64_t n);
+  void start_threads(std::int64_t workers);
   void worker_loop(std::size_t worker_index);
+  /// The runner thread: takes the exclusive FIFO in order, one task at a
+  /// time, until shutdown finds it empty.
+  void runner_loop();
+  /// Runs one exclusive task on the runner's engine: a stepwise run to its
+  /// end (or to a cancel / deadline between steps), anything else in one
+  /// piece.
+  void run_exclusive(api::Engine& engine, QueuedTask& task);
 
   /// An entry carrying the scheduling fields of `opts` (deadline, cancel
   /// flag, trace id), stamped as enqueued now.
@@ -276,8 +275,8 @@ class Service {
   /// Admit `task` to the queue its kind routes to (see route()), bumping
   /// the request counters by its request count — its arch count for a
   /// prediction, else 1 — atomically with admission. A submission that is
-  /// not admitted (shutdown / draining / queue full) is resolved here
-  /// through task.refuse().
+  /// not admitted (shutdown / draining / queue full) is counted and
+  /// resolved here through task.refuse().
   void enqueue(QueuedTask task);
 
   /// The one routing decision: search / train_baseline and "measured"
@@ -303,10 +302,9 @@ class Service {
   /// Pops the task at the queue front, moving every leading task that is
   /// cancelled or expired into `failed` (with the Status to resolve it
   /// with) and bumping the matching counters by its request count. Runs
-  /// entirely under the caller's lock — it never releases mutex_, so the
-  /// dispatch decision that follows (claiming exclusivity, bumping
-  /// pure_active_) stays atomic with the pop; the caller resolves `failed`
-  /// outside the lock. Returns false when the queue is drained.
+  /// entirely under the caller's lock, so a worker's pure_active_ bump
+  /// stays atomic with its pops; the caller resolves `failed` outside the
+  /// lock. Returns false when the queue is drained.
   /// `kind_wait` additionally receives the queue-wait sample in the
   /// per-kind (pure vs exclusive) histogram for the queue being popped.
   bool pop_runnable(std::deque<QueuedTask>& queue,
@@ -344,9 +342,6 @@ class Service {
 
   api::EngineConfig base_cfg_;
   ServiceConfig service_cfg_;
-  /// exclusive_slice_ms as a duration; max() when it is 0 (unbounded).
-  std::chrono::steady_clock::duration slice_ =
-      std::chrono::steady_clock::duration::max();
   std::shared_ptr<api::EvalContext> ctx_;
   bool coalesce_predictions_ = false;  // evaluator "predictor"
   bool measured_evaluator_ = false;    // evaluator "measured" (stateful)
@@ -362,8 +357,8 @@ class Service {
   /// for a prediction, else 1). All are monotone.
   struct Counters {
     obs::Registry& r;
-    // Submissions past the stop/drain check: a queue-full refusal counts
-    // here and in rejected_requests, a stopping/draining one nowhere.
+    // Every submission: admitted, or refused in one of the two counters
+    // below.
     obs::Counter& requests = r.counter("serve.requests");
     // Admitted to the exclusive FIFO (search / train_baseline / measured).
     obs::Counter& exclusive_requests = r.counter("serve.exclusive_requests");
@@ -372,8 +367,11 @@ class Service {
     // Prediction groups answered; the largest one, in archs.
     obs::Counter& predict_batches = r.counter("serve.predict_batches");
     obs::Gauge& max_predict_batch = r.gauge("serve.max_predict_batch");
-    // Refused because the bounded queue was full.
+    // Refused because the bounded queue was full (RESOURCE_EXHAUSTED).
     obs::Counter& rejected_requests = r.counter("serve.rejected_requests");
+    // Refused because the service was draining (UNAVAILABLE) or shut down
+    // (FAILED_PRECONDITION).
+    obs::Counter& refused_requests = r.counter("serve.refused_requests");
     // Expired / cancelled while queued or between steps of a run.
     obs::Counter& deadline_expired = r.counter("serve.deadline_expired");
     obs::Counter& cancelled_requests = r.counter("serve.cancelled_requests");
@@ -382,13 +380,6 @@ class Service {
     obs::Counter& pings = r.counter("serve.pings");
     obs::Counter& sheds_with_hint = r.counter("serve.sheds_with_hint");
     obs::Counter& drain_started = r.counter("serve.drain_started");  // 0/1
-    // Stepwise-run dispatches (first and resumed), re-parks at slice
-    // expiry, and dispatches of a preempted run. The last two stay 0
-    // while exclusive_slice_ms == 0.
-    obs::Counter& exclusive_slices = r.counter("serve.exclusive_slices");
-    obs::Counter& exclusive_preemptions =
-        r.counter("serve.exclusive_preemptions");
-    obs::Counter& exclusive_resumes = r.counter("serve.exclusive_resumes");
   };
 
   core::Mutex shutdown_mutex_;  // serializes shutdown() callers only
@@ -397,25 +388,23 @@ class Service {
   // a stat bump never contends with dispatch.
   mutable core::Mutex queue_mutex_;
   // Targeted wakeups (all wait via UniqueMutexLock over queue_mutex_):
-  //   work_cv_   — workers parked for dispatchable work. Every enqueue
-  //                wakes exactly one worker (notify_one); the broadcast
-  //                cases are exclusive-claim release (it gated everybody)
-  //                and shutdown.
-  //   gate_cv_   — the single exclusive claimant waiting out in-flight
-  //                pure work; signalled when pure_active_ drops to 0 with
-  //                a claim pending.
-  //   window_cv_ — the single predict-window waiter; signalled on any
+  //   work_cv_   — workers parked for pure work. Every pure enqueue wakes
+  //                exactly one worker (notify_one); the broadcast cases
+  //                are the end of a predict window and shutdown.
+  //   window_cv_ — the single predict-window waiter; signalled on a pure
   //                enqueue (an arrival can satisfy its early-fire
   //                conditions) and on shutdown.
+  //   runner_cv_ — the runner, parked for exclusive work; only an
+  //                exclusive enqueue and shutdown signal it, so pure
+  //                traffic never wakes it.
   std::condition_variable_any work_cv_;
-  std::condition_variable_any gate_cv_;
   std::condition_variable_any window_cv_;
+  std::condition_variable_any runner_cv_;
   std::deque<QueuedTask> pure_queue_ HG_GUARDED_BY(queue_mutex_);
   std::deque<QueuedTask> exclusive_queue_ HG_GUARDED_BY(queue_mutex_);
   std::deque<QueuedTask> predict_queue_ HG_GUARDED_BY(queue_mutex_);
+  // Workers running a pure unit now; no_free_worker() reads it.
   std::int64_t pure_active_ HG_GUARDED_BY(queue_mutex_) = 0;
-  // A worker owns the next exclusive task.
-  bool exclusive_claimed_ HG_GUARDED_BY(queue_mutex_) = false;
   // A worker is waiting out predict_window_us on the coalescing queue;
   // the other workers treat that queue as unclaimable meanwhile and
   // serve pure traffic instead (when none of them is free and pure work
@@ -429,7 +418,7 @@ class Service {
   // work (a task or a prediction group), and the same two split by kind
   // (pure: predict / profile / profile_baseline; exclusive: the rest).
   // Every sample in the first pair also lands in exactly one of the
-  // others; a preempted run records one pair of samples per dispatch.
+  // others; a stepwise run records one pair of samples per run.
   obs::Histogram& queue_wait_us_ =
       registry_->histogram("serve.queue_wait_us");
   obs::Histogram& service_time_us_ =
@@ -442,18 +431,20 @@ class Service {
       registry_->histogram("serve.pure_service_time_us");
   obs::Histogram& exclusive_service_time_us_ =
       registry_->histogram("serve.exclusive_service_time_us");
-  // One sample per step() of a stepwise exclusive run: a slice overshoots
-  // its budget by at most one step, so this bounds a sliced p99.
+  // One sample per step() of a stepwise exclusive run: the longest step
+  // bounds how late a mid-run cancel or deadline resolves.
   obs::Histogram& step_us_ = registry_->histogram("serve.step_us");
   // This service started the global trace collector (trace_path set):
   // shutdown() exports and stops it.
   bool trace_owner_ = false;
 
-  // Written single-threaded in create() before the workers exist, then
-  // only read (worker i owns engines_[i]); workers_ is joined under
-  // shutdown_mutex_. Neither needs mutex_.
-  std::vector<api::Engine> engines_;  // one per worker, fixed at create
+  // Written single-threaded in create() before the threads exist, then
+  // only read (worker i owns engines_[i], the runner the last one);
+  // workers_ and runner_ are joined under shutdown_mutex_. None needs
+  // queue_mutex_.
+  std::vector<api::Engine> engines_;  // one per worker + the runner's
   std::vector<std::thread> workers_;
+  std::thread runner_;
 };
 
 }  // namespace hg::serve

@@ -463,7 +463,7 @@ TEST(Engine, SearchReportsInLoopParetoFrontier) {
 
 TEST(Registry, CustomStrategyPluggableByName) {
   // The seam later PRs plug into: register a strategy (a SearchStepper
-  // factory), select it by name. Engine::search() and a Service at slice 0
+  // factory), select it by name. Engine::search() and a Service's runner
   // both drive the stepper the factory builds, so both answer alike.
   static std::atomic<int> built{0};
   Registry& reg = Registry::global();
@@ -497,7 +497,6 @@ TEST(Registry, CustomStrategyPluggableByName) {
 
   serve::ServiceConfig scfg;
   scfg.num_workers = 1;
-  scfg.exclusive_slice_ms = 0;
   Result<std::shared_ptr<serve::Service>> service =
       serve::Service::create(cfg, scfg);
   ASSERT_TRUE(service.ok()) << service.status().to_string();

@@ -37,6 +37,7 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
+#include "stall_fixture.hpp"
 #include "tensor/rng.hpp"
 
 namespace hg::net {
@@ -97,14 +98,26 @@ void wait_for_requests(const Server& server, std::int64_t count) {
   FAIL() << "server never saw " << count << " requests";
 }
 
-/// Spin until the service's queues are empty and a worker is busy (the
-/// stall request has been dequeued and is running).
-void wait_for_drain_into_worker(const Server& server) {
+/// Spin until the named stat of the server's service reaches `value`.
+bool wait_for_stat(const Server& server, const std::string& name,
+                   std::int64_t value) {
   for (int i = 0; i < 2000; ++i) {
-    if (server.service()->queue_depth() == 0) return;
+    if (stat(server, name) >= value) return true;
     std::this_thread::sleep_for(1ms);
   }
-  FAIL() << "queue never drained into a worker";
+  return false;
+}
+
+/// Closes the stall gate and sends one stall profile on `client`; once
+/// this returns true the profile holds a server worker until
+/// hg::testing::StallGate::instance().open().
+bool send_stall(Client& client, std::uint64_t* id) {
+  hg::testing::StallGate::instance().close();
+  auto sent = client.send(verbs::kProfileBaseline,
+                          BaselineQuery{hg::testing::kStallBaseline, {}});
+  if (!sent.ok()) return false;
+  *id = sent.value();
+  return hg::testing::StallGate::instance().wait_blocked(1);
 }
 
 // ---- codec round-trips -----------------------------------------------------
@@ -659,16 +672,13 @@ TEST(NetServer, StatsKeySetIsPinned) {
       "serve.cancelled_requests",
       "serve.deadline_expired",
       "serve.drain_started",
-      "serve.exclusive_preemptions",
       "serve.exclusive_queue_wait_us.count",
       "serve.exclusive_queue_wait_us.p50_us",
       "serve.exclusive_queue_wait_us.p99_us",
       "serve.exclusive_requests",
-      "serve.exclusive_resumes",
       "serve.exclusive_service_time_us.count",
       "serve.exclusive_service_time_us.p50_us",
       "serve.exclusive_service_time_us.p99_us",
-      "serve.exclusive_slices",
       "serve.max_predict_batch",
       "serve.pings",
       "serve.predict_batches",
@@ -683,6 +693,7 @@ TEST(NetServer, StatsKeySetIsPinned) {
       "serve.queue_wait_us.count",
       "serve.queue_wait_us.p50_us",
       "serve.queue_wait_us.p99_us",
+      "serve.refused_requests",
       "serve.rejected_requests",
       "serve.requests",
       "serve.service_time_us.count",
@@ -793,7 +804,7 @@ TEST(NetServer, WireRequestIdBecomesServerTraceId) {
 TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   const api::EngineConfig cfg = tiny_cfg();
   ServerConfig server_cfg;
-  server_cfg.service.num_workers = 1;  // one worker: a search stalls all
+  server_cfg.service.num_workers = 1;  // one worker: a stall holds all
   auto server = Server::create(cfg, server_cfg);
   ASSERT_TRUE(server.ok()) << server.status().to_string();
   auto client = Client::connect("127.0.0.1", server.value()->port());
@@ -801,15 +812,17 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   Client& remote = client.value();
 
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto search_id = remote.send(verbs::kSearch, {});
-  ASSERT_TRUE(search_id.ok());
-  // 1 µs of queue budget: expired long before the search lets it run.
+  std::uint64_t stall_id = 0;
+  ASSERT_TRUE(send_stall(remote, &stall_id));
+  // 1 µs of queue budget: expired long before the stall lets it run.
   auto doomed_id = remote.send(verbs::kProfile, archs[0], /*deadline_us=*/1);
   ASSERT_TRUE(doomed_id.ok());
   // Generous budget: survives the queue wait.
   auto fine_id =
       remote.send(verbs::kProfile, archs[0], /*deadline_us=*/60'000'000);
   ASSERT_TRUE(fine_id.ok());
+  wait_for_requests(*server.value(), 3);
+  hg::testing::StallGate::instance().open();
 
   api::Result<api::ProfileReport> doomed =
       remote.wait(verbs::kProfile, doomed_id.value());
@@ -818,20 +831,18 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   api::Result<api::ProfileReport> fine =
       remote.wait(verbs::kProfile, fine_id.value());
   EXPECT_TRUE(fine.ok()) << fine.status().to_string();
-  EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kProfileBaseline, stall_id).ok());
 
   EXPECT_GE(stat(*server.value(), "serve.deadline_expired"), 1);
 }
 
-TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
-  // With generation slicing enabled on the server, a deadline is honored
-  // even after the search has STARTED: the worker checks it between
-  // steps and aborts the partially-advanced run. The client just sees a
-  // clean DEADLINE_EXCEEDED over the wire.
+TEST(NetServer, DeadlineExpiresMidRunOverTheWire) {
+  // A deadline is honored even after the search has STARTED: the runner
+  // checks it between steps and aborts the partially-advanced run. The
+  // client just sees a clean DEADLINE_EXCEEDED over the wire.
   const api::EngineConfig cfg = tiny_cfg();
   ServerConfig server_cfg;
   server_cfg.service.num_workers = 1;
-  server_cfg.service.exclusive_slice_ms = 1;
   auto server = Server::create(cfg, server_cfg);
   ASSERT_TRUE(server.ok()) << server.status().to_string();
   auto client = Client::connect("127.0.0.1", server.value()->port());
@@ -843,14 +854,10 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
   huge.iterations = 500;
   auto search_id = remote.send(verbs::kSearch, huge, /*deadline_us=*/300'000);
   ASSERT_TRUE(search_id.ok());
-  // Confirm the search was actually dispatched (not expired while queued)
+  // Confirm the search was actually under way (not expired while queued)
   // before the deadline can fire.
-  bool started = false;
-  for (int i = 0; i < 2000 && !started; ++i) {
-    started = stat(*server.value(), "serve.exclusive_slices") > 0;
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_TRUE(started) << "search never started slicing";
+  ASSERT_TRUE(wait_for_stat(*server.value(), "serve.step_us.count", 1))
+      << "search never took a step";
 
   api::Result<api::SearchReport> r =
       remote.wait(verbs::kSearch, search_id.value());
@@ -858,11 +865,68 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
   EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_GE(stat(*server.value(), "serve.deadline_expired"), 1);
 
-  // The worker is free again and the server keeps serving.
-  const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto fine_id = remote.send(verbs::kProfile, archs[0]);
+  // The runner is free again and the server keeps serving.
+  auto fine_id = remote.send(verbs::kSearch, {});
   ASSERT_TRUE(fine_id.ok());
-  EXPECT_TRUE(remote.wait(verbs::kProfile, fine_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kSearch, fine_id.value()).ok());
+}
+
+TEST(NetServer, PredictionDuringSearchResolvesFirstAndBitIdentical) {
+  // Over the wire as in process: a prediction sent while a search runs is
+  // answered before the search ends, at any worker count, bit-identical
+  // to a lone Engine::predict_latency; the search still returns what a
+  // solo run returns.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.iterations = 60;  // a search that outlasts a prediction many times
+  // Probe arch and lone answer from a throwaway engine (sample_arch()
+  // draws from its context's RNG); the reference search starts from a
+  // virgin context, like the server's runner.
+  auto lone = api::Engine::create(cfg);
+  ASSERT_TRUE(lone.ok()) << lone.status().to_string();
+  const api::Arch arch = lone.value().sample_arch();
+  const api::Result<api::LatencyReport> expected_latency =
+      lone.value().predict_latency(arch);
+  ASSERT_TRUE(expected_latency.ok());
+  auto reference = api::Engine::create(cfg);
+  ASSERT_TRUE(reference.ok());
+  const api::Result<api::SearchReport> expected = reference.value().search();
+  ASSERT_TRUE(expected.ok());
+
+  for (const std::int64_t workers : {std::int64_t{1}, std::int64_t{2}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServerConfig server_cfg;
+    server_cfg.service.num_workers = workers;
+    auto server = Server::create(cfg, server_cfg);
+    ASSERT_TRUE(server.ok()) << server.status().to_string();
+    auto searcher = Client::connect("127.0.0.1", server.value()->port());
+    auto prober = Client::connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(searcher.ok() && prober.ok());
+
+    auto search_id = searcher.value().send(verbs::kSearch, {});
+    ASSERT_TRUE(search_id.ok());
+    ASSERT_TRUE(wait_for_stat(*server.value(), "serve.step_us.count", 1));
+    const api::Result<api::LatencyReport> predicted =
+        prober.value().predict_latency(arch);
+    // The runner records the run's service time before it answers.
+    EXPECT_EQ(stat(*server.value(), "serve.exclusive_service_time_us.count"),
+              0)
+        << "the prediction waited for the search";
+    ASSERT_TRUE(predicted.ok()) << predicted.status().to_string();
+    EXPECT_EQ(predicted.value().latency_ms,
+              expected_latency.value().latency_ms);
+
+    const api::Result<api::SearchReport> got =
+        searcher.value().wait(verbs::kSearch, search_id.value());
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value().result.best_arch,
+              expected.value().result.best_arch);
+    EXPECT_EQ(got.value().result.best_objective,
+              expected.value().result.best_objective);
+    EXPECT_EQ(got.value().result.total_sim_time_s,
+              expected.value().result.total_sim_time_s);
+    EXPECT_EQ(got.value().result.latency_queries,
+              expected.value().result.latency_queries);
+  }
 }
 
 TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
@@ -877,10 +941,8 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   Client& remote = client.value();
 
   const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto search_id = remote.send(verbs::kSearch, {});
-  ASSERT_TRUE(search_id.ok());
-  wait_for_requests(*server.value(), 1);
-  wait_for_drain_into_worker(*server.value());  // search occupies the worker
+  std::uint64_t stall_id = 0;
+  ASSERT_TRUE(send_stall(remote, &stall_id));  // the stall holds the worker
 
   // With the worker stalled, only max_queue_depth submissions fit; the
   // rest must bounce immediately with RESOURCE_EXHAUSTED.
@@ -891,6 +953,8 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
+  wait_for_requests(*server.value(), 1 + kFlood);  // every one admitted or not
+  hg::testing::StallGate::instance().open();
   int ok = 0, rejected = 0;
   for (std::uint64_t id : ids) {
     api::Result<api::ProfileReport> r = remote.wait(verbs::kProfile, id);
@@ -904,7 +968,7 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   }
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(rejected, kFlood - 2);
-  EXPECT_TRUE(remote.wait(verbs::kSearch, search_id.value()).ok());
+  EXPECT_TRUE(remote.wait(verbs::kProfileBaseline, stall_id).ok());
   EXPECT_EQ(stat(*server.value(), "serve.rejected_requests"),
             kFlood - 2);
 }
@@ -920,14 +984,17 @@ TEST(NetServer, DisconnectCancelsThatConnectionsQueuedRequests) {
   {
     auto doomed = Client::connect("127.0.0.1", server.value()->port());
     ASSERT_TRUE(doomed.ok());
-    // The search occupies the worker.
-    ASSERT_TRUE(doomed.value().send(verbs::kSearch, {}).ok());
+    // The stall occupies the worker.
+    std::uint64_t stall_id = 0;
+    ASSERT_TRUE(send_stall(doomed.value(), &stall_id));
     for (int i = 0; i < 4; ++i)
       ASSERT_TRUE(doomed.value().send(verbs::kProfile, archs[0]).ok());
     wait_for_requests(*server.value(), 5);  // all admitted server-side
     // Destructor closes the socket: the server must flag this
     // connection's queued profiles as cancelled.
   }
+  ASSERT_TRUE(wait_for_stat(*server.value(), "net.connections_closed", 1));
+  hg::testing::StallGate::instance().open();
 
   // A second client's request drains *behind* the doomed ones (pure FIFO),
   // so its completion proves the cancelled ones were resolved first.
@@ -1731,10 +1798,8 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
 
   auto pipelined = Client::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(pipelined.ok());
-  auto search_id = pipelined.value().send(verbs::kSearch, {});
-  ASSERT_TRUE(search_id.ok());
-  wait_for_requests(*server.value(), 1);
-  wait_for_drain_into_worker(*server.value());  // search occupies the worker
+  std::uint64_t stall_id = 0;
+  ASSERT_TRUE(send_stall(pipelined.value(), &stall_id));  // holds the worker
   auto queued_id = pipelined.value().send(verbs::kProfile, archs[0]);
   ASSERT_TRUE(queued_id.ok());
   wait_for_requests(*server.value(), 2);  // the queue is now full
@@ -1773,7 +1838,8 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
 
   // The hint certifies "never ran", so even a MUTATING verb may ride it:
   // this search retries through the full queue (backoff floored at the
-  // hint) and succeeds once the worker frees up — without reconnecting.
+  // hint) and succeeds once the stall lets the worker go and the queue
+  // empties — without reconnecting.
   ClientConfig retry_cfg;
   retry_cfg.host = "127.0.0.1";
   retry_cfg.port = server.value()->port();
@@ -1783,12 +1849,20 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
   retry_cfg.retry.jitter_seed = fuzz_seed(7);
   auto retrying = Client::connect(retry_cfg);
   ASSERT_TRUE(retrying.ok());
+  std::thread release([] {
+    std::this_thread::sleep_for(50ms);
+    hg::testing::StallGate::instance().open();
+  });
   api::Result<api::SearchReport> second = retrying.value().search();
+  release.join();
   EXPECT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(retrying.value().connections_dialed(), 1);
+  EXPECT_GT(stat(*server.value(), "serve.rejected_requests"), 1)
+      << "the search never met the full queue";
 
   EXPECT_TRUE(pipelined.value().wait(verbs::kProfile, queued_id.value()).ok());
-  EXPECT_TRUE(pipelined.value().wait(verbs::kSearch, search_id.value()).ok());
+  EXPECT_TRUE(
+      pipelined.value().wait(verbs::kProfileBaseline, stall_id).ok());
 }
 
 TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {

@@ -300,9 +300,9 @@ TEST(Search, PredictorVsMeasurementClockGap) {
 
 // The stepwise form drives the same coroutine the run_* wrappers drive, so
 // a stepped run must be bit-identical to the monolithic one — every field,
-// every strategy. This is the contract serve::Service's slice scheduler
-// relies on (a preempted search resumes mid-stream and must still produce
-// the run-to-completion result).
+// every strategy. This is the contract serve::Service's runner relies on
+// (it steps every search, checking cancel and deadline in between, and
+// must still produce the run-to-completion result).
 TEST(SearchStepper, BitIdenticalToMonolithicRunForAllStrategies) {
   for (const SearchStrategy strategy :
        {SearchStrategy::kMultistage, SearchStrategy::kOnestage,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "serve/service.hpp"
+#include "stall_fixture.hpp"
 
 namespace hg::serve {
 namespace {
@@ -194,9 +195,9 @@ TEST(Serve, PureRequestsMatchDirectEngineCalls) {
 
 TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   // With a "predictor" evaluator, queued queries must merge into packed
-  // forwards — and coalescing must not change any answer. An exclusive
-  // search is submitted first so the predictions pile up behind it (the
-  // exclusive claim stalls pure traffic), guaranteeing a coalesced drain.
+  // forwards — and coalescing must not change any answer. Both workers
+  // are held on stall profiles first so the predictions pile up behind
+  // them, guaranteeing a coalesced drain.
   api::EngineConfig cfg = tiny_cfg();
   cfg.evaluator = "predictor";
   cfg.predictor_samples = 40;
@@ -209,11 +210,12 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   std::vector<api::Arch> archs;
   for (int i = 0; i < 12; ++i) archs.push_back(engine.value().sample_arch());
 
-  auto search = service->submit(SearchRequest{});
+  testing::WorkerStall stall(*service, 2);
+  ASSERT_TRUE(stall.engaged());
   std::vector<std::future<api::Result<api::LatencyReport>>> lat;
   for (const api::Arch& a : archs)
     lat.push_back(service->submit(PredictLatencyRequest{a}));
-  ASSERT_TRUE(search.get().ok());
+  ASSERT_TRUE(stall.release());
   for (std::size_t i = 0; i < archs.size(); ++i) {
     api::Result<api::LatencyReport> served = lat[i].get();
     ASSERT_TRUE(served.ok());
@@ -233,13 +235,14 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   // its batchmates get exactly the answer an uncoalesced query would.
   api::Arch bad = archs[0];
   bad.genes[0].op = static_cast<hgnas::OpType>(99);
-  auto stall = service->submit(SearchRequest{});  // pile the queue again
+  testing::WorkerStall stall_bad(*service, 2);  // pile the queue again
+  ASSERT_TRUE(stall_bad.engaged());
   auto bad_future = service->submit(PredictLatencyRequest{bad});
   std::vector<std::future<api::Result<api::LatencyReport>>> good;
   for (int i = 0; i < 4; ++i)
     good.push_back(service->submit(PredictLatencyRequest{archs[
         static_cast<std::size_t>(i)]}));
-  ASSERT_TRUE(stall.get().ok());
+  ASSERT_TRUE(stall_bad.release());
   api::Result<api::LatencyReport> bad_result = bad_future.get();
   ASSERT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.status().code(), api::StatusCode::kInvalidArgument);
@@ -265,14 +268,15 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
   std::vector<api::Arch> large_batch;
   for (std::size_t i = 0; i < large; ++i)
     large_batch.push_back(archs[i % archs.size()]);
-  auto stall_again = service->submit(SearchRequest{});
+  testing::WorkerStall stall_again(*service, 2);
+  ASSERT_TRUE(stall_again.engaged());
   std::vector<std::future<api::Result<api::LatencyReport>>> lone;
   for (std::size_t i = 0; i < 3; ++i)
     lone.push_back(service->submit(PredictLatencyRequest{archs[i]}));
   auto small_future = service->submit(PredictBatchRequest{small_batch});
   auto large_future = service->submit(PredictBatchRequest{large_batch});
   lone.push_back(service->submit(PredictLatencyRequest{archs[3]}));
-  ASSERT_TRUE(stall_again.get().ok());
+  ASSERT_TRUE(stall_again.release());
   const auto expect_lone_answer = [&](const api::Result<api::LatencyReport>& r,
                                       const api::Arch& arch) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
@@ -566,9 +570,10 @@ TEST(ServeStats, QuiescedCountersConserveRequests) {
   // Every admitted request is counted once in serve.requests and once in
   // exactly one outcome: answered (ok or a per-request error), refused by
   // the full queue, expired or cancelled. The mix below drives every
-  // outcome at once — a long search that expires mid-run while a bounded
-  // queue fills behind it with lone predictions (some pre-cancelled, some
-  // already expired) and a batch whose every arch counts.
+  // outcome at once — a long search that expires mid-run while, with
+  // every worker held on a stall profile, a bounded queue fills with lone
+  // predictions (some pre-cancelled, some already expired) and a batch
+  // whose every arch counts.
   api::EngineConfig cfg = tiny_cfg();
   cfg.iterations = 500;  // runs until its deadline
   for (const std::int64_t workers : {std::int64_t{1}, std::int64_t{3}}) {
@@ -585,6 +590,8 @@ TEST(ServeStats, QuiescedCountersConserveRequests) {
     std::vector<api::Arch> archs;
     for (int i = 0; i < 5; ++i) archs.push_back(probe.value().sample_arch());
 
+    testing::WorkerStall stall(service, workers);
+    ASSERT_TRUE(stall.engaged());
     SearchRequest search_req;
     search_req.opts.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
@@ -600,6 +607,7 @@ TEST(ServeStats, QuiescedCountersConserveRequests) {
       lone.push_back(service.submit(std::move(req)));
     }
     auto batch = service.submit(PredictBatchRequest{archs});
+    ASSERT_TRUE(stall.release());
 
     std::map<api::StatusCode, std::int64_t> outcomes;
     const auto tally = [&](const api::Status& s) { ++outcomes[s.code()]; };
@@ -618,8 +626,9 @@ TEST(ServeStats, QuiescedCountersConserveRequests) {
     EXPECT_EQ(stats.at("serve.deadline_expired"), expired);
     EXPECT_EQ(stats.at("serve.cancelled_requests"), cancelled);
     // Each future resolved to exactly one outcome, so every submitted
-    // request is counted once: no more, no fewer.
-    EXPECT_EQ(stats.at("serve.requests"), total);
+    // request is counted once: no more, no fewer (the stall profiles, one
+    // per worker, answered OK).
+    EXPECT_EQ(stats.at("serve.requests"), total + workers);
     // The mix reached the outcomes it was built for.
     EXPECT_GE(expired, 1);
     EXPECT_GE(rejected, 1);
@@ -641,16 +650,13 @@ TEST(ServeStats, SnapshotKeySetIsPinned) {
       "serve.cancelled_requests",
       "serve.deadline_expired",
       "serve.drain_started",
-      "serve.exclusive_preemptions",
       "serve.exclusive_queue_wait_us.count",
       "serve.exclusive_queue_wait_us.p50_us",
       "serve.exclusive_queue_wait_us.p99_us",
       "serve.exclusive_requests",
-      "serve.exclusive_resumes",
       "serve.exclusive_service_time_us.count",
       "serve.exclusive_service_time_us.p50_us",
       "serve.exclusive_service_time_us.p99_us",
-      "serve.exclusive_slices",
       "serve.max_predict_batch",
       "serve.pings",
       "serve.predict_batches",
@@ -665,6 +671,7 @@ TEST(ServeStats, SnapshotKeySetIsPinned) {
       "serve.queue_wait_us.count",
       "serve.queue_wait_us.p50_us",
       "serve.queue_wait_us.p99_us",
+      "serve.refused_requests",
       "serve.rejected_requests",
       "serve.requests",
       "serve.service_time_us.count",
@@ -713,39 +720,52 @@ TEST(ServeStats, HistogramEdgeCases) {
   EXPECT_EQ(past.percentile_us(0.50), 1279);
 }
 
-// ---- stepwise, preemptible exclusive scheduling ----------------------------
+TEST(ServeStats, RefusalsWhileDrainingOrStoppedAreCounted) {
+  // A submission refused because the service is draining or shut down is
+  // counted by its request count, in serve.requests and in
+  // serve.refused_requests, so every answered future has a counter.
+  auto service = make_service(tiny_cfg(), 1);
+  ASSERT_NE(service, nullptr);
+  auto probe = api::Engine::create(tiny_cfg(), service->context());
+  ASSERT_TRUE(probe.ok());
+  std::vector<api::Arch> archs;
+  for (int i = 0; i < 3; ++i) archs.push_back(probe.value().sample_arch());
 
-std::shared_ptr<Service> make_sliced_service(const api::EngineConfig& cfg,
-                                             std::int64_t workers,
-                                             std::int64_t slice_ms) {
-  ServiceConfig scfg;
-  scfg.num_workers = workers;
-  scfg.exclusive_slice_ms = slice_ms;
-  api::Result<std::shared_ptr<Service>> service = Service::create(cfg, scfg);
-  EXPECT_TRUE(service.ok()) << service.status().to_string();
-  return service.ok() ? service.value() : nullptr;
+  service->drain();
+  for (const auto& r : service->submit(PredictBatchRequest{archs}).get())
+    EXPECT_EQ(r.status().code(), api::StatusCode::kUnavailable);
+  EXPECT_EQ(stat(*service, "serve.requests"), 3);
+  EXPECT_EQ(stat(*service, "serve.predict_requests"), 3);
+  EXPECT_EQ(stat(*service, "serve.refused_requests"), 3);
+  EXPECT_EQ(stat(*service, "serve.rejected_requests"), 0);
+
+  service->shutdown();
+  EXPECT_EQ(service->submit(ProfileRequest{archs[0]}).get().status().code(),
+            api::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(stat(*service, "serve.requests"), 4);
+  EXPECT_EQ(stat(*service, "serve.refused_requests"), 4);
 }
 
-/// Block until the service has dispatched at least one exclusive slice
-/// (i.e. the search is genuinely running, not just queued).
-bool wait_for_first_slice(Service& service) {
+// ---- the runner lane: exclusive runs on their own thread --------------------
+
+/// Block until the runner has finished at least one step of a stepwise run
+/// (the run is genuinely under way, not just queued).
+bool wait_until_running(Service& service) {
   for (int i = 0; i < 2000; ++i) {
-    if (stat(service, "serve.exclusive_slices") > 0) return true;
+    if (stat(service, "serve.step_us.count") > 0) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
 }
 
 // max_queue_depth bounds queue *entries*, not requests: with the only
-// worker busy on a search and a limit of one, a 16-arch batch is one entry
+// worker held by a stall and a limit of one, a 16-arch batch is one entry
 // and is admitted whole, and a lone prediction after it finds the queue
 // full.
 TEST(ServeAdmission, QueueDepthCountsEntriesNotRequests) {
-  api::EngineConfig cfg = tiny_cfg();
-  cfg.iterations = 500;  // runs until cancelled
+  const api::EngineConfig cfg = tiny_cfg();
   ServiceConfig scfg;
   scfg.num_workers = 1;
-  scfg.exclusive_slice_ms = 0;  // the search never yields its worker
   scfg.max_queue_depth = 1;
   api::Result<std::shared_ptr<Service>> created = Service::create(cfg, scfg);
   ASSERT_TRUE(created.ok()) << created.status().to_string();
@@ -755,18 +775,14 @@ TEST(ServeAdmission, QueueDepthCountsEntriesNotRequests) {
   std::vector<api::Arch> archs;
   for (int i = 0; i < 16; ++i) archs.push_back(probe.value().sample_arch());
 
-  SearchRequest search_req;
-  search_req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  auto cancel = search_req.opts.cancel;
-  auto search = service.submit(std::move(search_req));
-  ASSERT_TRUE(wait_for_first_slice(service));
+  testing::WorkerStall stall(service, 1);
+  ASSERT_TRUE(stall.engaged());
   auto batch = service.submit(PredictBatchRequest{archs});
   api::Result<api::LatencyReport> lone =
       service.submit(PredictLatencyRequest{archs[0]}).get();
   EXPECT_EQ(lone.status().code(), api::StatusCode::kResourceExhausted);
 
-  cancel->store(true);
-  EXPECT_EQ(search.get().status().code(), api::StatusCode::kCancelled);
+  ASSERT_TRUE(stall.release());
   const std::vector<api::Result<api::LatencyReport>> answered = batch.get();
   ASSERT_EQ(answered.size(), archs.size());
   for (const auto& r : answered) EXPECT_TRUE(r.ok()) << r.status().to_string();
@@ -774,166 +790,101 @@ TEST(ServeAdmission, QueueDepthCountsEntriesNotRequests) {
   service.shutdown();
 }
 
-TEST(ServeSlice, SlicedRunBitIdenticalToRunToCompletion) {
-  // The tentpole guarantee: enabling the slice changes WHEN work runs,
-  // never WHAT it computes. The same mixed script through a sliced
-  // service must reproduce the run-to-completion results bit-for-bit —
-  // searches and trained baselines included, because the preempted run
-  // resumes ahead of every younger exclusive and the shared-context RNG
-  // stream replays in submission order.
-  const api::EngineConfig cfg = tiny_cfg();
-  auto probe = api::Engine::create(cfg);
-  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
-  std::vector<api::Arch> archs;
-  for (int i = 0; i < 8; ++i) archs.push_back(probe.value().sample_arch());
-
-  auto plain = make_service(cfg, 2);
-  ASSERT_NE(plain, nullptr);
-  const RunResults legacy = run_script(*plain, archs);
-  plain->shutdown();
-
-  auto sliced = make_sliced_service(cfg, 2, /*slice_ms=*/1);
-  ASSERT_NE(sliced, nullptr);
-  const RunResults preempted = run_script(*sliced, archs);
-  const obs::Snapshot stats = sliced->metrics_snapshot();
-  sliced->shutdown();
-
-  // The slice path actually engaged, and the per-kind split saw traffic
-  // on both sides.
-  EXPECT_GT(stats.at("serve.exclusive_slices"), 0);
-  EXPECT_GT(stats.at("serve.pure_service_time_us.p99_us"), 0);
-  EXPECT_GT(stats.at("serve.exclusive_service_time_us.p99_us"), 0);
-  EXPECT_GE(stats.at("serve.queue_wait_us.p99_us"),
-            stats.at("serve.pure_queue_wait_us.p50_us"));
-
-  ASSERT_EQ(legacy.searches.size(), preempted.searches.size());
-  for (std::size_t i = 0; i < legacy.searches.size(); ++i) {
-    EXPECT_EQ(legacy.searches[i].result.best_arch,
-              preempted.searches[i].result.best_arch);
-    EXPECT_DOUBLE_EQ(legacy.searches[i].result.best_objective,
-                     preempted.searches[i].result.best_objective);
-    EXPECT_DOUBLE_EQ(legacy.searches[i].result.best_latency_ms,
-                     preempted.searches[i].result.best_latency_ms);
-    EXPECT_DOUBLE_EQ(legacy.searches[i].result.total_sim_time_s,
-                     preempted.searches[i].result.total_sim_time_s);
-    EXPECT_EQ(legacy.searches[i].result.latency_queries,
-              preempted.searches[i].result.latency_queries);
-  }
-  ASSERT_EQ(legacy.predictions.size(), preempted.predictions.size());
-  for (std::size_t i = 0; i < legacy.predictions.size(); ++i)
-    EXPECT_DOUBLE_EQ(legacy.predictions[i].latency_ms,
-                     preempted.predictions[i].latency_ms);
-  ASSERT_EQ(legacy.trained.size(), preempted.trained.size());
-  for (std::size_t i = 0; i < legacy.trained.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy.trained[i].overall_acc,
-                     preempted.trained[i].overall_acc);
-    EXPECT_DOUBLE_EQ(legacy.trained[i].balanced_acc,
-                     preempted.trained[i].balanced_acc);
-  }
-}
-
-TEST(ServeSlice, PreemptedSearchIsResumedAndStillCorrect) {
-  // One worker + a fat search + a stream of pure probes: the search MUST
-  // be preempted (probes interleave) and still finish with the result a
-  // dedicated engine computes.
-  api::EngineConfig cfg = tiny_cfg();
-  cfg.iterations = 12;
-  // The probe arch comes from a throwaway engine: sample_arch() consumes
-  // RNG, and the reference search below must start from virgin state to
-  // match what the service's worker engine sees.
-  auto sampler = api::Engine::create(cfg);
-  ASSERT_TRUE(sampler.ok());
-  const api::Arch arch = sampler.value().sample_arch();
-  auto reference = api::Engine::create(cfg);
+TEST(ServeRunner, PredictionDuringSearchResolvesFirstAndBitIdentical) {
+  // The runner lane's point: a prediction submitted while a search runs
+  // does not wait for it, at any worker count. It still answers exactly
+  // what a lone Engine::predict_latency answers, and the search still
+  // returns what a solo run returns.
+  const api::EngineConfig cfg = tiny_predictor_cfg();
+  // The probe arch and its lone answer come from a throwaway engine:
+  // sample_arch() consumes RNG, and the reference search below must start
+  // from virgin context state to match what the service's runner sees.
+  auto lone = api::Engine::create(cfg);
+  ASSERT_TRUE(lone.ok()) << lone.status().to_string();
+  const api::Arch arch = lone.value().sample_arch();
+  const api::Result<api::LatencyReport> expected_latency =
+      lone.value().predict_latency(arch);
+  ASSERT_TRUE(expected_latency.ok());
+  api::EngineConfig long_cfg = cfg;
+  long_cfg.iterations = 100;  // outlasts a prediction many times over
+  auto reference = api::Engine::create(long_cfg);
   ASSERT_TRUE(reference.ok());
   const api::Result<api::SearchReport> expected = reference.value().search();
   ASSERT_TRUE(expected.ok());
 
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
-  ASSERT_NE(service, nullptr);
-  auto search = service->submit(SearchRequest{});
-  ASSERT_TRUE(wait_for_first_slice(*service));
-  // Keep pure probes flowing while the search runs, forcing interleaving.
-  std::int64_t probes = 0;
-  while (search.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready &&
-         probes < 10000) {
-    ASSERT_TRUE(service->submit(PredictLatencyRequest{arch}).get().ok());
-    ++probes;
-  }
-  api::Result<api::SearchReport> got = search.get();
-  ASSERT_TRUE(got.ok()) << got.status().to_string();
-  const obs::Snapshot stats = service->metrics_snapshot();
-  service->shutdown();
+  for (const std::int64_t workers : {std::int64_t{1}, std::int64_t{2}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    auto service = make_service(long_cfg, workers);
+    ASSERT_NE(service, nullptr);
+    auto search = service->submit(SearchRequest{});
+    ASSERT_TRUE(wait_until_running(*service));
+    const api::Result<api::LatencyReport> predicted =
+        service->submit(PredictLatencyRequest{arch}).get();
+    EXPECT_NE(search.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "the prediction waited for the search";
+    ASSERT_TRUE(predicted.ok()) << predicted.status().to_string();
+    EXPECT_EQ(predicted.value().latency_ms,
+              expected_latency.value().latency_ms);
 
-  EXPECT_GT(stats.at("serve.exclusive_preemptions"), 0);
-  EXPECT_GT(stats.at("serve.exclusive_resumes"), 0);
-  EXPECT_GT(probes, 0);
-  // The service search ran on a fresh engine over the same context state
-  // a lone engine starts from — identical results.
-  EXPECT_EQ(got.value().result.best_arch,
-            expected.value().result.best_arch);
-  EXPECT_DOUBLE_EQ(got.value().result.best_objective,
-                   expected.value().result.best_objective);
-  EXPECT_DOUBLE_EQ(got.value().result.total_sim_time_s,
-                   expected.value().result.total_sim_time_s);
+    const api::Result<api::SearchReport> got = search.get();
+    service->shutdown();
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value().result.best_arch,
+              expected.value().result.best_arch);
+    EXPECT_EQ(got.value().result.best_objective,
+              expected.value().result.best_objective);
+    EXPECT_EQ(got.value().result.total_sim_time_s,
+              expected.value().result.total_sim_time_s);
+    EXPECT_EQ(got.value().result.latency_queries,
+              expected.value().result.latency_queries);
+  }
 }
 
-TEST(ServeSlice, MidRunCancelResolvesBetweenSteps) {
+TEST(ServeRunner, MidRunCancelResolvesBetweenSteps) {
   api::EngineConfig cfg = tiny_cfg();
   cfg.iterations = 500;  // minutes of work if never interrupted
-  // Slice 0 never preempts the run, but still steps it: the cancel lands
-  // between steps there too.
-  for (const std::int64_t slice_ms : {1, 0}) {
-    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
-    auto service = make_sliced_service(cfg, 1, slice_ms);
-    ASSERT_NE(service, nullptr);
+  auto service = make_service(cfg, 1);
+  ASSERT_NE(service, nullptr);
 
-    SearchRequest req;
-    req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-    auto cancel = req.opts.cancel;
-    auto search = service->submit(std::move(req));
-    ASSERT_TRUE(wait_for_first_slice(*service));
-    cancel->store(true);
+  SearchRequest req;
+  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+  auto cancel = req.opts.cancel;
+  auto search = service->submit(std::move(req));
+  ASSERT_TRUE(wait_until_running(*service));
+  cancel->store(true);
 
-    // Without mid-run checks this would block for the whole 500-iteration
-    // run; between-step cancellation resolves within a few steps.
-    api::Result<api::SearchReport> r = search.get();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-    EXPECT_GE(stat(*service, "serve.cancelled_requests"), 1);
+  // Without mid-run checks this would block for the whole 500-iteration
+  // run; between-step cancellation resolves within a few steps.
+  api::Result<api::SearchReport> r = search.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+  EXPECT_GE(stat(*service, "serve.cancelled_requests"), 1);
 
-    // The worker is free again: the service keeps serving.
-    auto probe = api::Engine::create(cfg);
-    ASSERT_TRUE(probe.ok());
-    EXPECT_TRUE(
-        service->submit(PredictLatencyRequest{probe.value().sample_arch()})
-            .get()
-            .ok());
-    service->shutdown();
-  }
+  // The runner is free again: the service keeps serving exclusive work.
+  api::EngineConfig quick = cfg;
+  quick.iterations = 2;
+  EXPECT_TRUE(service->submit(SearchRequest{quick}).get().ok());
+  service->shutdown();
 }
 
-TEST(ServeSlice, MidRunDeadlineResolvesBetweenSteps) {
+TEST(ServeRunner, MidRunDeadlineResolvesBetweenSteps) {
   api::EngineConfig cfg = tiny_cfg();
   cfg.iterations = 500;
-  for (const std::int64_t slice_ms : {1, 0}) {
-    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
-    auto service = make_sliced_service(cfg, 1, slice_ms);
-    ASSERT_NE(service, nullptr);
+  auto service = make_service(cfg, 1);
+  ASSERT_NE(service, nullptr);
 
-    SearchRequest req;
-    req.opts.deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-    auto search = service->submit(std::move(req));
-    ASSERT_TRUE(wait_for_first_slice(*service));
+  SearchRequest req;
+  req.opts.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  auto search = service->submit(std::move(req));
+  ASSERT_TRUE(wait_until_running(*service));
 
-    api::Result<api::SearchReport> r = search.get();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-    EXPECT_GE(stat(*service, "serve.deadline_expired"), 1);
-    service->shutdown();
-  }
+  api::Result<api::SearchReport> r = search.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
+  EXPECT_GE(stat(*service, "serve.deadline_expired"), 1);
+  service->shutdown();
 }
 
 /// Drive a begun run to completion; the number of step() calls, the last
@@ -945,11 +896,10 @@ std::int64_t drive_steps(Run& run) {
   return steps;
 }
 
-TEST(ServeSlice, SliceZeroRunsTheStepperUnpreempted) {
-  // exclusive_slice_ms = 0 is an unbounded slice, not another scheduler:
-  // each search and baseline training runs its stepper in one dispatch,
-  // never preempted, recording one serve.step_us sample per step of the
-  // same run driven directly.
+TEST(ServeRunner, RunsEachStepperToCompletionInOneDispatch) {
+  // The runner drives each search and baseline training through its
+  // stepper in one dispatch, recording one serve.step_us sample per step
+  // of the same run driven directly.
   api::EngineConfig cfg = tiny_cfg();
   cfg.train_epochs = 2;
   auto reference = api::Engine::create(cfg);
@@ -968,20 +918,19 @@ TEST(ServeSlice, SliceZeroRunsTheStepperUnpreempted) {
   ASSERT_TRUE(expected_train.ok());
   EXPECT_GT(search_steps, 1);
 
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/0);
+  auto service = make_service(cfg, 1);
   ASSERT_NE(service, nullptr);
   auto search = service->submit(SearchRequest{});
   auto train = service->submit(TrainBaselineRequest{"tailor"});
   const api::Result<api::SearchReport> searched = search.get();
   const api::Result<api::TrainReport> trained = train.get();
-  const obs::Snapshot stats = service->metrics_snapshot();
   service->shutdown();
+  const obs::Snapshot stats = service->metrics_snapshot();
   ASSERT_TRUE(searched.ok()) << searched.status().to_string();
   ASSERT_TRUE(trained.ok()) << trained.status().to_string();
 
-  EXPECT_EQ(stats.at("serve.exclusive_preemptions"), 0);
-  EXPECT_EQ(stats.at("serve.exclusive_resumes"), 0);
-  EXPECT_EQ(stats.at("serve.exclusive_slices"), 2);  // one dispatch per run
+  // One dispatch per run.
+  EXPECT_EQ(stats.at("serve.exclusive_service_time_us.count"), 2);
   EXPECT_EQ(stats.at("serve.step_us.count"), search_steps + train_steps);
   EXPECT_EQ(searched.value().result.best_arch,
             expected_search.value().result.best_arch);
@@ -991,9 +940,9 @@ TEST(ServeSlice, SliceZeroRunsTheStepperUnpreempted) {
                    expected_train.value().overall_acc);
 }
 
-TEST(ServeSlice, TrainBaselineCounterBumpsOncePerRun) {
+TEST(ServeRunner, TrainBaselineCounterBumpsOncePerRun) {
   // engine.train_baselines counts each training once, however it runs:
-  // in-process, or served at slice 0 or at slice 1.
+  // in-process, or served.
   api::EngineConfig cfg = tiny_cfg();
   cfg.train_epochs = 1;
   const obs::Counter& trains =
@@ -1005,23 +954,21 @@ TEST(ServeSlice, TrainBaselineCounterBumpsOncePerRun) {
   ASSERT_TRUE(engine.value().train_baseline("tailor").ok());
   EXPECT_EQ(trains.value() - before, 1);
 
-  for (const std::int64_t slice_ms : {0, 1}) {
-    SCOPED_TRACE("slice_ms " + std::to_string(slice_ms));
-    auto service = make_sliced_service(cfg, 1, slice_ms);
-    ASSERT_NE(service, nullptr);
-    before = trains.value();
-    ASSERT_TRUE(service->submit(TrainBaselineRequest{"tailor"}).get().ok());
-    service->shutdown();
-    EXPECT_EQ(trains.value() - before, 1);
-  }
+  auto service = make_service(cfg, 1);
+  ASSERT_NE(service, nullptr);
+  before = trains.value();
+  ASSERT_TRUE(service->submit(TrainBaselineRequest{"tailor"}).get().ok());
+  service->shutdown();
+  EXPECT_EQ(trains.value() - before, 1);
 }
 
-TEST(ServeSlice, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
-  // serve.step_us records one sample per step() of a sliced run. A search
-  // step is one supernet mini-batch or one validation-sample round, so the
-  // longest step must stay below the longest epoch / generation — the
-  // unit a step used to be. That unit is at least as long as the warmup
-  // epoch of a reference run of the same search, timed step by step.
+TEST(ServeRunner, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
+  // serve.step_us records one sample per step() of a stepwise run. A
+  // search step is one supernet mini-batch or one validation-sample round,
+  // so the longest step must stay below the longest epoch / generation —
+  // the unit a step used to be. That unit is at least as long as the
+  // warmup epoch of a reference run of the same search, timed step by
+  // step.
   api::EngineConfig cfg = tiny_cfg();
   cfg.strategy = "multistage";
   cfg.samples_per_class = 10;  // 80 train / 20 validation clouds
@@ -1044,15 +991,15 @@ TEST(ServeSlice, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
   ASSERT_TRUE(run.value()->take_report().ok());
   ASSERT_EQ(cfg.stage1_epochs, 1);  // warmup_us is one epoch
 
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
+  auto service = make_service(cfg, 1);
   ASSERT_NE(service, nullptr);
   ASSERT_TRUE(service->submit(SearchRequest{}).get().ok());
+  service->shutdown();
   const obs::Histogram& step_us =
       service->registry().histogram("serve.step_us");
   const obs::Snapshot snap = service->metrics_snapshot();
-  service->shutdown();
 
-  // Every step() the worker drove, the final one (which returns false)
+  // Every step() the runner drove, the final one (which returns false)
   // included — the same count as the reference run's.
   EXPECT_EQ(step_us.count(), steps);
   EXPECT_EQ(snap.at("serve.step_us.count"), steps);
