@@ -9,9 +9,9 @@
 //
 // Method: one worker (the worst case — no second worker to absorb pure
 // traffic) and a closed loop of predict probes, each probe's wall time
-// one sample. First a fixed number of probes on the idle service, then
-// one long search submitted and the loop again until the search
-// completes.
+// one sample. First a fixed number of probes on the idle service (after
+// an untimed warm-up), then one long search submitted and the loop again
+// until the search completes.
 //
 // Results are printed and written to BENCH_mixed_load.json; CI's
 // smoke-perf job gates the --quick run against
@@ -106,8 +106,10 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  std::vector<double> idle_ms;
-  if (!probe_while([&] { return idle_ms.size() < idle_probes; }, &idle_ms))
+  // Untimed warm-up, so that the idle p99 is not a cold start's.
+  std::vector<double> warm_ms, idle_ms;
+  if (!probe_while([&] { return warm_ms.size() < 100; }, &warm_ms) ||
+      !probe_while([&] { return idle_ms.size() < idle_probes; }, &idle_ms))
     return 1;
 
   bench::Timer search_timer;
