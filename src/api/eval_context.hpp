@@ -38,7 +38,9 @@
 //    anything that trains the supernet or draws from the context RNG
 //    (Engine::search / train / train_baseline) must hold external
 //    exclusion — serve::Service runs exactly one such request at a time,
-//    in submission order, on its runner thread. So does the "measured"
+//    in submission order, on its runner lane (a run's steps may move
+//    from the lane's stepper thread to the runner, never overlapping).
+//    So does the "measured"
 //    evaluator's noise stream, which its predictions advance.
 //  * Nothing else needs exclusion. Engine::predict_latency /
 //    predict_batch (oracle or fitted predictor), profile and

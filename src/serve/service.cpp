@@ -1,9 +1,14 @@
 #include "serve/service.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+#include <time.h>
+
 #include <exception>
 #include <future>
 #include <iterator>
 #include <span>
+#include <system_error>
 #include <utility>
 
 namespace hg::serve {
@@ -46,6 +51,19 @@ std::int64_t us_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
       .count();
 }
+
+/// CPU time the calling thread has used so far.
+std::chrono::nanoseconds thread_cpu_time() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+/// A step on the idle-priority stepper is starved when it spends more
+/// than its own CPU time plus this off the CPU. The margin covers waiting
+/// for its pool helpers' chunks and the tens-of-milliseconds stalls of a
+/// shared host; a starved step overshoots it by seconds.
+constexpr auto kStarvedSlack = std::chrono::milliseconds(250);
 
 /// Settles one submission's promise, then fires its notify hook. Each
 /// closure that may resolve the request holds a copy (one shared promise,
@@ -527,26 +545,26 @@ void Service::run_exclusive(api::Engine& engine, QueuedTask& task) {
     answers = execute(engine, std::span<QueuedTask>(&task, 1));
   } else {
     run = task.make_steppable(engine);
-    for (;;) {
-      // Between steps the run is at a clean boundary: honor a cancel or an
-      // expired deadline now instead of at the end of the run.
-      if (is_cancelled(task.cancel)) {
-        counters_.cancelled_requests.inc();
-        stopped =
-            api::Status::Cancelled("request cancelled mid-run (between steps)");
-        break;
-      }
-      const auto step_started = std::chrono::steady_clock::now();
-      if (step_started > task.deadline) {
-        counters_.deadline_expired.inc();
-        stopped = api::Status::DeadlineExceeded(
-            "deadline expired mid-run (between steps)");
-        break;
-      }
-      const bool more = run->step();
-      step_us_.record_us(
-          us_between(step_started, std::chrono::steady_clock::now()));
-      if (!more) break;
+    // A stepper thread of the run's own, at idle priority (SCHED_IDLE is
+    // a policy an unprivileged thread may take but never leave), steps it
+    // until a step is starved; this thread steps the rest at normal
+    // priority. Steps may run on different threads (core/stepwise.hpp).
+    bool done = false;
+    try {
+      std::thread([&] {
+#ifdef SCHED_IDLE
+        const sched_param idle{};
+        (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle);
+#endif
+        HG_TRACE_ID(task.trace_id);
+        done = step_run(task, *run, stopped, true);
+      }).join();
+    } catch (const std::system_error&) {
+      // No thread to spare: this thread steps the whole run.
+    }
+    if (!done) {
+      counters_.starved_runs.inc();
+      step_run(task, *run, stopped, false);
     }
   }
   const auto ended = std::chrono::steady_clock::now();
@@ -563,6 +581,35 @@ void Service::run_exclusive(api::Engine& engine, QueuedTask& task) {
     run->finish();
   else
     run->abort(stopped);
+}
+
+bool Service::step_run(QueuedTask& task, Steppable& run,
+                       api::Status& stopped, bool until_starved) {
+  for (;;) {
+    // Between steps the run is at a clean boundary: honor a cancel or an
+    // expired deadline now instead of at the end of the run.
+    if (is_cancelled(task.cancel)) {
+      counters_.cancelled_requests.inc();
+      stopped =
+          api::Status::Cancelled("request cancelled mid-run (between steps)");
+      return true;
+    }
+    const auto step_started = std::chrono::steady_clock::now();
+    if (step_started > task.deadline) {
+      counters_.deadline_expired.inc();
+      stopped = api::Status::DeadlineExceeded(
+          "deadline expired mid-run (between steps)");
+      return true;
+    }
+    const std::chrono::nanoseconds cpu_started = thread_cpu_time();
+    const bool more = run.step();
+    const auto step_ended = std::chrono::steady_clock::now();
+    step_us_.record_us(us_between(step_started, step_ended));
+    if (!more) return true;
+    const std::chrono::nanoseconds cpu = thread_cpu_time() - cpu_started;
+    if (until_starved && step_ended - step_started > 2 * cpu + kStarvedSlack)
+      return false;
+  }
 }
 
 void Service::worker_loop(std::size_t worker_index) {

@@ -21,7 +21,10 @@
 //   * A long exclusive run (search / train_baseline) advances one step at
 //     a time (a search's mini-batch or validation-sample round, a
 //     baseline's epoch), with cancel and deadline checked between steps,
-//     and runs on the runner until it finishes.
+//     and runs on the runner lane until it finishes: on a stepper thread
+//     at idle priority (SCHED_IDLE), so that a thread that wakes on its
+//     CPU runs at once, until a step is starved of CPU; then the runner
+//     steps the rest at normal priority.
 //   * Every latency prediction is one queue entry: a PredictLatency is an
 //     entry of one arch, a PredictBatch an entry of N. Against a
 //     "predictor" evaluator the entries wait on one coalescing queue: a
@@ -267,6 +270,12 @@ class Service {
   /// end (or to a cancel / deadline between steps), anything else in one
   /// piece.
   void run_exclusive(api::Engine& engine, QueuedTask& task);
+  /// Steps `run` until it finishes or is cancelled / expires between
+  /// steps (then `stopped` says why), and returns true. With
+  /// `until_starved` it returns false instead after a starved step (see
+  /// kStarvedSlack in service.cpp).
+  bool step_run(QueuedTask& task, Steppable& run, api::Status& stopped,
+                bool until_starved);
 
   /// An entry carrying the scheduling fields of `opts` (deadline, cancel
   /// flag, trace id), stamped as enqueued now.
@@ -375,6 +384,9 @@ class Service {
     // Expired / cancelled while queued or between steps of a run.
     obs::Counter& deadline_expired = r.counter("serve.deadline_expired");
     obs::Counter& cancelled_requests = r.counter("serve.cancelled_requests");
+    // Stepwise runs that the runner finished itself, at normal priority:
+    // a step starved on the idle-priority stepper, or no stepper started.
+    obs::Counter& starved_runs = r.counter("serve.starved_runs");
     // Net front end: health probes answered, refusals sent with a
     // retry_after_us hint.
     obs::Counter& pings = r.counter("serve.pings");

@@ -7,8 +7,10 @@
 // process-wide StallGate while the gate is closed, so a
 // ProfileBaselineRequest{kStallBaseline} (in-process or over the wire)
 // holds one worker for exactly as long as the test wants, whatever the
-// service's scheduling policy does with anything else. With the gate open
-// it profiles like "dgcnn".
+// service's scheduling policy does with anything else. Its training starts
+// with a step that passes the same gate, so a TrainBaselineRequest holds
+// the runner lane the same way. With the gate open it profiles and trains like
+// "dgcnn".
 #pragma once
 
 #include <chrono>
@@ -92,10 +94,33 @@ class StallBaseline final : public api::Lowerable {
   std::unique_ptr<api::TrainStepper> train_stepper(
       const pointcloud::Dataset& data, const hgnas::Workload& train_workload,
       std::int64_t epochs, float lr, Rng& rng) const override {
-    return dgcnn_->train_stepper(data, train_workload, epochs, lr, rng);
+    return std::make_unique<GatedStepper>(
+        dgcnn_->train_stepper(data, train_workload, epochs, lr, rng));
   }
 
  private:
+  /// "dgcnn"'s training after a first step that only passes the
+  /// StallGate, so that step spends its time waiting, not computing.
+  class GatedStepper final : public api::TrainStepper {
+   public:
+    explicit GatedStepper(std::unique_ptr<api::TrainStepper> inner)
+        : inner_(std::move(inner)) {}
+    bool step() override {
+      if (gated_) return inner_->step();
+      gated_ = true;
+      StallGate::instance().pass();
+      return true;
+    }
+    bool done() const override { return inner_->done(); }
+    api::BaselineTrainResult result() const override {
+      return inner_->result();
+    }
+
+   private:
+    std::unique_ptr<api::TrainStepper> inner_;
+    bool gated_ = false;
+  };
+
   std::unique_ptr<api::Lowerable> dgcnn_;
 };
 

@@ -700,6 +700,7 @@ TEST(NetServer, StatsKeySetIsPinned) {
       "serve.service_time_us.p50_us",
       "serve.service_time_us.p99_us",
       "serve.sheds_with_hint",
+      "serve.starved_runs",
       "serve.step_us.count",
       "serve.step_us.p50_us",
       "serve.step_us.p99_us",

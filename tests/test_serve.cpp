@@ -3,6 +3,8 @@
 // semantics, and the headline guarantee that a concurrent run's results
 // are bit-identical to a serial one.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -678,6 +680,7 @@ TEST(ServeStats, SnapshotKeySetIsPinned) {
       "serve.service_time_us.p50_us",
       "serve.service_time_us.p99_us",
       "serve.sheds_with_hint",
+      "serve.starved_runs",
       "serve.step_us.count",
       "serve.step_us.p50_us",
       "serve.step_us.p99_us",
@@ -962,13 +965,45 @@ TEST(ServeRunner, TrainBaselineCounterBumpsOncePerRun) {
   EXPECT_EQ(trains.value() - before, 1);
 }
 
+TEST(ServeRunner, StarvedRunFinishesOnTheRunnerWithTheSameResult) {
+  // The runner lane's stepper runs at idle priority; a step it spends far
+  // longer off the CPU than on it (here: one held at the stall gate, as a
+  // step starved of CPU would be) hands the rest of the run back to the
+  // runner, which finishes it with what a solo run returns.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.train_epochs = 2;
+  auto reference = api::Engine::create(cfg);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  const api::Result<api::TrainReport> expected =
+      reference.value().train_baseline(testing::kStallBaseline);
+  ASSERT_TRUE(expected.ok()) << expected.status().to_string();
+
+  auto service = make_service(cfg, 1);
+  ASSERT_NE(service, nullptr);
+  testing::StallGate::instance().close();
+  auto train =
+      service->submit(TrainBaselineRequest{testing::kStallBaseline});
+  ASSERT_TRUE(testing::StallGate::instance().wait_blocked(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  testing::StallGate::instance().open();
+  const api::Result<api::TrainReport> trained = train.get();
+  service->shutdown();
+  ASSERT_TRUE(trained.ok()) << trained.status().to_string();
+  EXPECT_EQ(stat(*service, "serve.starved_runs"), 1);
+  EXPECT_DOUBLE_EQ(trained.value().overall_acc, expected.value().overall_acc);
+  EXPECT_DOUBLE_EQ(trained.value().balanced_acc,
+                   expected.value().balanced_acc);
+}
+
 TEST(ServeRunner, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
   // serve.step_us records one sample per step() of a stepwise run. A
   // search step is one supernet mini-batch or one validation-sample round,
   // so the longest step must stay below the longest epoch / generation —
   // the unit a step used to be. That unit is at least as long as the
   // warmup epoch of a reference run of the same search, timed step by
-  // step.
+  // step. The service steps a run on an idle-priority thread, so the
+  // reference runs on one too: other processes on the host then hold up
+  // both alike.
   api::EngineConfig cfg = tiny_cfg();
   cfg.strategy = "multistage";
   cfg.samples_per_class = 10;  // 80 train / 20 validation clouds
@@ -980,14 +1015,21 @@ TEST(ServeRunner, StepHistogramCountsEveryStepAndStaysBelowAGeneration) {
   ASSERT_TRUE(run.ok()) << run.status().to_string();
   std::int64_t steps = 0;
   std::int64_t warmup_us = 0;
-  for (bool more = true; more; ++steps) {
-    const auto started = std::chrono::steady_clock::now();
-    more = run.value()->step();
-    if (run.value()->progress().phase == hgnas::SearchProgress::Phase::kWarmup)
-      warmup_us += std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - started)
-                       .count();
-  }
+  std::thread([&] {
+#ifdef SCHED_IDLE
+    const sched_param idle{};
+    (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle);
+#endif
+    for (bool more = true; more; ++steps) {
+      const auto started = std::chrono::steady_clock::now();
+      more = run.value()->step();
+      if (run.value()->progress().phase ==
+          hgnas::SearchProgress::Phase::kWarmup)
+        warmup_us += std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
+    }
+  }).join();
   ASSERT_TRUE(run.value()->take_report().ok());
   ASSERT_EQ(cfg.stage1_epochs, 1);  // warmup_us is one epoch
 
